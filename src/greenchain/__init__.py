@@ -1,8 +1,6 @@
 """Two-echelon green supply chain profit model, optimizers and surrogates."""
 
 from .model import (
-    AS_DERIVED,
-    AS_PRINTED,
     CostBreakdown,
     CycleSchedule,
     DecisionVector,
@@ -16,29 +14,22 @@ from .model import (
     manufacturer_schedule,
     retailer_schedule,
 )
-from .params import ModelParameters, ParameterError, table_defaults
+from .params import ModelParameters, ParameterError
 from .policy import (
     GreenReduction,
     PolicyObjective,
-    cap_and_trade_profit,
-    carbon_tax_profit,
     evaluate_policy,
     green_reduction,
-    limited_emission_objective,
     make_batch_objective,
-    penalize,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AS_DERIVED", "AS_PRINTED",
     "CostBreakdown", "CycleSchedule", "DecisionVector", "DomainError",
     "GreenReduction", "ModelParameters", "ParameterError", "PolicyObjective",
-    "ProfitResult", "base_profits", "cap_and_trade_profit",
-    "carbon_tax_profit", "compute_breakdown", "compute_schedule",
+    "ProfitResult", "base_profits", "compute_breakdown", "compute_schedule",
     "deterioration_rates", "effective_rates", "evaluate_policy",
-    "green_reduction", "limited_emission_objective", "make_batch_objective",
-    "manufacturer_schedule", "penalize", "retailer_schedule",
-    "table_defaults",
+    "green_reduction", "make_batch_objective", "manufacturer_schedule",
+    "retailer_schedule",
 ]

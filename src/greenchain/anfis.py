@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import DecisionVector, DomainError
+from .model import DECISION_NAMES, DecisionVector, DomainError
 from .params import ModelParameters
 from .policy import evaluate_policy
 
@@ -267,7 +267,7 @@ def generate_dataset(params: ModelParameters, decisions: DecisionVector,
     Grid points the model rejects are skipped with a single warning that
     reports the count.  Returns (x, y, n_skipped).
     """
-    if sweep_variable not in ("T0", "xi1", "xi2", "G", "W_r"):
+    if sweep_variable not in DECISION_NAMES:
         raise ValueError(f"unknown decision variable {sweep_variable!r}")
     if n_points < 2:
         raise ValueError("need at least two grid points")
@@ -278,8 +278,7 @@ def generate_dataset(params: ModelParameters, decisions: DecisionVector,
     xs, ys = [], []
     skipped = 0
     for value in grid:
-        candidate = DecisionVector(**{**decisions.to_dict(),
-                                      sweep_variable: float(value)})
+        candidate = replace(decisions, **{sweep_variable: float(value)})
         try:
             ys.append(evaluate_policy(params, candidate, policy).value)
             xs.append(float(value))
@@ -289,13 +288,3 @@ def generate_dataset(params: ModelParameters, decisions: DecisionVector,
         warnings.warn(f"skipped {skipped} inadmissible grid points "
                       f"while sweeping {sweep_variable}", stacklevel=2)
     return np.asarray(xs), np.asarray(ys), skipped
-
-
-def write_predictions_csv(path, x, y_true, y_pred) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y_true", "y_pred"])
-        for xi, yt, yp in zip(x, y_true, y_pred):
-            writer.writerow([repr(float(xi)), repr(float(yt)), repr(float(yp))])

@@ -29,15 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from .anfis import generate_dataset, grid_partition, train_hybrid
-from .model import (DecisionVector, DomainError, base_profits,
+from .model import (DECISION_NAMES, DecisionVector, DomainError, base_profits,
                     compute_breakdown, compute_schedule)
 from .optimize import (OptimizerConfig, default_search_space, multi_seed_run,
-                       multi_seed_stats, run, write_history_csv)
+                       multi_seed_stats)
 from .params import ModelParameters, ParameterError
 from .policy import POLICY_IDS, evaluate_policy, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
-                          SweepSpec, calibrate_missing_defaults,
-                          direction_report, run_sweep, write_sweep_csv)
+                          SWEEP_CSV_COLUMNS, SweepSpec,
+                          calibrate_missing_defaults, direction_report,
+                          run_sweep, sweep_table)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -95,7 +96,16 @@ def load_config(path: str | None) -> dict:
 def _load_parameters(config: dict, policy: str | None) -> ModelParameters:
     doc = config.get("parameters")
     if doc is None and "parameters_file" in config:
-        doc = json.loads(Path(config["parameters_file"]).read_text())
+        path = config["parameters_file"]
+        try:
+            doc = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise UsageError(f"cannot read parameters_file {path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(
+                f"parameters_file {path} is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise UsageError(f"parameters_file {path} must hold a JSON object")
     if doc is None:
         raise UsageError("config must provide 'parameters' or 'parameters_file'")
     return ModelParameters.from_dict(doc, policy=policy)
@@ -125,11 +135,11 @@ def _decisions(config: dict, section: dict | None, args=None) -> DecisionVector:
     doc = dict(config.get("decisions") or {})
     doc.update((section or {}).get("decisions") or {})
     if args is not None:
-        for name in ("T0", "xi1", "xi2", "G", "W_r"):
+        for name in DECISION_NAMES:
             flag = getattr(args, name, None)
             if flag is not None:
                 doc[name] = flag
-    missing = [k for k in ("T0", "xi1", "xi2", "G", "W_r") if k not in doc]
+    missing = [k for k in DECISION_NAMES if k not in doc]
     if missing:
         raise UsageError("missing decision components: " + ", ".join(missing))
     return DecisionVector.from_dict(doc)
@@ -211,9 +221,11 @@ def cmd_optimize(args, config) -> int:
             stem = f"{result.algorithm}_{policy}_seed{result.seed}"
             _atomic_write(out / f"best_{stem}.json",
                           json.dumps(doc, indent=2, sort_keys=True))
-            tmp = out / f"history_{stem}.csv"
-            tmp.parent.mkdir(parents=True, exist_ok=True)
-            write_history_csv(tmp, result)
+            history = [(i, fit, int(feas)) for i, (fit, feas) in enumerate(
+                zip(result.history, result.history_feasible))]
+            _atomic_csv(out / f"history_{stem}.csv",
+                        lambda fh: _write_rows(
+                            fh, ["iteration", "best_fitness", "feasible"], history))
     if n_seeds > 1:
         best, mean, std = multi_seed_stats(results)
         print(f"summary: max={best:.6f} mean={mean:.6f} std={std:.6e}")
@@ -256,8 +268,9 @@ def cmd_sensitivity(args, config) -> int:
             print(f"{parameter} {row.level:+6.1f}%  infeasible")
     out = _out_dir(args, config)
     if out:
-        out.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(out / f"sweep_{parameter}.csv", parameter, rows)
+        _atomic_csv(out / f"sweep_{parameter}.csv",
+                    lambda fh: _write_rows(fh, SWEEP_CSV_COLUMNS,
+                                           sweep_table(parameter, rows)))
     return EXIT_OK
 
 
@@ -318,7 +331,7 @@ def cmd_surface(args, config) -> int:
         raise UsageError("surface needs exactly two decision variable names")
     v1, v2 = variables
     for v in (v1, v2):
-        if v not in ("T0", "xi1", "xi2", "G", "W_r"):
+        if v not in DECISION_NAMES:
             raise UsageError(f"unknown decision variable {v!r}")
     range1 = args.range1 or section.get("range1")
     range2 = args.range2 or section.get("range2")
@@ -331,11 +344,10 @@ def cmd_surface(args, config) -> int:
     xs = np.linspace(range1[0], range1[1], int(n1))
     ys = np.linspace(range2[0], range2[1], int(n2))
     base = decisions.as_array()
-    order = {"T0": 0, "xi1": 1, "xi2": 2, "G": 3, "W_r": 4}
     grid = np.tile(base, (xs.size * ys.size, 1))
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    grid[:, order[v1]] = XX.ravel()
-    grid[:, order[v2]] = YY.ravel()
+    grid[:, DECISION_NAMES.index(v1)] = XX.ravel()
+    grid[:, DECISION_NAMES.index(v2)] = YY.ravel()
     values, _, valid = make_batch_objective(params, policy)(grid)
 
     out = _out_dir(args, config)
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("evaluate", help="evaluate one decision vector")
-    for name in ("T0", "xi1", "xi2", "G", "W_r"):
+    for name in DECISION_NAMES:
         p_eval.add_argument(f"--{name}", type=float, dest=name)
 
     p_opt = sub.add_parser("optimize", help="run DE or PSO on a policy")
@@ -414,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--iters", type=int)
 
     p_anfis = sub.add_parser("anfis", help="train the neuro-fuzzy surrogate")
-    p_anfis.add_argument("--variable", choices=["T0", "xi1", "xi2", "G", "W_r"])
+    p_anfis.add_argument("--variable", choices=DECISION_NAMES)
     p_anfis.add_argument("--points", type=int)
     p_anfis.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"))
     p_anfis.add_argument("--epochs", type=int)

@@ -6,8 +6,8 @@ per-player profits and the three carbon-policy objectives.  The functions are
 written as plain scalar math so a single implementation serves both execution
 backends:
 
-* compiled with ``numba.njit`` (default when numba imports cleanly), or
-* interpreted CPython, selected by setting ``GREENCHAIN_NO_NUMBA=1``.
+* compiled with ``numba.njit`` when the optional numba extra imports, or
+* interpreted CPython otherwise, or when ``GREENCHAIN_NO_NUMBA=1`` is set.
 
 A separately implemented, vectorised NumPy twin of the batch objective
 (`evaluate_policy_batch_numpy`) backs the fallback path for optimizer loops;
@@ -89,59 +89,9 @@ STATUS_MESSAGES = {
     ERR_BACKLOG: "backlog never clears",
 }
 
-# Slots of the term vector filled by evaluate_terms.
-T_T1 = 0
-T_T2 = 1
-T_QM = 2
-T_THETA_M = 3
-T_THETA_R = 4
-T_S = 5
-T_T11 = 6
-T_QR = 7
-T_T3 = 8
-T_B1 = 9
-T_B2 = 10
-T_FW = 11
-T_INT_I = 12
-T_INT_ID = 13
-T_INT_R = 14
-T_INT_R_SR = 15
-T_SR_M = 16
-T_PC_M = 17
-T_STC_M = 18
-T_PEC_M = 19
-T_RC_M = 20
-T_PREC_M = 21
-T_SCC_M = 22
-T_HC_M1 = 23
-T_HC_M2 = 24
-T_DC_M1 = 25
-T_DC_M2 = 26
-T_EM1 = 27
-T_EM2 = 28
-T_EM3 = 29
-T_EM4 = 30
-T_EM5 = 31
-T_EM6 = 32
-T_CARC_M = 33
-T_SR_R = 34
-T_HC_R = 35
-T_DC_R = 36
-T_PC_R = 37
-T_OC_R = 38
-T_PREC_R = 39
-T_SC_R = 40
-T_ER1 = 41
-T_ER2 = 42
-T_CARC_R = 43
-T_PHI_M = 44
-T_PHI_R_RAW = 45
-T_PHI_R = 46
-T_PHI_T = 47
-T_PE = 48
-T_PDE = 49
-N_TERMS = 50
-
+# The term vector filled by evaluate_terms, in slot order.  This table is the
+# only statement of the layout: the slot constants below and the model-layer
+# dataclasses are generated from it.
 TERM_NAMES = (
     "T1", "T2", "Q_m", "theta_m", "theta_r", "s", "T11", "Q_r", "T3",
     "B1", "B2", "f_Wr", "int_I", "int_Id", "int_r", "int_r_sr",
@@ -152,6 +102,12 @@ TERM_NAMES = (
     "e_r1", "e_r2", "CarC_r",
     "phi_m", "phi_r_raw", "phi_r", "phi_T", "P_e", "P_de",
 )
+N_TERMS = len(TERM_NAMES)
+
+# Slot constants T_<NAME> (e.g. T_Q_M for "Q_m").  They are plain module-level
+# ints, which numba's nopython mode freezes as compile-time constants.
+globals().update({"T_" + name.upper(): slot
+                  for slot, name in enumerate(TERM_NAMES)})
 
 
 @_jit
@@ -428,16 +384,16 @@ def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
 
     out[T_T1] = T1
     out[T_T2] = T2
-    out[T_QM] = Q_m
+    out[T_Q_M] = Q_m
     out[T_THETA_M] = theta_m
     out[T_THETA_R] = theta_r
     out[T_S] = s
     out[T_T11] = T11
-    out[T_QR] = Q_r
+    out[T_Q_R] = Q_r
     out[T_T3] = T3
     out[T_B1] = B1
     out[T_B2] = B2
-    out[T_FW] = fW
+    out[T_F_WR] = fW
     out[T_INT_I] = int_I
     out[T_INT_ID] = int_Id
     out[T_INT_R] = int_r
@@ -453,12 +409,12 @@ def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
     out[T_HC_M2] = HC_m2
     out[T_DC_M1] = DC_m1
     out[T_DC_M2] = DC_m2
-    out[T_EM1] = e_m1
-    out[T_EM2] = e_m2
-    out[T_EM3] = e_m3
-    out[T_EM4] = e_m4
-    out[T_EM5] = e_m5
-    out[T_EM6] = e_m6
+    out[T_E_M1] = e_m1
+    out[T_E_M2] = e_m2
+    out[T_E_M3] = e_m3
+    out[T_E_M4] = e_m4
+    out[T_E_M5] = e_m5
+    out[T_E_M6] = e_m6
     out[T_CARC_M] = CarC_m
     out[T_SR_R] = SR_r
     out[T_HC_R] = HC_r
@@ -467,15 +423,15 @@ def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
     out[T_OC_R] = OC_r
     out[T_PREC_R] = PreC_r
     out[T_SC_R] = SC_r
-    out[T_ER1] = e_r1
-    out[T_ER2] = e_r2
+    out[T_E_R1] = e_r1
+    out[T_E_R2] = e_r2
     out[T_CARC_R] = CarC_r
     out[T_PHI_M] = phi_m
     out[T_PHI_R_RAW] = phi_r_raw
     out[T_PHI_R] = phi_r
     out[T_PHI_T] = phi_m + phi_r
-    out[T_PE] = P_e
-    out[T_PDE] = P_de
+    out[T_P_E] = P_e
+    out[T_P_DE] = P_de
     return OK
 
 

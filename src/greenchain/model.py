@@ -4,30 +4,16 @@ This is the readable layer over :mod:`greenchain.kernels`: it validates
 decision vectors, raises typed domain errors, and assembles the full
 per-component breakdown that the CLI and reports expose.  Optimizer inner
 loops bypass it and call the batch kernels directly.
-
-Two printed-formula ambiguities are switchable through ``mode``:
-
-* ``"as-derived"`` (default): the third perfect-stock branch decays to zero
-  at the cycle end T2, and the retailer revenue is priced at the retailer
-  selling price W_r.  Both readings are forced by the stated boundary
-  conditions and by dimensional consistency.
-* ``"as-printed"``: the third branch is anchored at the rework end T1 (it
-  then fails the I(T2) = 0 boundary) and the revenue prefactor is the
-  rework rate P_r.  Kept only as an inspection aid.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
 
 from . import kernels as K
 from .params import ModelParameters
-
-AS_DERIVED = "as-derived"
-AS_PRINTED = "as-printed"
 
 
 class DomainError(ValueError):
@@ -40,7 +26,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class DecisionVector:
-    """The five decision variables."""
+    """The five decision variables; field order is the decision layout."""
 
     T0: float     # effective production time (years)
     xi1: float    # manufacturer preservation investment ($/year)
@@ -49,100 +35,52 @@ class DecisionVector:
     W_r: float    # retailer selling price ($/unit)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.T0, self.xi1, self.xi2, self.G, self.W_r],
+        return np.array([getattr(self, k) for k in DECISION_NAMES],
                         dtype=np.float64)
 
     @classmethod
     def from_array(cls, x) -> "DecisionVector":
-        x = np.asarray(x, dtype=np.float64)
-        return cls(T0=float(x[0]), xi1=float(x[1]), xi2=float(x[2]),
-                   G=float(x[3]), W_r=float(x[4]))
+        # tolist() yields Python floats directly; iterating the array would
+        # allocate a NumPy scalar per element first.
+        return cls(*np.asarray(x, dtype=np.float64).tolist())
 
     def to_dict(self) -> dict:
-        return {"T0": self.T0, "xi1": self.xi1, "xi2": self.xi2,
-                "G": self.G, "W_r": self.W_r}
+        return _to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionVector":
-        return cls(**{k: float(doc[k]) for k in ("T0", "xi1", "xi2", "G", "W_r")})
+        return cls(**{k: float(doc[k]) for k in DECISION_NAMES})
 
 
-@dataclass(frozen=True)
-class CycleSchedule:
-    """Derived rates, cycle times and lot sizes for one decision vector."""
-
-    P_e: float
-    P_de: float
-    theta_m: float
-    theta_r: float
-    T0: float
-    T1: float
-    T2: float
-    Q_m: float
-    s: float
-    T11: float
-    T3: float
-    Q_r: float
-    B1: float
-    B2: float
-    f_Wr: float
-    #: the printed backlog-clearing time may precede the replenishment time
-    t11_before_t1: bool
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "P_e", "P_de", "theta_m", "theta_r", "T0", "T1", "T2", "Q_m",
-            "s", "T11", "T3", "Q_r", "B1", "B2", "f_Wr", "t11_before_t1")}
+#: Decision names in layout order, as read from the DecisionVector fields.
+DECISION_NAMES = tuple(f.name for f in fields(DecisionVector))
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Every revenue, cost and emission component of one cycle."""
-
-    SR_m: float
-    PC_m: float
-    StC_m: float
-    PeC_m: float
-    RC_m: float
-    PreC_m: float
-    ScC_m: float
-    HC_m1: float
-    HC_m2: float
-    DC_m1: float
-    DC_m2: float
-    e_m1: float
-    e_m2: float
-    e_m3: float
-    e_m4: float
-    e_m5: float
-    e_m6: float
-    CarC_m: float
-    SR_r: float
-    HC_r: float
-    DC_r: float
-    PC_r: float
-    OC_r: float
-    PreC_r: float
-    SC_r: float
-    e_r1: float
-    e_r2: float
-    CarC_r: float
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+def _to_dict(self) -> dict:
+    return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-@dataclass(frozen=True)
-class ProfitResult:
-    """Per-cycle-averaged profits before any carbon policy."""
+def _term_dataclass(name: str, doc: str, terms: tuple, extra=()) -> type:
+    return make_dataclass(
+        name, [(k, float) for k in terms] + list(extra), frozen=True,
+        namespace={"__doc__": doc, "__module__": __name__, "to_dict": _to_dict})
 
-    phi_m: float
-    phi_r_raw: float
-    phi_r: float
-    phi_T: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+# t11_before_t1: the printed backlog-clearing time may precede the
+# replenishment time.
+CycleSchedule = _term_dataclass(
+    "CycleSchedule",
+    "Derived rates, cycle times and lot sizes for one decision vector.",
+    ("T0",) + K.TERM_NAMES[K.T_T1:K.T_F_WR + 1] + K.TERM_NAMES[K.T_P_E:],
+    extra=[("t11_before_t1", bool)])
+
+CostBreakdown = _term_dataclass(
+    "CostBreakdown", "Every revenue, cost and emission component of one cycle.",
+    K.TERM_NAMES[K.T_SR_M:K.T_CARC_R + 1])
+
+ProfitResult = _term_dataclass(
+    "ProfitResult", "Per-cycle-averaged profits before any carbon policy.",
+    K.TERM_NAMES[K.T_PHI_M:K.T_PHI_T + 1])
 
 
 def effective_rates(params: ModelParameters) -> tuple[float, float]:
@@ -170,15 +108,12 @@ def manufacturer_schedule(params: ModelParameters, T0: float, theta_m: float
 
 
 def manufacturer_inventory(t: float, params: ModelParameters, T0: float,
-                           theta_m: float, mode: str = AS_DERIVED) -> float:
+                           theta_m: float) -> float:
     """Perfect-stock level I(t), 0 <= t <= T2."""
     P_e, P_de = effective_rates(params)
     T1, T2, Q_m = manufacturer_schedule(params, T0, theta_m)
     if not 0.0 <= t <= T2:
         raise ValueError(f"t={t} outside [0, T2={T2}]")
-    if mode == AS_PRINTED and t > T1 and theta_m >= K.THETA_FLOOR:
-        # printed anchor T1 violates the I(T2) = 0 boundary
-        return (params.D_r / theta_m) * math.expm1(theta_m * (T1 - t))
     return K.manufacturer_stock(t, P_e, params.P_r, params.D_r, Q_m,
                                 theta_m, T0, T1, T2)
 
@@ -199,35 +134,22 @@ def retailer_schedule(params: ModelParameters, W_r: float, T1: float,
     fW = params.a - params.b * W_r
     if fW < 0:
         raise DomainError(K.ERR_NEGATIVE_DEMAND)
+    if fW == 0.0:
+        raise DomainError(K.ERR_ZERO_DEMAND)
     B2 = params.D_r - fW
     s = fW * T1
     if not B2 > 0:
         raise DomainError(K.ERR_NET_REPLENISHMENT)
     if not B2 - s * params.eta > 0:
         raise DomainError(K.ERR_BACKLOG)
-    if fW == 0.0:
-        # zero base demand: no backlog, inventory never drains after T2
-        B1 = params.eta + theta_r
-        return 0.0, T1, -(B2 / B1) * math.expm1(B1 * (T1 - T2)), math.inf, B1, B2
     return K.retailer_cycle(fW, params.D_r, params.eta, theta_r, T1, T2)
 
 
-def retailer_inventory(t: float, params: ModelParameters, W_r: float,
-                       T1: float, T2: float, theta_r: float) -> float:
-    """Retailer stock level on [0, T3]; backlog is stored positive."""
-    fW = params.a - params.b * W_r
-    s, T11, Q_r, T3, B1, B2 = retailer_schedule(params, W_r, T1, T2, theta_r)
-    if not 0.0 <= t <= T3:
-        raise ValueError(f"t={t} outside [0, T3={T3}]")
-    return K.retailer_stock(t, fW, s, params.eta, B1, B2, Q_r, T1, T11, T2, T3)
-
-
-def _terms_or_raise(params: ModelParameters, decisions: DecisionVector
-                    ) -> np.ndarray:
+def _terms_or_raise(p: np.ndarray, decisions: DecisionVector) -> np.ndarray:
+    """Term vector for a packed parameter vector `p`; DomainError if rejected."""
     terms = np.empty(K.N_TERMS, dtype=np.float64)
     status = K.evaluate_terms(decisions.T0, decisions.xi1, decisions.xi2,
-                              decisions.G, decisions.W_r,
-                              params.as_array(), terms)
+                              decisions.G, decisions.W_r, p, terms)
     if status != K.OK:
         raise DomainError(status)
     return terms
@@ -235,75 +157,23 @@ def _terms_or_raise(params: ModelParameters, decisions: DecisionVector
 
 def compute_schedule(params: ModelParameters, decisions: DecisionVector
                      ) -> CycleSchedule:
-    t = _terms_or_raise(params, decisions)
-    return CycleSchedule(
-        P_e=t[K.T_PE], P_de=t[K.T_PDE],
-        theta_m=t[K.T_THETA_M], theta_r=t[K.T_THETA_R],
-        T0=decisions.T0, T1=t[K.T_T1], T2=t[K.T_T2], Q_m=t[K.T_QM],
-        s=t[K.T_S], T11=t[K.T_T11], T3=t[K.T_T3], Q_r=t[K.T_QR],
-        B1=t[K.T_B1], B2=t[K.T_B2], f_Wr=t[K.T_FW],
-        t11_before_t1=bool(t[K.T_T11] < t[K.T_T1]))
+    t = _terms_or_raise(params.as_array(), decisions)
+    return CycleSchedule(decisions.T0, *t[K.T_T1:K.T_F_WR + 1],
+                         *t[K.T_P_E:], bool(t[K.T_T11] < t[K.T_T1]))
 
 
 def _breakdown_from_terms(t: np.ndarray) -> CostBreakdown:
-    return CostBreakdown(
-        SR_m=t[K.T_SR_M], PC_m=t[K.T_PC_M], StC_m=t[K.T_STC_M],
-        PeC_m=t[K.T_PEC_M], RC_m=t[K.T_RC_M], PreC_m=t[K.T_PREC_M],
-        ScC_m=t[K.T_SCC_M], HC_m1=t[K.T_HC_M1], HC_m2=t[K.T_HC_M2],
-        DC_m1=t[K.T_DC_M1], DC_m2=t[K.T_DC_M2],
-        e_m1=t[K.T_EM1], e_m2=t[K.T_EM2], e_m3=t[K.T_EM3],
-        e_m4=t[K.T_EM4], e_m5=t[K.T_EM5], e_m6=t[K.T_EM6],
-        CarC_m=t[K.T_CARC_M],
-        SR_r=t[K.T_SR_R], HC_r=t[K.T_HC_R], DC_r=t[K.T_DC_R],
-        PC_r=t[K.T_PC_R], OC_r=t[K.T_OC_R], PreC_r=t[K.T_PREC_R],
-        SC_r=t[K.T_SC_R], e_r1=t[K.T_ER1], e_r2=t[K.T_ER2],
-        CarC_r=t[K.T_CARC_R])
+    return CostBreakdown(*t[K.T_SR_M:K.T_CARC_R + 1])
 
 
-def compute_breakdown(params: ModelParameters, decisions: DecisionVector,
-                      mode: str = AS_DERIVED) -> CostBreakdown:
+def compute_breakdown(params: ModelParameters, decisions: DecisionVector
+                      ) -> CostBreakdown:
     """All cost and emission components for one decision vector."""
-    t = _terms_or_raise(params, decisions)
-    breakdown = _breakdown_from_terms(t)
-    if mode == AS_PRINTED:
-        # printed revenue prefactor is the rework rate, not the price
-        scale = params.P_r / decisions.W_r
-        breakdown = CostBreakdown(**{
-            **breakdown.to_dict(), "SR_r": breakdown.SR_r * scale})
-    return breakdown
-
-
-def manufacturer_costs(params: ModelParameters, decisions: DecisionVector
-                       ) -> dict:
-    b = compute_breakdown(params, decisions)
-    return {k: getattr(b, k) for k in (
-        "SR_m", "PC_m", "StC_m", "PeC_m", "RC_m", "PreC_m", "ScC_m",
-        "HC_m1", "HC_m2", "DC_m1", "DC_m2")}
-
-
-def manufacturer_emissions(params: ModelParameters, decisions: DecisionVector
-                           ) -> dict:
-    b = compute_breakdown(params, decisions)
-    return {k: getattr(b, k) for k in (
-        "e_m1", "e_m2", "e_m3", "e_m4", "e_m5", "e_m6", "CarC_m")}
-
-
-def retailer_costs(params: ModelParameters, decisions: DecisionVector,
-                   mode: str = AS_DERIVED) -> dict:
-    b = compute_breakdown(params, decisions, mode=mode)
-    return {k: getattr(b, k) for k in (
-        "SR_r", "HC_r", "DC_r", "PC_r", "OC_r", "PreC_r", "SC_r")}
-
-
-def retailer_emissions(params: ModelParameters, decisions: DecisionVector
-                       ) -> dict:
-    b = compute_breakdown(params, decisions)
-    return {k: getattr(b, k) for k in ("e_r1", "e_r2", "CarC_r")}
+    return _breakdown_from_terms(_terms_or_raise(params.as_array(), decisions))
 
 
 def base_profits(params: ModelParameters, decisions: DecisionVector
                  ) -> ProfitResult:
     """Cycle-averaged profits before carbon charges."""
-    t = _terms_or_raise(params, decisions)
-    return ProfitResult(phi_m=t[K.T_PHI_M], phi_r_raw=t[K.T_PHI_R_RAW],
-                        phi_r=t[K.T_PHI_R], phi_T=t[K.T_PHI_T])
+    t = _terms_or_raise(params.as_array(), decisions)
+    return ProfitResult(*t[K.T_PHI_M:K.T_PHI_T + 1])

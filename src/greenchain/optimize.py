@@ -18,7 +18,6 @@ not depend on evaluation scheduling.  Multi-seed helpers use seeds
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import time
@@ -26,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DecisionVector
+from .model import DECISION_NAMES, DecisionVector
 from .params import ModelParameters
-
-DECISION_NAMES = ("T0", "xi1", "xi2", "G", "W_r")
 
 DE_DEFAULT_ITERS = 100
 PSO_DEFAULT_ITERS = 300
@@ -37,7 +34,7 @@ PSO_DEFAULT_ITERS = 300
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Per-dimension box bounds for (T0, xi1, xi2, G, W_r)."""
+    """Per-dimension box bounds, in DECISION_NAMES order."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -56,10 +53,6 @@ class SearchSpace:
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    def contains(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.all((X >= self.lower) & (X <= self.upper), axis=1)
 
 
 def default_search_space(params: ModelParameters) -> SearchSpace:
@@ -133,24 +126,33 @@ class RunResult:
         return DecisionVector.from_array(self.x_best)
 
 
-def de_mutate_rand_to_best(x_i, x_best, x_a, x_b, F: float, R: float):
-    """Donor vector pulled toward the incumbent best."""
+def de_mutate_rand_to_best(x_i, x_best, x_a, x_b, F: float, R):
+    """Donor vector(s) pulled toward the incumbent best.
+
+    Broadcasts: rows of a population with R as an (n, 1) column.
+    """
     x_i = np.asarray(x_i, dtype=np.float64)
     return x_i + R * (np.asarray(x_best) - x_i) + F * (np.asarray(x_a) - np.asarray(x_b))
 
 
-def de_mutate_current_to_rand(x_i, x_a, x_b, x_c, F: float, R: float):
-    """Donor vector blended toward a random member."""
+def de_mutate_current_to_rand(x_i, x_a, x_b, x_c, F: float, R):
+    """Donor vector(s) blended toward a random member (broadcasts like above)."""
     x_i = np.asarray(x_i, dtype=np.float64)
     return x_i + R * (np.asarray(x_a) - x_i) + F * (np.asarray(x_b) - np.asarray(x_c))
 
 
 def binomial_crossover(target, donor, Pc: float, rng: np.random.Generator):
-    """Component-wise crossover; one forced donor component (j_rand)."""
+    """Row-wise binomial crossover of (n, d) populations.
+
+    Each row takes every donor component with probability Pc plus one forced
+    component j_rand.  Draw order: all n*d uniforms first, then one j_rand
+    per row.
+    """
     target = np.asarray(target, dtype=np.float64)
     donor = np.asarray(donor, dtype=np.float64)
-    mask = rng.random(target.size) < Pc
-    mask[rng.integers(target.size)] = True
+    n, d = target.shape
+    mask = rng.random((n, d)) < Pc
+    mask[np.arange(n), rng.integers(d, size=n)] = True
     return np.where(mask, donor, target)
 
 
@@ -170,7 +172,13 @@ def _reflect(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return lower + y
 
 
-def _penalized(values, violations, valid, coeff):
+def penalize(values, violations, valid, coeff: float):
+    """Quadratic exterior penalty ``value - coeff * violation**2``.
+
+    Equals the value on feasible points; rows marked invalid get -inf.
+    """
+    if not coeff > 0:
+        raise ValueError("penalty coefficient must be positive")
     with np.errstate(invalid="ignore"):
         return np.where(valid, values - coeff * violations ** 2, -math.inf)
 
@@ -194,7 +202,7 @@ class _Incumbent:
         self.history_feasible: list[bool] = []
 
     def offer(self, X, values, violations, valid, coeff):
-        fitness = _penalized(values, violations, valid, coeff)
+        fitness = penalize(values, violations, valid, coeff)
         feas = valid & (violations <= 0.0)
         if np.any(feas):
             i = int(np.argmax(np.where(feas, values, -math.inf)))
@@ -214,9 +222,7 @@ class _Incumbent:
     def fitness(self, coeff: float) -> float:
         if self.x is None or not math.isfinite(self.value):
             return -math.inf
-        if self.feasible:
-            return self.value
-        return self.value - coeff * self.violation ** 2
+        return float(penalize(self.value, self.violation, True, coeff))
 
     def record(self, coeff: float) -> None:
         fit = self.fitness(coeff)
@@ -258,7 +264,7 @@ def de_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
     for gen in range(1, iters + 1):
         if gen % config.penalty_double_every == 0 and not best.feasible:
             coeff *= 2.0
-            fitness = _penalized(values, violations, valid, coeff)
+            fitness = penalize(values, violations, valid, coeff)
 
         idx = np.empty((NP, n_aux), dtype=np.int64)
         for i in range(NP):
@@ -271,19 +277,17 @@ def de_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
                 idx[i, k] = j
         R = rng.random(NP)[:, None]
         if config.algorithm == "de1":
-            x_best = X[int(np.argmax(fitness))]
-            donors = X + R * (x_best - X) + config.F * (X[idx[:, 0]] - X[idx[:, 1]])
+            donors = de_mutate_rand_to_best(X, X[int(np.argmax(fitness))],
+                                            X[idx[:, 0]], X[idx[:, 1]], config.F, R)
         else:
-            donors = X + R * (X[idx[:, 0]] - X) + config.F * (X[idx[:, 1]] - X[idx[:, 2]])
-
-        mask = rng.random((NP, d)) < config.Pc
-        mask[np.arange(NP), rng.integers(d, size=NP)] = True
-        trials = np.where(mask, donors, X)
-        trials = _reflect(trials, space.lower, space.upper)
+            donors = de_mutate_current_to_rand(X, X[idx[:, 0]], X[idx[:, 1]],
+                                               X[idx[:, 2]], config.F, R)
+        trials = _reflect(binomial_crossover(X, donors, config.Pc, rng),
+                          space.lower, space.upper)
 
         t_values, t_violations, t_valid = objective(trials)
         evals += NP
-        t_fitness = _penalized(t_values, t_violations, t_valid, coeff)
+        t_fitness = penalize(t_values, t_violations, t_valid, coeff)
         improve = t_fitness >= fitness
         X[improve] = trials[improve]
         values = np.where(improve, t_values, values)
@@ -325,7 +329,7 @@ def pso_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult
     for gen in range(1, iters + 1):
         if gen % config.penalty_double_every == 0 and not best.feasible:
             coeff *= 2.0
-            pbest_fit = _penalized(pbest_values, pbest_violations, pbest_valid, coeff)
+            pbest_fit = penalize(pbest_values, pbest_violations, pbest_valid, coeff)
 
         if config.inertia_final is not None:
             w = config.m0 + (config.inertia_final - config.m0) * (gen - 1) / max(iters - 1, 1)
@@ -341,7 +345,7 @@ def pso_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult
 
         values, violations, valid = objective(X)
         evals += NP
-        fitness = _penalized(values, violations, valid, coeff)
+        fitness = penalize(values, violations, valid, coeff)
         improve = fitness > pbest_fit
         pbest_X[improve] = X[improve]
         pbest_values = np.where(improve, values, pbest_values)
@@ -380,13 +384,3 @@ def multi_seed_stats(results: list[RunResult]) -> tuple[float, float, float]:
         raise ValueError("need at least two results for statistics")
     vals = np.array([r.best_fitness for r in results], dtype=np.float64)
     return float(vals.max()), float(vals.mean()), float(vals.std(ddof=1))
-
-
-def write_history_csv(path, result: RunResult) -> None:
-    """Convergence history: one row per iteration."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "best_fitness", "feasible"])
-        for i, (fit, feas) in enumerate(zip(result.history,
-                                            result.history_feasible)):
-            writer.writerow([i, repr(float(fit)), int(bool(feas))])

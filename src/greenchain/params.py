@@ -200,14 +200,6 @@ class ModelParameters:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def table_defaults(v1: float, v2: float,
-                   C_Tax: float | None = None,
-                   C_CT: float | None = None,
-                   **overrides) -> ModelParameters:
-    """Published defaults plus the constants that must be supplied."""
-    return ModelParameters(v1=v1, v2=v2, C_Tax=C_Tax, C_CT=C_CT, **overrides)
-
-
 # The dataclass must cover the kernel layout exactly.
 _dataclass_names = {f.name for f in fields(ModelParameters)}
 assert _dataclass_names == set(PARAM_ORDER), (

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as K
-from .model import CostBreakdown, DecisionVector, DomainError, _breakdown_from_terms
+from .model import (CostBreakdown, DecisionVector, DomainError,
+                    _breakdown_from_terms, _terms_or_raise)
 from .params import ModelParameters
 
 POLICY_IDS = {
@@ -26,7 +27,6 @@ POLICY_IDS = {
     "cap_trade": K.POLICY_CAP_TRADE,
     "limited": K.POLICY_LIMITED,
 }
-POLICY_NAMES = {v: k for k, v in POLICY_IDS.items()}
 
 
 def policy_id(policy: str) -> int:
@@ -72,50 +72,17 @@ def green_reduction(G: float, params: ModelParameters) -> GreenReduction:
     return GreenReduction(rho_m=rho_m, rho_r=rho_r, rho_G=rho_G)
 
 
-def _evaluate(params: ModelParameters, decisions: DecisionVector,
-              policy: str) -> PolicyObjective:
+def evaluate_policy(params: ModelParameters, decisions: DecisionVector,
+                    policy: str) -> PolicyObjective:
+    """Joint value, per-player profits and cap violation under `policy`."""
     params.require_policy_price(policy)
     p = params.as_array()
-    terms = np.empty(K.N_TERMS, dtype=np.float64)
-    status = K.evaluate_terms(decisions.T0, decisions.xi1, decisions.xi2,
-                              decisions.G, decisions.W_r, p, terms)
-    if status != K.OK:
-        raise DomainError(status)
+    terms = _terms_or_raise(p, decisions)
     value, phi_m, phi_r, violation = K.policy_value_from_terms(
         policy_id(policy), decisions.G, p, terms)
     return PolicyObjective(kind=policy, value=value, phi_m=phi_m,
                            phi_r=phi_r, constraint_violation=violation,
                            diagnostics=_breakdown_from_terms(terms))
-
-
-def carbon_tax_profit(params: ModelParameters, decisions: DecisionVector
-                      ) -> PolicyObjective:
-    """Joint profit after carbon-tax charges and the green-investment split."""
-    return _evaluate(params, decisions, "tax")
-
-
-def cap_and_trade_profit(params: ModelParameters, decisions: DecisionVector
-                         ) -> PolicyObjective:
-    """Joint profit with net emissions traded around the allowance U1."""
-    return _evaluate(params, decisions, "cap_trade")
-
-
-def limited_emission_objective(params: ModelParameters,
-                               decisions: DecisionVector) -> PolicyObjective:
-    """Base joint profit minus G, with the U2 emission-cap violation."""
-    return _evaluate(params, decisions, "limited")
-
-
-def evaluate_policy(params: ModelParameters, decisions: DecisionVector,
-                    policy: str) -> PolicyObjective:
-    return _evaluate(params, decisions, policy)
-
-
-def penalize(objective: PolicyObjective, coefficient: float) -> float:
-    """Quadratic exterior penalty; equals the value on feasible points."""
-    if not coefficient > 0:
-        raise ValueError("penalty coefficient must be positive")
-    return objective.value - coefficient * objective.constraint_violation ** 2
 
 
 def make_batch_objective(params: ModelParameters, policy: str):

@@ -141,23 +141,18 @@ def direction_report(params: ModelParameters,
     return checks
 
 
-def write_sweep_csv(path, parameter: str, rows: list[SweepRow]) -> None:
-    """Sweep table; infeasible rows leave the numeric cells empty."""
-    import csv
+def sweep_table(parameter: str, rows: list[SweepRow]):
+    """Cells of the sweep table in SWEEP_CSV_COLUMNS order.
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for row in rows:
-            if row.feasible:
-                d = row.decisions
-                writer.writerow([parameter, row.level,
-                                 repr(d.T0), repr(d.xi1), repr(d.xi2),
-                                 repr(d.W_r), repr(d.G),
-                                 repr(row.Z_m), repr(row.Z_r), repr(row.phi_T),
-                                 repr(row.pct_change)])
-            else:
-                writer.writerow([parameter, row.level] + [""] * 9)
+    Infeasible rows leave the numeric cells empty.
+    """
+    for row in rows:
+        if row.feasible:
+            d = row.decisions
+            yield [parameter, row.level, d.T0, d.xi1, d.xi2, d.W_r, d.G,
+                   row.Z_m, row.Z_r, row.phi_T, row.pct_change]
+        else:
+            yield [parameter, row.level] + [""] * 9
 
 
 @dataclass(frozen=True)

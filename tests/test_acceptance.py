@@ -64,13 +64,13 @@ def test_a1_trajectories_match_ode_integration(samples):
     P = np.array([p.P for p, _, _ in samples])
     P_r = np.array([p.P_r for p, _, _ in samples])
     D_r = np.array([p.D_r for p, _, _ in samples])
-    P_e = _per_sample(samples, K.T_PE)
-    P_de = _per_sample(samples, K.T_PDE)
+    P_e = _per_sample(samples, K.T_P_E)
+    P_de = _per_sample(samples, K.T_P_DE)
     theta = _per_sample(samples, K.T_THETA_M)
     T0 = np.array([d.T0 for _, d, _ in samples])
     T1 = _per_sample(samples, K.T_T1)
     T2 = _per_sample(samples, K.T_T2)
-    Q_m = _per_sample(samples, K.T_QM)
+    Q_m = _per_sample(samples, K.T_Q_M)
     zero = np.zeros(len(samples))
 
     stride = RK4_STEPS // N_CHECKPOINTS
@@ -119,8 +119,8 @@ def test_a2_integrals_match_quadrature(samples):
     worst = 0.0
     for p, d, t in samples:
         theta, T0 = t[K.T_THETA_M], d.T0
-        T1, T2, Q_m = t[K.T_T1], t[K.T_T2], t[K.T_QM]
-        P_e, P_de = t[K.T_PE], t[K.T_PDE]
+        T1, T2, Q_m = t[K.T_T1], t[K.T_T2], t[K.T_Q_M]
+        P_e, P_de = t[K.T_P_E], t[K.T_P_DE]
         I_T0 = stock_build(T0, P_e, theta)
         int_I = (simpson(lambda x: stock_build(x, P_e, theta), 0.0, T0, 800)
                  + simpson(lambda x: stock_linear_shift(x, T0, I_T0, p.P_r, theta),
@@ -132,7 +132,7 @@ def test_a2_integrals_match_quadrature(samples):
                   + simpson(lambda x: stock_drain(x, T1, p.P_r, theta),
                             T0, T1, 800))
         s, T11, T3 = t[K.T_S], t[K.T_T11], t[K.T_T3]
-        B1, B2, fW = t[K.T_B1], t[K.T_B2], t[K.T_FW]
+        B1, B2, fW = t[K.T_B1], t[K.T_B2], t[K.T_F_WR]
         int_r = (simpson(lambda x: stock_linear_shift(x, T11, 0.0, B2, B1),
                          T11, T2, 800)
                  + simpson(lambda x: stock_drain(x, T3, fW, B1), T2, T3, 800))
@@ -144,14 +144,14 @@ def test_a2_integrals_match_quadrature(samples):
             (t[K.T_HC_M2], p.h_d * int_Id),
             (t[K.T_DC_M1], p.d_cp * p.theta1 * int_I),
             (t[K.T_DC_M2], p.d_cd * p.theta1 * int_Id),
-            (t[K.T_EM2], p.E_h1 * int_I),
-            (t[K.T_EM3], p.E_h2 * int_Id),
-            (t[K.T_EM4], p.E_d1 * p.theta1 * int_I),
-            (t[K.T_EM5], p.E_d2 * p.theta1 * int_Id),
+            (t[K.T_E_M2], p.E_h1 * int_I),
+            (t[K.T_E_M3], p.E_h2 * int_Id),
+            (t[K.T_E_M4], p.E_d1 * p.theta1 * int_I),
+            (t[K.T_E_M5], p.E_d2 * p.theta1 * int_Id),
             (t[K.T_HC_R], p.h_r * int_r),
             (t[K.T_DC_R], p.d_cr * p.theta2 * int_r),
-            (t[K.T_ER1], p.E_hr * int_r),
-            (t[K.T_ER2], p.E_dr * p.theta2 * int_r),
+            (t[K.T_E_R1], p.E_hr * int_r),
+            (t[K.T_E_R2], p.E_dr * p.theta2 * int_r),
             (d.W_r * p.eta * t[K.T_INT_R_SR], d.W_r * p.eta * int_sr),
         ]
         for analytic, quadrature in checks:
@@ -166,12 +166,12 @@ def test_a3_algebraic_identities(samples):
     worst_boundary = 0.0
     exact_goodwill = True
     for p, d, t in samples:
-        P_e, P_de = t[K.T_PE], t[K.T_PDE]
+        P_e, P_de = t[K.T_P_E], t[K.T_P_DE]
         worst_rate = max(worst_rate, abs(P_e + P_de - p.P) / p.P)
         exact_goodwill &= (t[K.T_PHI_R] == (1.0 - p.f_r) * t[K.T_PHI_R_RAW])
 
         theta, T0 = t[K.T_THETA_M], d.T0
-        T1, T2, Q_m = t[K.T_T1], t[K.T_T2], t[K.T_QM]
+        T1, T2, Q_m = t[K.T_T1], t[K.T_T2], t[K.T_Q_M]
         scale = max(Q_m, 1.0)
         args = (P_e, p.P_r, p.D_r, Q_m, theta, T0, T1, T2)
         branch1_T0 = K.manufacturer_stock(T0, *args)
@@ -185,8 +185,8 @@ def test_a3_algebraic_identities(samples):
             worst_boundary = max(worst_boundary, dev / scale)
 
         s, T11, T3 = t[K.T_S], t[K.T_T11], t[K.T_T3]
-        B1, B2, fW = t[K.T_B1], t[K.T_B2], t[K.T_FW]
-        r_scale = max(t[K.T_QR], 1.0)
+        B1, B2, fW = t[K.T_B1], t[K.T_B2], t[K.T_F_WR]
+        r_scale = max(t[K.T_Q_R], 1.0)
         at_T11 = stock_linear_shift(T11, T1, s, B2, p.eta)
         at_T3 = stock_drain(T3, T3, fW, B1)
         mid_T2 = stock_linear_shift(T2, T11, 0.0, B2, B1)

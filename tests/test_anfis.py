@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from greenchain import DecisionVector, ModelParameters, carbon_tax_profit
+from greenchain import DecisionVector, ModelParameters, evaluate_policy
 from greenchain.anfis import (AnfisModel, FuzzySupportError, TrapezoidMF,
                               fit_consequents, generate_dataset,
                               grid_partition, train_hybrid)
@@ -173,8 +173,9 @@ class TestDataset:
         dec = DecisionVector(T0=0.5, xi1=1.0, xi2=1.0, G=1.0, W_r=250.0)
         x, y, _ = generate_dataset(params, dec, "T0", 7, (0.2, 0.8))
         for xi, yi in zip(x, y):
-            direct = carbon_tax_profit(
-                params, DecisionVector(**{**dec.to_dict(), "T0": float(xi)}))
+            direct = evaluate_policy(
+                params, DecisionVector(**{**dec.to_dict(), "T0": float(xi)}),
+                "tax")
             assert yi == direct.value
 
     def test_inadmissible_points_skipped_with_warning(self, params):

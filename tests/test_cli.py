@@ -124,6 +124,22 @@ class TestSensitivity:
             {"-40.0", "-20.0", "0.0", "20.0", "40.0"}
         assert all(row["phi_T"] for row in rows)
 
+    def test_csv_column_set(self, capsys, config_path, tmp_path):
+        from greenchain.sensitivity import SWEEP_CSV_COLUMNS
+
+        out_dir = tmp_path / "art"
+        code, _, _ = run_cli(capsys, "--config", config_path,
+                             "--out", str(out_dir), "sensitivity",
+                             "--param", "C_p", "--levels=-20,0,20",
+                             "--no-reoptimize")
+        assert code == 0
+        lines = (out_dir / "sweep_C_p.csv").read_text().strip().splitlines()
+        assert lines[0].split(",") == list(SWEEP_CSV_COLUMNS)
+        assert len(lines) == 4
+        cells = [line.split(",")[1:] for line in lines[1:]]
+        assert np.isfinite(np.array(cells, dtype=float)).all()
+        assert not list(out_dir.glob("*.tmp"))
+
 
 class TestAnfis:
     def test_trains_and_writes_artifacts(self, capsys, config_path, tmp_path):
@@ -264,6 +280,22 @@ class TestConfigValidation:
         code, out, _ = run_cli(capsys, "evaluate")
         assert code == 0
         assert json.loads(out)["policy"] == "tax"
+
+    def test_missing_parameters_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters_file": str(tmp_path / "none"),
+                                    "decisions": DECISIONS}))
+        code, _, err = run_cli(capsys, "--config", str(path), "evaluate")
+        assert code == 2 and "parameters_file" in err
+
+    def test_malformed_parameters_file_is_usage_error(self, capsys, tmp_path):
+        params_path = tmp_path / "p.json"
+        params_path.write_text("42")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters_file": str(params_path),
+                                    "decisions": DECISIONS}))
+        code, _, err = run_cli(capsys, "--config", str(path), "evaluate")
+        assert code == 2 and "parameters_file" in err
 
     def test_unknown_policy_rejected(self, capsys, config_path):
         code, _, err = run_cli(capsys, "--config", config_path,

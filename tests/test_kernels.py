@@ -114,4 +114,4 @@ def test_integrals_stable_across_theta_floor():
 def test_term_names_cover_layout():
     assert len(K.TERM_NAMES) == K.N_TERMS
     assert K.TERM_NAMES[K.T_PHI_T] == "phi_T"
-    assert K.TERM_NAMES[K.T_QM] == "Q_m"
+    assert K.TERM_NAMES[K.T_Q_M] == "Q_m"

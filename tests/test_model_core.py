@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenchain import (AS_PRINTED, DecisionVector, DomainError,
+from greenchain import (DecisionVector, DomainError,
                         ModelParameters, base_profits, compute_breakdown,
                         compute_schedule, deterioration_rates,
                         effective_rates, manufacturer_schedule,
@@ -153,12 +151,6 @@ class TestInventoryTrajectories:
         with pytest.raises(ValueError, match="outside"):
             model.manufacturer_inventory(100.0, params, T0_REF, THETA_REF)
 
-    def test_as_printed_third_branch_breaks_terminal_condition(self, params):
-        T1, T2, _ = manufacturer_schedule(params, T0_REF, THETA_REF)
-        printed = model.manufacturer_inventory(T2, params, T0_REF, THETA_REF,
-                                               mode=AS_PRINTED)
-        assert abs(printed) > 1.0  # the derived reading drains to zero
-
 
 class TestRetailerSchedule:
     def test_reference_cycle(self, params):
@@ -172,9 +164,9 @@ class TestRetailerSchedule:
         assert B2 == pytest.approx(params.D_r - (params.a - params.b * 292.28))
 
     def test_zero_demand_boundary(self, params):
-        s, T11, Q_r, T3, _, _ = retailer_schedule(
-            params, params.a / params.b, 0.8, 7.5, 0.1)
-        assert s == 0.0 and T11 == 0.8 and math.isinf(T3)
+        with pytest.raises(DomainError) as info:
+            retailer_schedule(params, params.a / params.b, 0.8, 7.5, 0.1)
+        assert info.value.status == K.ERR_ZERO_DEMAND
 
     def test_negative_demand_rejected(self, params):
         with pytest.raises(DomainError, match="negative demand"):
@@ -277,13 +269,6 @@ class TestCosts:
         quad = (simpson(stock, schedule.T11, schedule.T2, 1500)
                 + simpson(stock, schedule.T2, schedule.T3, 1500))
         assert b.HC_r == pytest.approx(params.h_r * quad, rel=1e-6)
-
-    def test_as_printed_revenue_prefactor(self, params):
-        dec = _reference_decisions()
-        derived = compute_breakdown(params, dec)
-        printed = compute_breakdown(params, dec, mode=AS_PRINTED)
-        assert printed.SR_r == pytest.approx(
-            derived.SR_r * params.P_r / dec.W_r, rel=1e-12)
 
     def test_penalty_cost_linear_in_type2_error(self, params):
         dec = _reference_decisions()

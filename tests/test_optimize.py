@@ -1,13 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from greenchain import ModelParameters, make_batch_objective
+from greenchain.cli import main
 from greenchain.optimize import (OptimizerConfig, RunResult, SearchSpace,
                                  binomial_crossover, de_mutate_current_to_rand,
                                  de_mutate_rand_to_best, de_run,
                                  default_search_space, multi_seed_run,
-                                 multi_seed_stats, pso_run, pso_update, run,
-                                 write_history_csv)
+                                 multi_seed_stats, pso_run, pso_update, run)
 
 
 def sphere_objective(X):
@@ -57,24 +59,21 @@ class TestMutation:
 class TestCrossover:
     def test_full_crossover_copies_donor(self):
         rng = np.random.default_rng(0)
-        target, donor = np.zeros(5), np.arange(5.0)
+        target, donor = np.zeros((3, 5)), np.arange(15.0).reshape(3, 5)
         np.testing.assert_array_equal(
             binomial_crossover(target, donor, 1.0, rng), donor)
 
     def test_zero_rate_forces_exactly_one_component(self):
         rng = np.random.default_rng(0)
-        target, donor = np.zeros(6), np.ones(6)
-        for _ in range(50):
-            trial = binomial_crossover(target, donor, 0.0, rng)
-            assert trial.sum() == 1.0
+        target, donor = np.zeros((50, 6)), np.ones((50, 6))
+        trial = binomial_crossover(target, donor, 0.0, rng)
+        np.testing.assert_array_equal(trial.sum(axis=1), 1.0)
 
     def test_empirical_donor_rate(self):
         rng = np.random.default_rng(42)
         d, n, Pc = 5, 20_000, 0.8
-        target, donor = np.zeros(d), np.ones(d)
-        taken = 0
-        for _ in range(n):
-            taken += binomial_crossover(target, donor, Pc, rng).sum()
+        target, donor = np.zeros((n, d)), np.ones((n, d))
+        taken = binomial_crossover(target, donor, Pc, rng).sum()
         rate = taken / (n * d)
         assert rate == pytest.approx(Pc + (1 - Pc) / d, abs=0.01)
 
@@ -227,13 +226,21 @@ def test_default_search_space_brackets_price_cap():
     assert space.dim == 5
 
 
-def test_history_csv_round_trip(tmp_path, cube):
-    cfg = OptimizerConfig(algorithm="pso", seed=1, max_iter=10)
-    result = pso_run(cube, cfg, sphere_objective)
-    path = tmp_path / "history.csv"
-    write_history_csv(path, result)
-    lines = path.read_text().strip().splitlines()
+def test_history_csv_round_trip(tmp_path):
+    consts = {"v1": 0.04, "v2": 0.06, "C_Tax": 2.1}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"parameters": consts, "policy": "tax"}))
+    assert main(["--config", str(config), "--out", str(tmp_path), "--seed", "1",
+                 "optimize", "--algo", "pso", "--iters", "10"]) == 0
+    p = ModelParameters(**consts)
+    result = run(default_search_space(p),
+                 OptimizerConfig(algorithm="pso", seed=1, max_iter=10),
+                 make_batch_objective(p, "tax"))
+    lines = (tmp_path / "history_pso_tax_seed1.csv").read_text().splitlines()
     assert lines[0] == "iteration,best_fitness,feasible"
     assert len(lines) == len(result.history) + 1
     fits = [float(line.split(",")[1]) for line in lines[1:]]
     np.testing.assert_array_equal(fits, result.history)
+    feasible = [line.split(",")[2] for line in lines[1:]]
+    assert feasible == [str(int(f)) for f in result.history_feasible]
+    assert not list(tmp_path.glob("*.tmp"))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from greenchain import (DecisionVector, ModelParameters, base_profits,
-                        cap_and_trade_profit, carbon_tax_profit,
-                        green_reduction, limited_emission_objective,
-                        penalize)
+                        green_reduction)
 from greenchain.model import DomainError
+from greenchain.optimize import penalize
 from greenchain.params import ParameterError
-from greenchain.policy import PolicyObjective, evaluate_policy, policy_id
+from greenchain.policy import evaluate_policy, policy_id
 
 
 @pytest.fixture
@@ -51,15 +50,15 @@ class TestCarbonTax:
     def test_reduces_to_base_profit_without_policy_terms(self, params, decisions):
         p = params.replace(C_Tax=0.0)
         d = DecisionVector(**{**decisions.to_dict(), "G": 0.0})
-        outcome = carbon_tax_profit(p, d)
+        outcome = evaluate_policy(p, d, "tax")
         base = base_profits(p, d)
         assert outcome.value == pytest.approx(base.phi_T, rel=1e-12)
         assert outcome.constraint_violation == 0.0
 
     def test_decreasing_in_tax_price_when_emissions_exceed_reduction(
             self, params, decisions):
-        lo = carbon_tax_profit(params.replace(C_Tax=0.5), decisions)
-        hi = carbon_tax_profit(params.replace(C_Tax=2.5), decisions)
+        lo = evaluate_policy(params.replace(C_Tax=0.5), decisions, "tax")
+        hi = evaluate_policy(params.replace(C_Tax=2.5), decisions, "tax")
         assert lo.diagnostics.CarC_m > green_reduction(decisions.G, params).rho_m
         assert hi.phi_m < lo.phi_m
         assert hi.value < lo.value
@@ -67,27 +66,27 @@ class TestCarbonTax:
     def test_missing_price_is_load_error(self, decisions):
         p = ModelParameters(v1=0.05, v2=0.05)
         with pytest.raises(ParameterError, match="C_Tax"):
-            carbon_tax_profit(p, decisions)
+            evaluate_policy(p, decisions, "tax")
 
 
 class TestCapAndTrade:
     def test_reduces_to_base_profit_without_policy_terms(self, params, decisions):
         p = params.replace(C_CT=0.0)
         d = DecisionVector(**{**decisions.to_dict(), "G": 0.0})
-        outcome = cap_and_trade_profit(p, d)
+        outcome = evaluate_policy(p, d, "cap_trade")
         assert outcome.value == pytest.approx(base_profits(p, d).phi_T,
                                               rel=1e-12)
 
     def test_net_sellers_beat_carbon_tax(self, params, decisions):
         p = params.replace(C_Tax=2.0, C_CT=2.0, U1=1e6)
-        tax = carbon_tax_profit(p, decisions)
-        trade = cap_and_trade_profit(p, decisions)
+        tax = evaluate_policy(p, decisions, "tax")
+        trade = evaluate_policy(p, decisions, "cap_trade")
         assert trade.value > tax.value
 
     def test_differs_from_tax_by_allowance_credit(self, params, decisions):
         p = params.replace(C_Tax=2.0, C_CT=2.0)
-        tax = carbon_tax_profit(p, decisions)
-        trade = cap_and_trade_profit(p, decisions)
+        tax = evaluate_policy(p, decisions, "tax")
+        trade = evaluate_policy(p, decisions, "cap_trade")
         from greenchain import compute_schedule
 
         s = compute_schedule(p, decisions)
@@ -97,14 +96,14 @@ class TestCapAndTrade:
 
 class TestLimitedEmission:
     def test_value_is_base_minus_green_investment(self, params, decisions):
-        outcome = limited_emission_objective(params, decisions)
+        outcome = evaluate_policy(params, decisions, "limited")
         base = base_profits(params, decisions)
         assert outcome.value == pytest.approx(base.phi_T - decisions.G,
                                               rel=1e-12)
 
     def test_feasible_when_emissions_under_cap(self, params):
         d = DecisionVector(T0=0.001, xi1=1.0, xi2=1.0, G=0.0, W_r=292.28)
-        outcome = limited_emission_objective(params, d)
+        outcome = evaluate_policy(params, d, "limited")
         total = outcome.diagnostics.CarC_m + outcome.diagnostics.CarC_r
         assert total <= params.U2
         assert outcome.constraint_violation == 0.0
@@ -112,7 +111,7 @@ class TestLimitedEmission:
                                               rel=1e-12)
 
     def test_violation_measures_cap_excess(self, params, decisions):
-        outcome = limited_emission_objective(params, decisions)
+        outcome = evaluate_policy(params, decisions, "limited")
         r = green_reduction(decisions.G, params)
         total = outcome.diagnostics.CarC_m + outcome.diagnostics.CarC_r
         expected = max(0.0, total - r.rho_G - params.U2)
@@ -125,37 +124,32 @@ class TestPoliciesCoincideWithoutPrices:
         p = params.replace(C_Tax=0.0, C_CT=0.0, U1=0.0)
         d = DecisionVector(T0=0.5, xi1=10.0, xi2=10.0, G=0.0, W_r=250.0)
         base = base_profits(p, d).phi_T
-        assert carbon_tax_profit(p, d).value == pytest.approx(base, rel=1e-12)
-        assert cap_and_trade_profit(p, d).value == pytest.approx(base, rel=1e-12)
-        assert limited_emission_objective(p, d).value == pytest.approx(
+        assert evaluate_policy(p, d, "tax").value == pytest.approx(base, rel=1e-12)
+        assert evaluate_policy(p, d, "cap_trade").value == pytest.approx(
+            base, rel=1e-12)
+        assert evaluate_policy(p, d, "limited").value == pytest.approx(
             base, rel=1e-12)
 
 
 class TestPenalize:
-    def _objective(self, value, violation):
-        return PolicyObjective(kind="limited", value=value, phi_m=0.0,
-                               phi_r=0.0, constraint_violation=violation,
-                               diagnostics=None)
-
     def test_feasible_point_untouched(self):
-        assert penalize(self._objective(123.4, 0.0), 1e6) == 123.4
+        assert penalize(123.4, 0.0, True, 1e6) == 123.4
 
     def test_quadratic_arithmetic(self):
-        assert penalize(self._objective(100.0, 2.0), 10.0) == 60.0
+        assert penalize(100.0, 2.0, True, 10.0) == 60.0
 
     def test_coefficient_must_be_positive(self):
         with pytest.raises(ValueError):
-            penalize(self._objective(1.0, 0.0), 0.0)
+            penalize(1.0, 0.0, True, 0.0)
 
     def test_feasible_outranks_sufficiently_violating_points(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             coeff = rng.uniform(0.1, 100.0)
-            feasible = self._objective(rng.uniform(-50, 50), 0.0)
+            value = rng.uniform(-50, 50)
             gap = rng.uniform(0.0, 100.0)
-            infeasible = self._objective(feasible.value + gap,
-                                         math.sqrt(gap / coeff) + 1e-6)
-            assert penalize(feasible, coeff) > penalize(infeasible, coeff)
+            assert penalize(value, 0.0, True, coeff) > penalize(
+                value + gap, math.sqrt(gap / coeff) + 1e-6, True, coeff)
 
 
 def test_policy_id_mapping():
@@ -167,5 +161,7 @@ def test_policy_id_mapping():
 
 
 def test_evaluate_policy_dispatch(params, decisions):
-    assert evaluate_policy(params, decisions, "tax").value == \
-        carbon_tax_profit(params, decisions).value
+    values = {policy: evaluate_policy(params, decisions, policy)
+              for policy in ("tax", "cap_trade", "limited")}
+    assert {o.kind for o in values.values()} == set(values)
+    assert len({o.value for o in values.values()}) == 3

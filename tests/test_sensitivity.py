@@ -9,8 +9,7 @@ from greenchain.optimize import OptimizerConfig, default_search_space, pso_run
 from greenchain.policy import evaluate_policy, make_batch_objective
 from greenchain.sensitivity import (CalibrationTarget, SweepSpec,
                                     calibrate_missing_defaults,
-                                    run_sweep, sweep_slope, write_sweep_csv,
-                                    SWEEP_CSV_COLUMNS)
+                                    run_sweep, sweep_slope)
 
 QUICK_PSO = OptimizerConfig(algorithm="pso", seed=17, pop_size=30, max_iter=120)
 
@@ -60,18 +59,6 @@ class TestSweep:
         assert rows[0].feasible and rows[1].feasible
         assert not rows[2].feasible          # f_d = 1.12 breaks the invariant
         assert math.isnan(rows[2].phi_T)
-
-    def test_csv_column_set(self, params, tmp_path):
-        dec = DecisionVector(T0=0.6, xi1=50.0, xi2=50.0, G=2.0, W_r=280.0)
-        spec = SweepSpec(parameter="C_p", optimizer=QUICK_PSO,
-                         reoptimize=False, decisions=dec,
-                         levels=(-20.0, 0.0, 20.0))
-        rows = run_sweep(spec, params)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, "C_p", rows)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == list(SWEEP_CSV_COLUMNS)
-        assert len(lines) == 4
 
     def test_antisymmetric_response_for_affine_parameter(self, params):
         dec = DecisionVector(T0=0.6, xi1=50.0, xi2=50.0, G=2.0, W_r=280.0)
