@@ -149,7 +149,7 @@ def _optimizer_config(args, config, seed: int) -> OptimizerConfig:
     section = dict(config.get("optimizer") or {})
     if getattr(args, "algo", None):
         section["algorithm"] = args.algo
-    if getattr(args, "pop", None):
+    if getattr(args, "pop", None) is not None:
         section["pop_size"] = args.pop
     if getattr(args, "iters", None) is not None:
         section["max_iter"] = args.iters
@@ -196,7 +196,7 @@ def cmd_optimize(args, config) -> int:
     cfg = _optimizer_config(args, config, seed)
     objective = make_batch_objective(params, policy)
     space = default_search_space(params)
-    n_seeds = args.seeds or 1
+    n_seeds = args.seeds if args.seeds is not None else 1
     results = multi_seed_run(space, cfg, objective, n_seeds)
 
     out = _out_dir(args, config)
@@ -279,21 +279,26 @@ def cmd_anfis(args, config) -> int:
     params = _load_parameters(config, policy)
     section = dict(config.get("anfis") or {})
     variable = args.variable or section.get("variable", "T0")
-    n_points = args.points or section.get("n_points", 61)
+    n_points = args.points if args.points is not None else section.get("n_points", 61)
     bounds = section.get("range")
     if args.range:
         bounds = args.range
     if not bounds:
         raise UsageError("anfis needs a sweep range (--range or config)")
-    epochs = args.epochs or section.get("epochs", 100)
+    epochs = args.epochs if args.epochs is not None else section.get("epochs", 100)
+    if int(epochs) < 1:
+        raise UsageError("anfis needs at least one training epoch")
     lr = section.get("learning_rate", 0.01)
     decisions = _decisions(config, section)
 
     x, y, skipped = generate_dataset(params, decisions, variable,
                                      int(n_points), tuple(bounds), policy)
-    if x.size < 2:
-        raise UsageError("sweep range produced fewer than two admissible points")
-    model = grid_partition(float(x.min()), float(x.max()), 5,
+    rules = 5
+    if x.size < 2 * rules:
+        raise UsageError(
+            f"sweep range produced {x.size} admissible points, fewer than the "
+            f"{2 * rules} linear consequent parameters of {rules} rules")
+    model = grid_partition(float(x.min()), float(x.max()), rules,
                            input_name=variable)
     model, history = train_hybrid(model, x, y, epochs=int(epochs),
                                   learning_rate=float(lr))
@@ -337,8 +342,10 @@ def cmd_surface(args, config) -> int:
     range2 = args.range2 or section.get("range2")
     if not range1 or not range2 or range1[0] >= range1[1] or range2[0] >= range2[1]:
         raise UsageError("surface needs nonempty ranges for both variables")
-    n1 = args.n1 or section.get("n1", 25)
-    n2 = args.n2 or section.get("n2", 25)
+    n1 = args.n1 if args.n1 is not None else section.get("n1", 25)
+    n2 = args.n2 if args.n2 is not None else section.get("n2", 25)
+    if int(n1) < 1 or int(n2) < 1:
+        raise UsageError("surface needs at least one grid point per variable")
     decisions = _decisions(config, section)
 
     xs = np.linspace(range1[0], range1[1], int(n1))
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sens = sub.add_parser("sensitivity", help="one-at-a-time parameter sweep")
     p_sens.add_argument("--param")
-    p_sens.add_argument("--levels", help="comma-separated percents, e.g. -40,-20,0,20,40")
+    p_sens.add_argument("--levels", help="comma-separated percents, e.g. --levels=-40,-20,0,20,40")
     p_sens.add_argument("--no-reoptimize", action="store_true")
     p_sens.add_argument("--algo", choices=["de1", "de2", "pso"])
     p_sens.add_argument("--pop", type=int)

@@ -7,13 +7,17 @@ every `penalty_double_every` generations while the incumbent best is still
 infeasible.  Candidates the model rejects outright get fitness -inf and
 never abort a run.
 
-Determinism: a single PCG64 generator seeded from ``config.seed`` drives
-everything; draws happen in a fixed order per generation (DE: mutation
+Lockstep: ``run_many`` advances K independent runs together and makes one
+objective call per generation on their stacked (K*NP, d) populations;
+``run`` is ``run_many`` with one entry.
+
+Determinism: each run has its own PCG64 generator seeded from its
+``config.seed``; draws happen in a fixed order per generation (DE: mutation
 indices row by row, then the per-individual blend factor R, then the
 crossover mask and forced column; PSO: the two acceleration factors, per
 particle and dimension).  Fitness evaluation is vectorised, so results do
-not depend on evaluation scheduling.  Multi-seed helpers use seeds
-``seed, seed+1, ...``.
+not depend on evaluation scheduling or on which runs share a lockstep
+call.  Multi-seed helpers use seeds ``seed, seed+1, ...``.
 """
 
 from __future__ import annotations
@@ -99,6 +103,10 @@ class OptimizerConfig:
             raise ValueError("seed is mandatory for optimizer runs")
         if self.pop_size < 5:
             raise ValueError("population size must be at least 5")
+        if self.max_iter is not None and self.max_iter < 0:
+            raise ValueError("iterations must be nonnegative")
+        if self.penalty_double_every < 1:
+            raise ValueError("penalty_double_every must be at least 1")
         if not 0.0 <= self.Pc <= 1.0:
             raise ValueError("crossover probability must lie in [0, 1]")
         if self.penalty_coefficient <= 0:
@@ -119,7 +127,7 @@ class RunResult:
     history: np.ndarray          # best-so-far fitness, one entry per iteration
     history_feasible: np.ndarray  # incumbent feasibility per iteration
     evaluations: int
-    wall_time_s: float
+    wall_time_s: float           # of the whole lockstep call
 
     @property
     def decisions(self) -> DecisionVector:
@@ -172,12 +180,14 @@ def _reflect(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return lower + y
 
 
-def penalize(values, violations, valid, coeff: float):
+def penalize(values, violations, valid, coeff):
     """Quadratic exterior penalty ``value - coeff * violation**2``.
 
     Equals the value on feasible points; rows marked invalid get -inf.
+    `coeff` may be an array broadcasting against the values (one per run).
     """
-    if not coeff > 0:
+    positive = coeff > 0
+    if not (positive.all() if isinstance(positive, np.ndarray) else positive):
         raise ValueError("penalty coefficient must be positive")
     with np.errstate(invalid="ignore"):
         return np.where(valid, values - coeff * violations ** 2, -math.inf)
@@ -217,7 +227,6 @@ class _Incumbent:
                 self.x = X[i].copy()
                 self.value = float(values[i]) if valid[i] else -math.inf
                 self.violation = float(violations[i]) if valid[i] else math.inf
-        return fitness
 
     def fitness(self, coeff: float) -> float:
         if self.x is None or not math.isfinite(self.value):
@@ -242,52 +251,139 @@ class _Incumbent:
             evaluations=evals, wall_time_s=time.perf_counter() - start)
 
 
-def de_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
-    """Differential evolution with greedy one-to-one selection."""
-    config.validate()
-    if config.algorithm not in ("de1", "de2"):
-        raise ValueError("de_run requires algorithm 'de1' or 'de2'")
-    rng = np.random.default_rng(config.seed)
-    NP, d = config.pop_size, space.dim
-    iters = config.resolved_iters()
-    coeff = config.penalty_coefficient
-    start = time.perf_counter()
+def _mutation_indices(rng: np.random.Generator, NP: int, n_aux: int) -> np.ndarray:
+    """Distinct partner indices per member, none equal to the member itself.
 
-    X = space.lower + rng.random((NP, d)) * (space.upper - space.lower)
-    values, violations, valid = objective(X)
-    evals = NP
-    best = _Incumbent()
-    fitness = best.offer(X, values, violations, valid, coeff)
-    best.record(coeff)
-
-    n_aux = 2 if config.algorithm == "de1" else 3
-    for gen in range(1, iters + 1):
-        if gen % config.penalty_double_every == 0 and not best.feasible:
-            coeff *= 2.0
-            fitness = penalize(values, violations, valid, coeff)
-
-        idx = np.empty((NP, n_aux), dtype=np.int64)
-        for i in range(NP):
-            chosen = {i}
-            for k in range(n_aux):
+    Drawn row by row with rejection; this loop fixes DE's draw sequence.
+    """
+    idx = np.empty((NP, n_aux), dtype=np.int64)
+    for i in range(NP):
+        chosen = {i}
+        for k in range(n_aux):
+            j = int(rng.integers(NP))
+            while j in chosen:
                 j = int(rng.integers(NP))
-                while j in chosen:
-                    j = int(rng.integers(NP))
-                chosen.add(j)
-                idx[i, k] = j
-        R = rng.random(NP)[:, None]
-        if config.algorithm == "de1":
-            donors = de_mutate_rand_to_best(X, X[int(np.argmax(fitness))],
-                                            X[idx[:, 0]], X[idx[:, 1]], config.F, R)
-        else:
-            donors = de_mutate_current_to_rand(X, X[idx[:, 0]], X[idx[:, 1]],
-                                               X[idx[:, 2]], config.F, R)
-        trials = _reflect(binomial_crossover(X, donors, config.Pc, rng),
-                          space.lower, space.upper)
+            chosen.add(j)
+            idx[i, k] = j
+    return idx
 
-        t_values, t_violations, t_valid = objective(trials)
-        evals += NP
-        t_fitness = penalize(t_values, t_violations, t_valid, coeff)
+
+class _Runs:
+    """Per-run state of K lockstep runs: bounds, generators, penalties, incumbents.
+
+    Populations are (K, NP, d) arrays and bounds (K, 1, d); every per-run
+    quantity broadcasts against them, so each run sees exactly the
+    elementwise arithmetic it would see alone.
+    """
+
+    def __init__(self, spaces, configs, algorithms: tuple):
+        spaces, configs = list(spaces), list(configs)
+        if not configs or len(spaces) != len(configs):
+            raise ValueError("need one search space per config and at least one run")
+        for config in configs:
+            config.validate()
+        first = configs[0]
+        shape = (first.algorithm, first.pop_size, first.resolved_iters())
+        if any((c.algorithm, c.pop_size, c.resolved_iters()) != shape for c in configs):
+            raise ValueError("runs in one lockstep call must share algorithm, "
+                             "pop_size and iterations")
+        if first.algorithm not in algorithms:
+            raise ValueError(f"expected algorithm in {algorithms}, got {first.algorithm!r}")
+        if any(s.dim != spaces[0].dim for s in spaces):
+            raise ValueError("runs in one lockstep call must share the dimension")
+        self.configs = configs
+        self.algorithm = first.algorithm
+        self.K, self.NP, self.d = len(configs), first.pop_size, spaces[0].dim
+        self.iters = first.resolved_iters()
+        self.lower = np.stack([s.lower for s in spaces])[:, None, :]
+        self.upper = np.stack([s.upper for s in spaces])[:, None, :]
+        self.rngs = [np.random.default_rng(c.seed) for c in configs]
+        self.coeff = [c.penalty_coefficient for c in configs]
+        self.best = [_Incumbent() for _ in configs]
+        self.evals = 0
+        self.start = time.perf_counter()
+
+    def column(self, name: str) -> np.ndarray:
+        """Config field `name` per run, shaped (K, 1, 1)."""
+        return np.array([getattr(c, name) for c in self.configs],
+                        dtype=np.float64)[:, None, None]
+
+    def initial_population(self, objective):
+        """Uniform draws in each box, evaluated and offered.
+
+        Returns the population, its values, violations, validity and fitness.
+        """
+        draws = np.stack([rng.random((self.NP, self.d)) for rng in self.rngs])
+        X = self.lower + draws * (self.upper - self.lower)
+        values, violations, valid = self.evaluate(objective, X)
+        self.offer(X, values, violations, valid)
+        return X, values, violations, valid, self.penalize(values, violations, valid)
+
+    def evaluate(self, objective, X: np.ndarray):
+        """One objective call on the stacked (K*NP, d) rows."""
+        values, violations, valid = objective(X.reshape(self.K * self.NP, self.d))
+        self.evals += self.NP
+        shape = (self.K, self.NP)
+        return values.reshape(shape), violations.reshape(shape), valid.reshape(shape)
+
+    def penalize(self, values, violations, valid):
+        return penalize(values, violations, valid, np.array(self.coeff)[:, None])
+
+    def double_penalties(self, gen: int) -> list[int]:
+        """Double the coefficient of each run due this generation and still
+        infeasible; returns those runs."""
+        doubled = []
+        for k, config in enumerate(self.configs):
+            if gen % config.penalty_double_every == 0 and not self.best[k].feasible:
+                self.coeff[k] *= 2.0
+                doubled.append(k)
+        return doubled
+
+    def offer(self, X, values, violations, valid) -> None:
+        """Offer each run's candidates to its incumbent and record its history."""
+        for k, best in enumerate(self.best):
+            best.offer(X[k], values[k], violations[k], valid[k], self.coeff[k])
+            best.record(self.coeff[k])
+
+    def results(self, X: np.ndarray) -> list[RunResult]:
+        return [best.result(self.algorithm, config.seed, self.evals, self.start,
+                            X[k, 0].copy(), self.coeff[k])
+                for k, (best, config) in enumerate(zip(self.best, self.configs))]
+
+
+def de_run(spaces, configs, objective) -> list[RunResult]:
+    """Differential evolution with greedy one-to-one selection, K runs in lockstep."""
+    runs = _Runs(spaces, configs, ("de1", "de2"))
+    K, NP, d = runs.K, runs.NP, runs.d
+    rows = np.arange(K)
+    F = runs.column("F")
+
+    X, values, violations, valid, fitness = runs.initial_population(objective)
+
+    n_aux = 2 if runs.algorithm == "de1" else 3
+    for gen in range(1, runs.iters + 1):
+        for k in runs.double_penalties(gen):
+            fitness[k] = penalize(values[k], violations[k], valid[k], runs.coeff[k])
+
+        idx = np.empty((K, NP, n_aux), dtype=np.int64)
+        R = np.empty((K, NP, 1))
+        for k, rng in enumerate(runs.rngs):
+            idx[k] = _mutation_indices(rng, NP, n_aux)
+            R[k, :, 0] = rng.random(NP)
+        picks = X[rows[:, None, None], idx]          # (K, NP, n_aux, d)
+        if runs.algorithm == "de1":
+            x_best = X[rows, np.argmax(fitness, axis=1)][:, None, :]
+            donors = de_mutate_rand_to_best(X, x_best, picks[:, :, 0],
+                                            picks[:, :, 1], F, R)
+        else:
+            donors = de_mutate_current_to_rand(X, picks[:, :, 0], picks[:, :, 1],
+                                               picks[:, :, 2], F, R)
+        crossed = np.stack([binomial_crossover(X[k], donors[k], runs.configs[k].Pc,
+                                               runs.rngs[k]) for k in range(K)])
+        trials = _reflect(crossed, runs.lower, runs.upper)
+
+        t_values, t_violations, t_valid = runs.evaluate(objective, trials)
+        t_fitness = runs.penalize(t_values, t_violations, t_valid)
         improve = t_fitness >= fitness
         X[improve] = trials[improve]
         values = np.where(improve, t_values, values)
@@ -295,30 +391,29 @@ def de_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
         valid = np.where(improve, t_valid, valid)
         fitness = np.where(improve, t_fitness, fitness)
 
-        best.offer(trials, t_values, t_violations, t_valid, coeff)
-        best.record(coeff)
+        runs.offer(trials, t_values, t_violations, t_valid)
 
-    return best.result(config.algorithm, config.seed, evals, start, X[0].copy(), coeff)
+    return runs.results(X)
 
 
-def pso_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
-    """Particle swarm with clamp-to-bound and velocity zeroing."""
-    config.validate()
-    if config.algorithm != "pso":
-        raise ValueError("pso_run requires algorithm 'pso'")
-    rng = np.random.default_rng(config.seed)
-    NP, d = config.pop_size, space.dim
-    iters = config.resolved_iters()
-    coeff = config.penalty_coefficient
-    start = time.perf_counter()
+def _inertia(config: OptimizerConfig, gen: int, iters: int) -> float:
+    if config.inertia_final is None:
+        return config.m0
+    return config.m0 + (config.inertia_final - config.m0) * (gen - 1) / max(iters - 1, 1)
 
-    X = space.lower + rng.random((NP, d)) * (space.upper - space.lower)
-    V = np.zeros((NP, d))
-    values, violations, valid = objective(X)
-    evals = NP
-    best = _Incumbent()
-    fitness = best.offer(X, values, violations, valid, coeff)
-    best.record(coeff)
+
+def pso_run(spaces, configs, objective) -> list[RunResult]:
+    """Particle swarm with clamp-to-bound and velocity zeroing, K runs in lockstep."""
+    runs = _Runs(spaces, configs, ("pso",))
+    K, NP, d = runs.K, runs.NP, runs.d
+    rows = np.arange(K)
+    c1, c2 = runs.column("c1"), runs.column("c2")
+    inertia = np.array([[_inertia(c, gen, runs.iters) for c in runs.configs]
+                        for gen in range(1, runs.iters + 1)])[:, :, None, None]
+
+    X, values, violations, valid, fitness = runs.initial_population(objective)
+    V = np.zeros((K, NP, d))
+    r = np.empty((K, 2, NP, d))
 
     pbest_X = X.copy()
     pbest_values = values.copy()
@@ -326,26 +421,23 @@ def pso_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult
     pbest_valid = valid.copy()
     pbest_fit = fitness.copy()
 
-    for gen in range(1, iters + 1):
-        if gen % config.penalty_double_every == 0 and not best.feasible:
-            coeff *= 2.0
-            pbest_fit = penalize(pbest_values, pbest_violations, pbest_valid, coeff)
+    for gen in range(1, runs.iters + 1):
+        for k in runs.double_penalties(gen):
+            pbest_fit[k] = penalize(pbest_values[k], pbest_violations[k],
+                                    pbest_valid[k], runs.coeff[k])
 
-        if config.inertia_final is not None:
-            w = config.m0 + (config.inertia_final - config.m0) * (gen - 1) / max(iters - 1, 1)
-        else:
-            w = config.m0
-        gbest = pbest_X[int(np.argmax(pbest_fit))]
-        r1 = rng.random((NP, d))
-        r2 = rng.random((NP, d))
-        X_new, V = pso_update(X, V, pbest_X, gbest, w, config.c1, config.c2, r1, r2)
-        clipped = (X_new < space.lower) | (X_new > space.upper)
-        X = np.clip(X_new, space.lower, space.upper)
+        gbest = pbest_X[rows, np.argmax(pbest_fit, axis=1)][:, None, :]
+        # r1 then r2 per run: one (2, NP, d) draw is the same stream.
+        for k, rng in enumerate(runs.rngs):
+            rng.random(out=r[k])
+        X_new, V = pso_update(X, V, pbest_X, gbest, inertia[gen - 1], c1, c2,
+                               r[:, 0], r[:, 1])
+        clipped = (X_new < runs.lower) | (X_new > runs.upper)
+        X = np.clip(X_new, runs.lower, runs.upper)
         V = np.where(clipped, 0.0, V)
 
-        values, violations, valid = objective(X)
-        evals += NP
-        fitness = penalize(values, violations, valid, coeff)
+        values, violations, valid = runs.evaluate(objective, X)
+        fitness = runs.penalize(values, violations, valid)
         improve = fitness > pbest_fit
         pbest_X[improve] = X[improve]
         pbest_values = np.where(improve, values, pbest_values)
@@ -353,29 +445,42 @@ def pso_run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult
         pbest_valid = np.where(improve, valid, pbest_valid)
         pbest_fit = np.where(improve, fitness, pbest_fit)
 
-        best.offer(X, values, violations, valid, coeff)
-        best.record(coeff)
+        runs.offer(X, values, violations, valid)
 
-    return best.result("pso", config.seed, evals, start, X[0].copy(), coeff)
+    return runs.results(X)
+
+
+def run_many(spaces, configs, objective) -> list[RunResult]:
+    """Advance K independent runs in lockstep, one objective call per generation.
+
+    Run k searches `spaces[k]` under `configs[k]`; the configs must share
+    algorithm, pop_size and iterations.  The objective receives the K
+    populations stacked as (K*NP, d) rows, run k in block k, and must
+    evaluate each row on its own.  Every run keeps its own generator,
+    penalty coefficient, doubling schedule and incumbent, so its result
+    does not depend on which runs share the call.
+    """
+    configs = list(configs)
+    body = pso_run if configs and configs[0].algorithm == "pso" else de_run
+    return body(spaces, configs, objective)
 
 
 def run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
-    """Dispatch to the configured algorithm."""
-    if config.algorithm == "pso":
-        return pso_run(space, config, objective)
-    return de_run(space, config, objective)
+    """One run: `run_many` with a single entry."""
+    return run_many([space], [config], objective)[0]
 
 
 def multi_seed_run(space: SearchSpace, config: OptimizerConfig, objective,
                    n_seeds: int) -> list[RunResult]:
-    """Repeat a run with seeds config.seed, config.seed+1, ..."""
+    """Seeds config.seed, config.seed+1, ... run in lockstep."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be positive")
-    results = []
-    for k in range(n_seeds):
-        results.append(run(space, dataclasses.replace(config, seed=config.seed + k),
-                           objective))
-    return results
+    configs = [dataclasses.replace(config, seed=config.seed + k)
+               for k in range(n_seeds)]
+    if n_seeds == 1:
+        # A single seed goes through `run`, the name callers and tracers wrap.
+        return [run(space, configs[0], objective)]
+    return run_many([space] * n_seeds, configs, objective)
 
 
 def multi_seed_stats(results: list[RunResult]) -> tuple[float, float, float]:

@@ -19,11 +19,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .kernels import PARAM_ORDER
 from .model import DecisionVector, DomainError
-from .optimize import OptimizerConfig, SearchSpace, default_search_space, run
+# `run` is not called here; it stays importable from this module for
+# callers that wrap it by attribute.
+from .optimize import (OptimizerConfig, SearchSpace, default_search_space, run,  # noqa: F401
+                       run_many)
 from .params import ModelParameters, ParameterError, TABLE_DEFAULTS
 from .policy import evaluate_policy, make_batch_objective
 
@@ -74,45 +76,78 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec, params: ModelParameters) -> list[SweepRow]:
-    """One row per level, each re-optimized from the same seed."""
+    """One row per level, each re-optimized from the same seed.
+
+    The re-optimized levels run in lockstep (``optimize.run_many``).
+    """
+    return _run_sweeps([spec], params)[0]
+
+
+def _sweep_levels(spec: SweepSpec, params: ModelParameters) -> list:
+    """(level, parameters) pairs; parameters are None where they do not build."""
     spec.validate()
     base_value = getattr(params, spec.parameter)
     if base_value is None:
         raise ParameterError(
             f"cannot sweep {spec.parameter}: no value supplied")
-    rows = []
+    levels = []
     for level in spec.levels:
-        value = base_value * (1.0 + level / 100.0)
         try:
-            level_params = params.replace(**{spec.parameter: value})
+            level_params = params.replace(
+                **{spec.parameter: base_value * (1.0 + level / 100.0)})
+            level_params.require_policy_price(spec.policy)
         except ParameterError:
-            rows.append(SweepRow(level, False, None,
-                                 math.nan, math.nan, math.nan))
-            continue
-        try:
-            if spec.reoptimize:
-                space = spec.space or default_search_space(level_params)
-                objective = make_batch_objective(level_params, spec.policy)
-                result = run(space, spec.optimizer, objective)
-                if not np.isfinite(result.best_value):
-                    rows.append(SweepRow(level, False, None,
-                                         math.nan, math.nan, math.nan))
-                    continue
-                decisions = result.decisions
-            else:
-                decisions = spec.decisions
-            outcome = evaluate_policy(level_params, decisions, spec.policy)
-        except (DomainError, ParameterError):
-            rows.append(SweepRow(level, False, None,
-                                 math.nan, math.nan, math.nan))
-            continue
-        rows.append(SweepRow(level, True, decisions,
-                             outcome.phi_m, outcome.phi_r, outcome.value))
-    baseline = next(r for r in rows if r.level == 0.0)
-    for row in rows:
-        if row.feasible and baseline.feasible and baseline.phi_T != 0.0:
-            row.pct_change = 100.0 * (row.phi_T - baseline.phi_T) / abs(baseline.phi_T)
-    return rows
+            level_params = None
+        levels.append((level, level_params))
+    return levels
+
+
+def _sweep_row(spec: SweepSpec, level: float, level_params, result) -> SweepRow:
+    infeasible = SweepRow(level, False, None, math.nan, math.nan, math.nan)
+    if level_params is None:
+        return infeasible
+    if spec.reoptimize:
+        if not np.isfinite(result.best_value):
+            return infeasible
+        decisions = result.decisions
+    else:
+        decisions = spec.decisions
+    try:
+        outcome = evaluate_policy(level_params, decisions, spec.policy)
+    except (DomainError, ParameterError):
+        return infeasible
+    return SweepRow(level, True, decisions, outcome.phi_m, outcome.phi_r,
+                    outcome.value)
+
+
+def _run_sweeps(specs: list[SweepSpec], params: ModelParameters) -> list[list[SweepRow]]:
+    """Rows of each sweep; every re-optimized level of every sweep shares
+    one ``run_many`` call, so the specs must share the policy and the
+    optimizer's algorithm, population and iterations."""
+    if len({spec.policy for spec in specs}) > 1:
+        raise ValueError("sweeps run together must share the policy")
+    plans = [_sweep_levels(spec, params) for spec in specs]
+    pending = [(i, j, level_params)
+               for i, (spec, plan) in enumerate(zip(specs, plans)) if spec.reoptimize
+               for j, (_, level_params) in enumerate(plan) if level_params is not None]
+    results = {}
+    if pending:
+        found = run_many(
+            [specs[i].space or default_search_space(lp) for i, _, lp in pending],
+            [specs[i].optimizer for i, _, _ in pending],
+            make_batch_objective([lp for _, _, lp in pending], specs[0].policy))
+        results = {(i, j): result for (i, j, _), result in zip(pending, found)}
+
+    sweeps = []
+    for i, (spec, plan) in enumerate(zip(specs, plans)):
+        rows = [_sweep_row(spec, level, level_params, results.get((i, j)))
+                for j, (level, level_params) in enumerate(plan)]
+        baseline = next(r for r in rows if r.level == 0.0)
+        for row in rows:
+            if row.feasible and baseline.feasible and baseline.phi_T != 0.0:
+                row.pct_change = 100.0 * (row.phi_T - baseline.phi_T) / abs(baseline.phi_T)
+        sweeps.append(rows)
+    return sweeps
 
 
 def sweep_slope(rows: list[SweepRow]) -> float:
@@ -128,14 +163,18 @@ def direction_report(params: ModelParameters,
                      optimizer: OptimizerConfig,
                      policy: str = "tax",
                      parameters: tuple | None = None) -> dict:
-    """Sweep every listed parameter and verify the profit slope sign."""
-    checks = {}
+    """Sweep every listed parameter and verify the profit slope sign.
+
+    All levels of all sweeps run in one lockstep call.
+    """
     names = parameters if parameters is not None else \
         EXPECTED_DECREASING + EXPECTED_INCREASING
-    for name in names:
+    specs = [SweepSpec(parameter=name, policy=policy, optimizer=optimizer)
+             for name in names]
+    checks = {}
+    for name, rows in zip(names, _run_sweeps(specs, params)):
         expected = "-" if name in EXPECTED_DECREASING else "+"
-        spec = SweepSpec(parameter=name, policy=policy, optimizer=optimizer)
-        slope = sweep_slope(run_sweep(spec, params))
+        slope = sweep_slope(rows)
         ok = math.isfinite(slope) and (slope < 0 if expected == "-" else slope > 0)
         checks[name] = {"expected": expected, "slope": slope, "ok": bool(ok)}
     return checks
@@ -253,6 +292,10 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     carries the residual (profit errors only), a pass/fail verdict at
     `tolerance`, and per-coordinate identifiability flags.
     """
+    # scipy is loaded here, not at import: nothing else in the package
+    # needs it, and it is most of the start-up time.
+    from scipy import optimize as sciopt
+
     base = dict(TABLE_DEFAULTS)
     if base_values:
         base.update(base_values)

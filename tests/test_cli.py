@@ -1,10 +1,15 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greenchain.cli import main
+from greenchain.cli import build_parser, main
 
 PARAMS = {"v1": 0.04, "v2": 0.06, "C_Tax": 2.1, "C_CT": 2.1}
 DECISIONS = {"T0": 0.6626, "xi1": 167.8651, "xi2": 93.6741,
@@ -98,6 +103,14 @@ class TestOptimize:
                                "--algo", "pso", "--iters", "5")
         assert code == 2 and "seed" in err
 
+    @pytest.mark.parametrize("flag", [["--seeds", "0"], ["--pop", "0"],
+                                      ["--iters", "-1"]])
+    def test_out_of_range_flag_is_usage_error(self, capsys, config_path, flag):
+        code, out, err = run_cli(capsys, "--config", config_path, "optimize",
+                                 "--algo", "pso", *flag)
+        assert code == 2 and "error:" in err
+        assert out == ""
+
     def test_limited_policy_reports_feasibility(self, capsys, config_path,
                                                 tmp_path):
         out_dir = tmp_path / "art"
@@ -141,6 +154,19 @@ class TestSensitivity:
         assert not list(out_dir.glob("*.tmp"))
 
 
+    def test_levels_help_example_parses(self, capsys, config_path):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        levels = next(a for a in sub.choices["sensitivity"]._actions
+                      if "--levels" in a.option_strings)
+        example = levels.help.split("e.g. ")[1]
+        code, out, _ = run_cli(capsys, "--config", config_path, "sensitivity",
+                               "--param", "C_p", example, "--no-reoptimize")
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()] == \
+            ["-40.0%", "-20.0%", "+0.0%", "+20.0%", "+40.0%"]
+
+
 class TestAnfis:
     def test_trains_and_writes_artifacts(self, capsys, config_path, tmp_path):
         out_dir = tmp_path / "art"
@@ -158,6 +184,20 @@ class TestAnfis:
     def test_missing_range_is_usage_error(self, capsys, config_path):
         code, _, err = run_cli(capsys, "--config", config_path, "anfis")
         assert code == 2 and "range" in err
+
+    def test_zero_epochs_is_usage_error(self, capsys, config_path):
+        code, _, err = run_cli(capsys, "--config", config_path, "anfis",
+                               "--range", "0.2", "1.0", "--epochs", "0")
+        assert code == 2 and "epoch" in err
+
+    def test_fewer_points_than_linear_parameters_is_usage_error(
+            self, capsys, config_path, tmp_path):
+        out_dir = tmp_path / "art"
+        code, _, err = run_cli(capsys, "--config", config_path,
+                               "--out", str(out_dir), "anfis",
+                               "--range", "0.2", "1.0", "--points", "3")
+        assert code == 2 and "3 admissible points" in err
+        assert not out_dir.exists()
 
 
 class TestSurface:
@@ -205,6 +245,17 @@ class TestSurface:
                                "--range1", "1.0", "1.0",
                                "--range2", "0", "10")
         assert code == 2 and "range" in err
+
+    def test_zero_grid_points_is_usage_error(self, capsys, config_path,
+                                             tmp_path):
+        out_dir = tmp_path / "art"
+        code, _, err = run_cli(capsys, "--config", config_path,
+                               "--out", str(out_dir), "surface",
+                               "--vars", "T0", "xi1",
+                               "--range1", "0.2", "0.8",
+                               "--range2", "0", "10", "--n1", "0")
+        assert code == 2 and "grid point" in err
+        assert not out_dir.exists()
 
     def test_interior_maximum_around_the_optimum(self, capsys, tmp_path,
                                                  calibration):
@@ -301,3 +352,15 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "--config", config_path,
                                "--policy", "tax", "evaluate", "--W_r", "500")
         assert code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    probe = ("import sys, greenchain.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from greenchain import ModelParameters, make_batch_objective
+from greenchain import ModelParameters, make_batch_objective, sensitivity
 from greenchain.cli import main
 from greenchain.optimize import (OptimizerConfig, RunResult, SearchSpace,
                                  binomial_crossover, de_mutate_current_to_rand,
-                                 de_mutate_rand_to_best, de_run,
-                                 default_search_space, multi_seed_run,
-                                 multi_seed_stats, pso_run, pso_update, run)
+                                 de_mutate_rand_to_best, default_search_space,
+                                 multi_seed_run, multi_seed_stats, pso_update,
+                                 run, run_many)
 
 
 def sphere_objective(X):
@@ -110,7 +110,7 @@ class TestRuns:
         rng = np.random.default_rng(3)
         first_pop = cube.lower + rng.random((cfg.pop_size, 5)) \
             * (cube.upper - cube.lower)
-        result = de_run(cube, cfg, constant_objective)
+        result = run(cube, cfg, constant_objective)
         assert result.best_value == 5.0
         assert np.all(result.history == 5.0)
         assert any(np.array_equal(result.x_best, row) for row in first_pop)
@@ -147,13 +147,19 @@ class TestRuns:
 
     def test_zero_iterations_returns_initial_best(self, cube):
         cfg = OptimizerConfig(algorithm="de1", seed=4, max_iter=0)
-        result = de_run(cube, cfg, sphere_objective)
+        result = run(cube, cfg, sphere_objective)
         assert len(result.history) == 1
         assert result.evaluations == cfg.pop_size
 
     def test_seed_is_mandatory(self, cube):
         with pytest.raises(ValueError, match="seed"):
             run(cube, OptimizerConfig(algorithm="pso"), sphere_objective)
+
+    @pytest.mark.parametrize("bad", [{"max_iter": -1}, {"penalty_double_every": 0}])
+    def test_out_of_range_schedule_rejected(self, cube, bad):
+        with pytest.raises(ValueError):
+            run(cube, OptimizerConfig(algorithm="de1", seed=1, **bad),
+                sphere_objective)
 
     def test_invalid_candidates_never_abort(self):
         # objective invalid on half the box: treated as fitness -inf
@@ -165,7 +171,7 @@ class TestRuns:
 
         cube = SearchSpace(lower=-2 * np.ones(3), upper=2 * np.ones(3))
         cfg = OptimizerConfig(algorithm="de1", seed=8, max_iter=50)
-        result = de_run(cube, cfg, patchy)
+        result = run(cube, cfg, patchy)
         assert result.feasible and result.x_best[0] <= 0.5
         assert -result.best_value < 1e-3
 
@@ -179,7 +185,7 @@ class TestRuns:
 
         cube = SearchSpace(lower=np.zeros(1), upper=np.ones(1))
         cfg = OptimizerConfig(algorithm="pso", seed=6, max_iter=100)
-        result = pso_run(cube, cfg, gated)
+        result = run(cube, cfg, gated)
         assert result.feasible
         assert result.best_violation == 0.0
         assert result.best_value == pytest.approx(0.5, abs=1e-6)
@@ -244,3 +250,83 @@ def test_history_csv_round_trip(tmp_path):
     feasible = [line.split(",")[2] for line in lines[1:]]
     assert feasible == [str(int(f)) for f in result.history_feasible]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+RUN_FIELDS = ("x_best", "best_value", "best_fitness", "best_violation",
+              "feasible", "history", "history_feasible", "evaluations")
+
+
+def lockstep_entries():
+    """Four runs mixing seeds, parameter sets, spaces and penalty schedules.
+
+    Entry 2 has no emission allowance and little room for green investment,
+    so under `limited` it starts infeasible and its coefficient doubles at
+    generation 1.  Entry 3 searches prices past a/b, where every row is
+    inadmissible, so its coefficient doubles every third generation.
+    """
+    a = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
+    b = ModelParameters(v1=0.05, v2=0.03, C_Tax=1.5, C_CT=2.5, U2=90.0)
+    capped = a.replace(U2=0.0)
+    base = default_search_space(a)
+    low_green = SearchSpace(base.lower, np.where(np.arange(5) == 3, 0.5, base.upper))
+    cap = b.a / b.b
+    no_demand = SearchSpace(np.r_[base.lower[:4], cap + 1.0],
+                            np.r_[base.upper[:4], cap + 20.0])
+    return [
+        (a, base, {"seed": 1}),
+        (b, default_search_space(b), {"seed": 2}),
+        (capped, low_green, {"seed": 3, "penalty_double_every": 1}),
+        (b, no_demand, {"seed": 4, "penalty_double_every": 3}),
+    ]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("policy", ["tax", "cap_trade", "limited"])
+    @pytest.mark.parametrize("algo", ["de1", "de2", "pso"])
+    def test_equals_separate_runs(self, algo, policy):
+        entries = lockstep_entries()
+        configs = [OptimizerConfig(algorithm=algo, max_iter=40, **extra)
+                   for _, _, extra in entries]
+        together = run_many([space for _, space, _ in entries], configs,
+                            make_batch_objective([p for p, _, _ in entries], policy))
+        alone = [run(space, config, make_batch_objective(p, policy))
+                 for (p, space, _), config in zip(entries, configs)]
+        assert len(together) == len(alone) == 4
+        for t, a in zip(together, alone):
+            for name in RUN_FIELDS:
+                assert np.array_equal(getattr(t, name), getattr(a, name)), name
+        assert not together[3].feasible and together[3].best_value == -np.inf
+        if policy == "limited":
+            assert not together[2].history_feasible[0]
+            assert together[2].feasible
+
+    @pytest.mark.parametrize("change", [{"algorithm": "de2"}, {"pop_size": 40},
+                                        {"max_iter": 11}])
+    def test_configs_must_share_shape(self, cube, change):
+        first = OptimizerConfig(algorithm="de1", seed=1, max_iter=10)
+        other = OptimizerConfig(**{"algorithm": "de1", "seed": 2, "max_iter": 10,
+                                   **change})
+        with pytest.raises(ValueError, match="share"):
+            run_many([cube, cube], [first, other], sphere_objective)
+
+    def test_sweep_makes_one_objective_call_per_generation(self, monkeypatch,
+                                                           params):
+        calls = []
+        build = sensitivity.make_batch_objective
+
+        def counting(*args, **kwargs):
+            objective = build(*args, **kwargs)
+
+            def counted(X):
+                calls.append(len(X))
+                return objective(X)
+            return counted
+
+        monkeypatch.setattr(sensitivity, "make_batch_objective", counting)
+        iters = 12
+        rows = sensitivity.run_sweep(sensitivity.SweepSpec(
+            parameter="C_p",
+            optimizer=OptimizerConfig(algorithm="pso", seed=1, max_iter=iters)),
+            params)
+        assert len(rows) == 5 and all(r.feasible for r in rows)
+        assert calls == [5 * 50] * (iters + 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from greenchain import DecisionVector, ModelParameters
-from greenchain.optimize import OptimizerConfig, default_search_space, pso_run
+from greenchain.optimize import OptimizerConfig, default_search_space, run
 from greenchain.policy import evaluate_policy, make_batch_objective
 from greenchain.sensitivity import (CalibrationTarget, SweepSpec,
                                     calibrate_missing_defaults,
@@ -74,9 +74,9 @@ class TestCalibration:
     def test_round_trip_recovers_known_constants(self):
         truth = {"v1": 0.012, "v2": 0.02, "C_Tax": 1.7}
         p = ModelParameters(**truth)
-        result = pso_run(default_search_space(p),
-                         OptimizerConfig(algorithm="pso", seed=3),
-                         make_batch_objective(p, "tax"))
+        result = run(default_search_space(p),
+                     OptimizerConfig(algorithm="pso", seed=3),
+                     make_batch_objective(p, "tax"))
         outcome = evaluate_policy(p, result.decisions, "tax")
         target = CalibrationTarget(decisions=result.decisions,
                                    Z_m=outcome.phi_m, Z_r=outcome.phi_r,
