@@ -186,8 +186,7 @@ def penalize(values, violations, valid, coeff):
     Equals the value on feasible points; rows marked invalid get -inf.
     `coeff` may be an array broadcasting against the values (one per run).
     """
-    positive = coeff > 0
-    if not (positive.all() if isinstance(positive, np.ndarray) else positive):
+    if not np.all(np.asarray(coeff) > 0):
         raise ValueError("penalty coefficient must be positive")
     with np.errstate(invalid="ignore"):
         return np.where(valid, values - coeff * violations ** 2, -math.inf)
@@ -210,9 +209,11 @@ class _Incumbent:
         self.feasible = False
         self.history: list[float] = []
         self.history_feasible: list[bool] = []
+        self._scored = None          # (x, coeff) that self._score belongs to
+        self._score = -math.inf
 
-    def offer(self, X, values, violations, valid, coeff):
-        fitness = penalize(values, violations, valid, coeff)
+    def offer(self, X, values, violations, valid, fitness, coeff):
+        """Offer candidates together with their fitness under `coeff`."""
         feas = valid & (violations <= 0.0)
         if np.any(feas):
             i = int(np.argmax(np.where(feas, values, -math.inf)))
@@ -231,7 +232,12 @@ class _Incumbent:
     def fitness(self, coeff: float) -> float:
         if self.x is None or not math.isfinite(self.value):
             return -math.inf
-        return float(penalize(self.value, self.violation, True, coeff))
+        # Read every generation; it changes only with the incumbent or coeff.
+        if self._scored is None or self._scored[0] is not self.x \
+                or self._scored[1] != coeff:
+            self._score = float(penalize(self.value, self.violation, True, coeff))
+            self._scored = (self.x, coeff)
+        return self._score
 
     def record(self, coeff: float) -> None:
         fit = self.fitness(coeff)
@@ -315,19 +321,25 @@ class _Runs:
         """
         draws = np.stack([rng.random((self.NP, self.d)) for rng in self.rngs])
         X = self.lower + draws * (self.upper - self.lower)
-        values, violations, valid = self.evaluate(objective, X)
-        self.offer(X, values, violations, valid)
-        return X, values, violations, valid, self.penalize(values, violations, valid)
+        return (X, *self.evaluate(objective, X))
 
     def evaluate(self, objective, X: np.ndarray):
-        """One objective call on the stacked (K*NP, d) rows."""
+        """One objective call on the stacked (K*NP, d) rows, penalized under
+        each run's coefficient and offered to its incumbent.
+
+        Returns values, violations, validity and fitness, each (K, NP).
+        """
         values, violations, valid = objective(X.reshape(self.K * self.NP, self.d))
         self.evals += self.NP
         shape = (self.K, self.NP)
-        return values.reshape(shape), violations.reshape(shape), valid.reshape(shape)
-
-    def penalize(self, values, violations, valid):
-        return penalize(values, violations, valid, np.array(self.coeff)[:, None])
+        values, violations, valid = (values.reshape(shape), violations.reshape(shape),
+                                     valid.reshape(shape))
+        fitness = penalize(values, violations, valid, np.array(self.coeff)[:, None])
+        for k, best in enumerate(self.best):
+            best.offer(X[k], values[k], violations[k], valid[k], fitness[k],
+                       self.coeff[k])
+            best.record(self.coeff[k])
+        return values, violations, valid, fitness
 
     def double_penalties(self, gen: int) -> list[int]:
         """Double the coefficient of each run due this generation and still
@@ -338,12 +350,6 @@ class _Runs:
                 self.coeff[k] *= 2.0
                 doubled.append(k)
         return doubled
-
-    def offer(self, X, values, violations, valid) -> None:
-        """Offer each run's candidates to its incumbent and record its history."""
-        for k, best in enumerate(self.best):
-            best.offer(X[k], values[k], violations[k], valid[k], self.coeff[k])
-            best.record(self.coeff[k])
 
     def results(self, X: np.ndarray) -> list[RunResult]:
         return [best.result(self.algorithm, config.seed, self.evals, self.start,
@@ -382,16 +388,13 @@ def de_run(spaces, configs, objective) -> list[RunResult]:
                                                runs.rngs[k]) for k in range(K)])
         trials = _reflect(crossed, runs.lower, runs.upper)
 
-        t_values, t_violations, t_valid = runs.evaluate(objective, trials)
-        t_fitness = runs.penalize(t_values, t_violations, t_valid)
+        t_values, t_violations, t_valid, t_fitness = runs.evaluate(objective, trials)
         improve = t_fitness >= fitness
         X[improve] = trials[improve]
         values = np.where(improve, t_values, values)
         violations = np.where(improve, t_violations, violations)
         valid = np.where(improve, t_valid, valid)
         fitness = np.where(improve, t_fitness, fitness)
-
-        runs.offer(trials, t_values, t_violations, t_valid)
 
     return runs.results(X)
 
@@ -408,8 +411,6 @@ def pso_run(spaces, configs, objective) -> list[RunResult]:
     K, NP, d = runs.K, runs.NP, runs.d
     rows = np.arange(K)
     c1, c2 = runs.column("c1"), runs.column("c2")
-    inertia = np.array([[_inertia(c, gen, runs.iters) for c in runs.configs]
-                        for gen in range(1, runs.iters + 1)])[:, :, None, None]
 
     X, values, violations, valid, fitness = runs.initial_population(objective)
     V = np.zeros((K, NP, d))
@@ -430,22 +431,20 @@ def pso_run(spaces, configs, objective) -> list[RunResult]:
         # r1 then r2 per run: one (2, NP, d) draw is the same stream.
         for k, rng in enumerate(runs.rngs):
             rng.random(out=r[k])
-        X_new, V = pso_update(X, V, pbest_X, gbest, inertia[gen - 1], c1, c2,
+        w = np.array([_inertia(c, gen, runs.iters) for c in runs.configs])
+        X_new, V = pso_update(X, V, pbest_X, gbest, w[:, None, None], c1, c2,
                                r[:, 0], r[:, 1])
         clipped = (X_new < runs.lower) | (X_new > runs.upper)
         X = np.clip(X_new, runs.lower, runs.upper)
         V = np.where(clipped, 0.0, V)
 
-        values, violations, valid = runs.evaluate(objective, X)
-        fitness = runs.penalize(values, violations, valid)
+        values, violations, valid, fitness = runs.evaluate(objective, X)
         improve = fitness > pbest_fit
         pbest_X[improve] = X[improve]
         pbest_values = np.where(improve, values, pbest_values)
         pbest_violations = np.where(improve, violations, pbest_violations)
         pbest_valid = np.where(improve, valid, pbest_valid)
         pbest_fit = np.where(improve, fitness, pbest_fit)
-
-        runs.offer(X, values, violations, valid)
 
     return runs.results(X)
 
@@ -477,9 +476,6 @@ def multi_seed_run(space: SearchSpace, config: OptimizerConfig, objective,
         raise ValueError("n_seeds must be positive")
     configs = [dataclasses.replace(config, seed=config.seed + k)
                for k in range(n_seeds)]
-    if n_seeds == 1:
-        # A single seed goes through `run`, the name callers and tracers wrap.
-        return [run(space, configs[0], objective)]
     return run_many([space] * n_seeds, configs, objective)
 
 

@@ -75,14 +75,15 @@ class TestOptimize:
     def test_zero_iterations_reports_initial_best(self, capsys, config_path,
                                                   tmp_path):
         out_dir = tmp_path / "art"
-        code, out, _ = run_cli(capsys, "--config", config_path,
-                               "--out", str(out_dir), "optimize",
-                               "--algo", "de1", "--iters", "0")
-        assert code == 0
-        doc = json.loads((out_dir / "best_de1_tax_seed7.json").read_text())
-        assert doc["evaluations"] == 50
-        history = (out_dir / "history_de1_tax_seed7.csv").read_text()
-        assert len(history.strip().splitlines()) == 2  # header + one row
+        for algo in ("de1", "pso"):
+            code, out, _ = run_cli(capsys, "--config", config_path,
+                                   "--out", str(out_dir), "optimize",
+                                   "--algo", algo, "--iters", "0")
+            assert code == 0
+            doc = json.loads((out_dir / f"best_{algo}_tax_seed7.json").read_text())
+            assert doc["evaluations"] == 50
+            history = (out_dir / f"history_{algo}_tax_seed7.csv").read_text()
+            assert len(history.strip().splitlines()) == 2  # header + one row
 
     def test_multi_seed_summary(self, capsys, config_path, tmp_path):
         out_dir = tmp_path / "art"

@@ -146,10 +146,11 @@ class TestRuns:
             assert len(result.history) == 61
 
     def test_zero_iterations_returns_initial_best(self, cube):
-        cfg = OptimizerConfig(algorithm="de1", seed=4, max_iter=0)
-        result = run(cube, cfg, sphere_objective)
-        assert len(result.history) == 1
-        assert result.evaluations == cfg.pop_size
+        for algo in ("de1", "de2", "pso"):
+            cfg = OptimizerConfig(algorithm=algo, seed=4, max_iter=0)
+            result = run(cube, cfg, sphere_objective)
+            assert len(result.history) == 1
+            assert result.evaluations == cfg.pop_size
 
     def test_seed_is_mandatory(self, cube):
         with pytest.raises(ValueError, match="seed"):
