@@ -1,0 +1,214 @@
+"""Record greenchain's numerical results bit for bit, or compare two records.
+
+A refactor that claims "the same numbers" runs this on the source tree
+before and after the change and compares the two files:
+
+    python3 benchmarks/numerics_fingerprint.py SRC_DIR OUT.json
+    python3 benchmarks/numerics_fingerprint.py --compare BEFORE.json AFTER.json
+
+SRC_DIR is the directory that holds the ``greenchain`` package (``src`` in
+a checkout); the script imports greenchain from there and nowhere else.
+Floats are stored as hex strings, so two records are equal only when every
+bit is.  Compare mode prints each entry that differs and exits 1 if any
+does, 0 otherwise.
+
+Entries (one process, about 20 s on two cores):
+
+- ``run``: de1/de2/pso x tax/cap_trade/limited x seeds 0-4;
+- ``multi_seed_run`` with five seeds for the same nine pairs;
+- lockstep runs whose penalty coefficient doubles (``limited`` with no cap,
+  three runs per algorithm with different doubling schedules);
+- ``run_sweep`` for all 14 parameters of the direction check;
+- one ``direction_report``;
+- the ``calibrate_missing_defaults`` triple;
+- the ``evaluate``, ``optimize --seeds 3``, ``sensitivity``, ``anfis`` and
+  ``surface`` CLI outputs (stdout and every file written), with ``meta``
+  removed from JSON.
+
+Wall times are left out everywhere.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import contextlib
+import dataclasses
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+#: Constants the README gives for the reference operating point.
+REFERENCE = {"v1": 0.0386, "v2": 0.0549, "C_Tax": 2.108, "C_CT": 2.108}
+DECISIONS = {"T0": 0.6626, "xi1": 167.8651, "xi2": 93.6741,
+             "G": 7.7565, "W_r": 292.28}
+ALGORITHMS = ("de1", "de2", "pso")
+POLICIES = ("tax", "cap_trade", "limited")
+
+
+def hexify(value):
+    """JSON-ready copy of `value` with every float as its hex string."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, np.ndarray):
+        return hexify(value.tolist())
+    if isinstance(value, dict):
+        return {str(k): hexify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexify(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: hexify(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.name != "wall_time_s"}
+    return value
+
+
+def _optimizer_entries(gc) -> dict:
+    from greenchain.optimize import (OptimizerConfig, default_search_space,
+                                     multi_seed_run, run, run_many)
+
+    params = gc.ModelParameters.from_dict(REFERENCE)
+    space = default_search_space(params)
+    entries = {}
+    for policy in POLICIES:
+        objective = gc.make_batch_objective(params, policy)
+        for algo in ALGORITHMS:
+            for seed in range(5):
+                result = run(space, OptimizerConfig(algorithm=algo, seed=seed),
+                             objective)
+                entries[f"run/{algo}/{policy}/seed{seed}"] = result
+            entries[f"multi_seed_run/{algo}/{policy}"] = multi_seed_run(
+                space, OptimizerConfig(algorithm=algo, seed=100), objective, 5)
+
+    # With no cap and little abatement most of the box is infeasible, so the
+    # incumbent stays infeasible long enough for the coefficient to double:
+    # at l3 = 1.5 for the whole run, at l3 = 1.8 until DE finds the
+    # feasible corner.
+    for l3 in (1.5, 1.8):
+        tight = params.replace(U2=0.0, l3=l3)
+        objective = gc.make_batch_objective(tight, "limited")
+        for algo in ALGORITHMS:
+            configs = [OptimizerConfig(algorithm=algo, seed=seed, max_iter=60,
+                                       penalty_coefficient=1e-3,
+                                       penalty_double_every=every)
+                       for seed, every in ((1, 3), (2, 5), (3, 7))]
+            entries[f"doubling/{algo}/l3={l3}"] = run_many(
+                [default_search_space(tight)] * 3, configs, objective)
+    return entries
+
+
+def _sensitivity_entries(gc) -> dict:
+    from greenchain.optimize import OptimizerConfig
+    from greenchain.sensitivity import (EXPECTED_DECREASING, EXPECTED_INCREASING,
+                                        SweepSpec, calibrate_missing_defaults,
+                                        direction_report, run_sweep)
+
+    params = gc.ModelParameters.from_dict(REFERENCE)
+    entries = {}
+    for name in EXPECTED_DECREASING + EXPECTED_INCREASING:
+        spec = SweepSpec(parameter=name,
+                         optimizer=OptimizerConfig(algorithm="pso", seed=11))
+        entries[f"sweep/{name}"] = run_sweep(spec, params)
+    entries["direction_report"] = direction_report(
+        params, OptimizerConfig(algorithm="pso", seed=3, max_iter=100))
+    fit = calibrate_missing_defaults()
+    entries["calibration"] = [fit.v1, fit.v2, fit.C_Tax]
+    return entries
+
+
+def _strip_meta(text: str):
+    doc = json.loads(text)
+    if isinstance(doc, dict):
+        doc.pop("meta", None)
+    return doc
+
+
+def _cli_entries(gc) -> dict:
+    from greenchain.cli import main
+
+    commands = {
+        "evaluate": ["evaluate"],
+        "optimize_de1": ["optimize", "--algo", "de1", "--seeds", "3"],
+        "optimize_pso": ["optimize", "--algo", "pso", "--seeds", "3"],
+        "sensitivity": ["sensitivity", "--param", "C_p"],
+        "anfis": ["anfis", "--range", "0.05", "1.5"],
+        "surface": ["surface", "--vars", "T0", "W_r", "--range1", "0.05", "12",
+                    "--range2", "80", "320", "--n1", "40", "--n2", "40"],
+    }
+    entries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"parameters": REFERENCE, "policy": "tax",
+                                      "seed": 7, "decisions": DECISIONS}))
+        for name, argv in commands.items():
+            out = Path(tmp) / name
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["--config", str(config), "--out", str(out)] + argv)
+            files = {}
+            for path in sorted(out.iterdir()):
+                text = path.read_text()
+                files[path.name] = (_strip_meta(text) if path.suffix == ".json"
+                                    else text)
+            entries[f"cli/{name}"] = {
+                "exit": code,
+                "stdout": stdout.getvalue().replace(str(out), "<out>"),
+                "files": files,
+            }
+    return entries
+
+
+def record(src_dir: Path) -> dict:
+    sys.path.insert(0, str(src_dir))
+    import greenchain as gc
+
+    origin = Path(gc.__file__).resolve()
+    if src_dir not in origin.parents:
+        raise SystemExit(f"greenchain was imported from {origin}, not {src_dir}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        entries = {**_optimizer_entries(gc), **_sensitivity_entries(gc),
+                   **_cli_entries(gc)}
+    return {name: hexify(value) for name, value in entries.items()}
+
+
+def compare(before: dict, after: dict) -> int:
+    differing = sorted(name for name in before.keys() | after.keys()
+                       if before.get(name) != after.get(name))
+    for name in differing:
+        print(f"differs: {name}")
+    print(f"{len(before.keys() | after.keys()) - len(differing)} of "
+          f"{len(before.keys() | after.keys())} entries identical")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="compare two records instead of writing one")
+    parser.add_argument("first", help="SRC_DIR, or the first record with --compare")
+    parser.add_argument("second", help="OUT.json, or the second record with --compare")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(json.loads(Path(args.first).read_text()),
+                       json.loads(Path(args.second).read_text()))
+    entries = record(Path(args.first).resolve())
+    Path(args.second).write_text(json.dumps(entries, indent=1, sort_keys=True))
+    print(f"wrote {len(entries)} entries to {args.second}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

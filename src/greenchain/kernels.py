@@ -49,8 +49,9 @@ def _jit(fn):
 # Deterioration rates below this floor switch to the analytic zero-rate limits.
 THETA_FLOOR = 1e-10
 
-# Canonical parameter-vector layout.  ModelParameters.as_array() packs fields
-# in exactly this order; the unpack block in evaluate_terms must match.
+# The parameter vector, in slot order.  This tuple is the only ordered list
+# of the parameter names: the slot constants below and the ModelParameters
+# fields are generated from it, and ModelParameters packs in this order.
 PARAM_ORDER = (
     "P", "P_r", "f_d", "beta1", "beta2",
     "theta1", "theta2", "v1", "v2",
@@ -64,6 +65,11 @@ PARAM_ORDER = (
     "U1", "U2", "C_Tax", "C_CT",
 )
 N_PARAMS = len(PARAM_ORDER)
+
+# Slot constants P_<NAME> (e.g. P_P_R for "P_r"), made like the T_* term
+# slots below.
+globals().update({"P_" + name.upper(): slot
+                  for slot, name in enumerate(PARAM_ORDER)})
 
 # Policy identifiers.
 POLICY_TAX = 0
@@ -283,44 +289,44 @@ def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
     if not (xi1 >= 0.0 and xi2 >= 0.0 and G >= 0.0):
         return ERR_BAD_INVESTMENT
 
-    P = p[0]
-    P_r = p[1]
-    f_d = p[2]
-    beta1 = p[3]
-    beta2 = p[4]
-    theta1 = p[5]
-    theta2 = p[6]
-    v1 = p[7]
-    v2 = p[8]
-    D_r = p[9]
-    a = p[10]
-    b = p[11]
-    eta = p[12]
-    W_m = p[13]
-    C_p = p[14]
-    C_r = p[15]
-    C_g = p[16]
-    C_op = p[17]
-    C_or = p[18]
-    i_c = p[19]
-    h_p = p[20]
-    h_d = p[21]
-    h_r = p[22]
-    d_cp = p[23]
-    d_cd = p[24]
-    d_cr = p[25]
-    O_r = p[26]
-    C_s = p[27]
-    f_r = p[28]
-    E_p = p[29]
-    E_t = p[30]
-    E_h1 = p[31]
-    E_h2 = p[32]
-    E_hr = p[33]
-    E_d1 = p[34]
-    E_d2 = p[35]
-    E_dr = p[36]
-    d1_km = p[37]
+    P = p[P_P]
+    P_r = p[P_P_R]
+    f_d = p[P_F_D]
+    beta1 = p[P_BETA1]
+    beta2 = p[P_BETA2]
+    theta1 = p[P_THETA1]
+    theta2 = p[P_THETA2]
+    v1 = p[P_V1]
+    v2 = p[P_V2]
+    D_r = p[P_D_R]
+    a = p[P_A]
+    b = p[P_B]
+    eta = p[P_ETA]
+    W_m = p[P_W_M]
+    C_p = p[P_C_P]
+    C_r = p[P_C_R]
+    C_g = p[P_C_G]
+    C_op = p[P_C_OP]
+    C_or = p[P_C_OR]
+    i_c = p[P_I_C]
+    h_p = p[P_H_P]
+    h_d = p[P_H_D]
+    h_r = p[P_H_R]
+    d_cp = p[P_D_CP]
+    d_cd = p[P_D_CD]
+    d_cr = p[P_D_CR]
+    O_r = p[P_O_R]
+    C_s = p[P_C_S]
+    f_r = p[P_F_R]
+    E_p = p[P_E_P]
+    E_t = p[P_E_T]
+    E_h1 = p[P_E_H1]
+    E_h2 = p[P_E_H2]
+    E_hr = p[P_E_HR]
+    E_d1 = p[P_E_D1]
+    E_d2 = p[P_E_D2]
+    E_dr = p[P_E_DR]
+    d1_km = p[P_D1]
 
     fW = a - b * W_r
     if not (fW >= 0.0):
@@ -438,18 +444,18 @@ def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
 @_jit
 def policy_value_from_terms(policy_id, G, p, terms):
     """Compose (value, phi_m, phi_r, violation) for one policy from terms."""
-    f_r = p[28]
-    l1 = p[38]
-    l2 = p[39]
-    l3 = p[40]
-    l4 = p[41]
-    kappa1 = p[42]
-    kappa2 = p[43]
-    omega = p[44]
-    U1 = p[45]
-    U2 = p[46]
-    C_Tax = p[47]
-    C_CT = p[48]
+    f_r = p[P_F_R]
+    l1 = p[P_L1]
+    l2 = p[P_L2]
+    l3 = p[P_L3]
+    l4 = p[P_L4]
+    kappa1 = p[P_KAPPA1]
+    kappa2 = p[P_KAPPA2]
+    omega = p[P_OMEGA]
+    U1 = p[P_U1]
+    U2 = p[P_U2]
+    C_Tax = p[P_C_TAX]
+    C_CT = p[P_C_CT]
 
     rho_m, rho_r, rho_G = green_reduction_terms(
         G, omega, l1, l2, kappa1, l3, l4, kappa2)
@@ -532,6 +538,8 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
     G = X[:, 3]
     W_r = X[:, 4]
 
+    # Unpacked by position, apart from PARAM_ORDER and the slot constants,
+    # so that this twin stays an independent check of the layout.
     (P, P_r, f_d, beta1, beta2, theta1, theta2, v1, v2, D_r, a, b, eta, W_m,
      C_p, C_r, C_g, C_op, C_or, i_c, h_p, h_d, h_r, d_cp, d_cd, d_cr, O_r,
      C_s, f_r, E_p, E_t, E_h1, E_h2, E_hr, E_d1, E_d2, E_dr, d1_km, l1, l2,

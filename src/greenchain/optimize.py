@@ -87,7 +87,6 @@ class OptimizerConfig:
     c1: float = 2.0                   # PSO cognitive coefficient
     c2: float = 2.0                   # PSO social coefficient
     m0: float = 0.7                   # PSO inertia weight
-    inertia_final: float | None = None  # set (e.g. 0.4) for linear decay
     penalty_coefficient: float = 1e6
     penalty_double_every: int = 50
 
@@ -399,18 +398,12 @@ def de_run(spaces, configs, objective) -> list[RunResult]:
     return runs.results(X)
 
 
-def _inertia(config: OptimizerConfig, gen: int, iters: int) -> float:
-    if config.inertia_final is None:
-        return config.m0
-    return config.m0 + (config.inertia_final - config.m0) * (gen - 1) / max(iters - 1, 1)
-
-
 def pso_run(spaces, configs, objective) -> list[RunResult]:
     """Particle swarm with clamp-to-bound and velocity zeroing, K runs in lockstep."""
     runs = _Runs(spaces, configs, ("pso",))
     K, NP, d = runs.K, runs.NP, runs.d
     rows = np.arange(K)
-    c1, c2 = runs.column("c1"), runs.column("c2")
+    w, c1, c2 = runs.column("m0"), runs.column("c1"), runs.column("c2")
 
     X, values, violations, valid, fitness = runs.initial_population(objective)
     V = np.zeros((K, NP, d))
@@ -431,9 +424,7 @@ def pso_run(spaces, configs, objective) -> list[RunResult]:
         # r1 then r2 per run: one (2, NP, d) draw is the same stream.
         for k, rng in enumerate(runs.rngs):
             rng.random(out=r[k])
-        w = np.array([_inertia(c, gen, runs.iters) for c in runs.configs])
-        X_new, V = pso_update(X, V, pbest_X, gbest, w[:, None, None], c1, c2,
-                               r[:, 0], r[:, 1])
+        X_new, V = pso_update(X, V, pbest_X, gbest, w, c1, c2, r[:, 0], r[:, 1])
         clipped = (X_new < runs.lower) | (X_new > runs.upper)
         X = np.clip(X_new, runs.lower, runs.upper)
         V = np.where(clipped, 0.0, V)

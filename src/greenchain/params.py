@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import N_PARAMS, PARAM_ORDER
+from .kernels import PARAM_ORDER
 
 
 class ParameterError(ValueError):
@@ -50,98 +50,60 @@ MANDATORY_FIELDS = ("v1", "v2")
 #: Carbon price required per policy name.
 POLICY_PRICE_FIELD = {"tax": "C_Tax", "cap_trade": "C_CT", "limited": None}
 
+# The carbon prices may stay unset (None); they pack as NaN.
+_PRICES = tuple(name for name in POLICY_PRICE_FIELD.values() if name)
+_FRACTIONS = ("f_d", "beta1", "beta2", "f_r", "omega")
+_POSITIVE = ("D_r", "eta", "v1", "v2", "a", "b")
 
-@dataclass(frozen=True)
-class ModelParameters:
+
+def _is_real(value) -> bool:
+    # bool is an int subclass, but True is not a parameter value.
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+class _ParameterSet:
     """All exogenous constants of the supply-chain model.
 
     Units: rates in units/year, times in years, money in $ (per unit /
     per setup / per order / per year as named), emissions factors in
     tonnes per unit or per unit-year, distances in km.
-    """
 
-    v1: float                    # manufacturer preservation efficiency (1/$.yr)
-    v2: float                    # retailer preservation efficiency (1/$.yr)
-    C_Tax: float | None = None   # carbon tax price ($/tonne)
-    C_CT: float | None = None    # carbon trading price ($/tonne)
-    P: float = TABLE_DEFAULTS["P"]
-    P_r: float = TABLE_DEFAULTS["P_r"]
-    f_d: float = TABLE_DEFAULTS["f_d"]
-    beta1: float = TABLE_DEFAULTS["beta1"]
-    beta2: float = TABLE_DEFAULTS["beta2"]
-    theta1: float = TABLE_DEFAULTS["theta1"]
-    theta2: float = TABLE_DEFAULTS["theta2"]
-    D_r: float = TABLE_DEFAULTS["D_r"]
-    a: float = TABLE_DEFAULTS["a"]
-    b: float = TABLE_DEFAULTS["b"]
-    eta: float = TABLE_DEFAULTS["eta"]
-    W_m: float = TABLE_DEFAULTS["W_m"]
-    C_p: float = TABLE_DEFAULTS["C_p"]
-    C_r: float = TABLE_DEFAULTS["C_r"]
-    C_g: float = TABLE_DEFAULTS["C_g"]
-    C_op: float = TABLE_DEFAULTS["C_op"]
-    C_or: float = TABLE_DEFAULTS["C_or"]
-    i_c: float = TABLE_DEFAULTS["i_c"]
-    h_p: float = TABLE_DEFAULTS["h_p"]
-    h_d: float = TABLE_DEFAULTS["h_d"]
-    h_r: float = TABLE_DEFAULTS["h_r"]
-    d_cp: float = TABLE_DEFAULTS["d_cp"]
-    d_cd: float = TABLE_DEFAULTS["d_cd"]
-    d_cr: float = TABLE_DEFAULTS["d_cr"]
-    O_r: float = TABLE_DEFAULTS["O_r"]
-    C_s: float = TABLE_DEFAULTS["C_s"]
-    f_r: float = TABLE_DEFAULTS["f_r"]
-    E_p: float = TABLE_DEFAULTS["E_p"]
-    E_t: float = TABLE_DEFAULTS["E_t"]
-    E_h1: float = TABLE_DEFAULTS["E_h1"]
-    E_h2: float = TABLE_DEFAULTS["E_h2"]
-    E_hr: float = TABLE_DEFAULTS["E_hr"]
-    E_d1: float = TABLE_DEFAULTS["E_d1"]
-    E_d2: float = TABLE_DEFAULTS["E_d2"]
-    E_dr: float = TABLE_DEFAULTS["E_dr"]
-    d1: float = TABLE_DEFAULTS["d1"]
-    l1: float = TABLE_DEFAULTS["l1"]
-    l2: float = TABLE_DEFAULTS["l2"]
-    l3: float = TABLE_DEFAULTS["l3"]
-    l4: float = TABLE_DEFAULTS["l4"]
-    kappa1: float = TABLE_DEFAULTS["kappa1"]
-    kappa2: float = TABLE_DEFAULTS["kappa2"]
-    omega: float = TABLE_DEFAULTS["omega"]
-    U1: float = TABLE_DEFAULTS["U1"]
-    U2: float = TABLE_DEFAULTS["U2"]
+    One keyword-only field per name of ``kernels.PARAM_ORDER``: ``v1`` and
+    ``v2`` (preservation efficiencies, 1/$.yr) are required, the carbon
+    prices ``C_Tax`` and ``C_CT`` ($/tonne) default to None and every other
+    field to its ``TABLE_DEFAULTS`` value.
+    """
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
-        """Check the structural invariants; raise ParameterError on failure."""
-        errors = []
-        nonneg = [f.name for f in fields(self)
-                  if f.name not in ("C_Tax", "C_CT")]
-        for name in nonneg:
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                errors.append(f"{name} must be finite and nonnegative, got {value}")
-        for name in ("C_Tax", "C_CT"):
-            value = getattr(self, name)
-            if value is not None and (not np.isfinite(value) or value < 0):
-                errors.append(f"{name} must be finite and nonnegative, got {value}")
+        """Check the structural invariants; raise ParameterError on failure.
+
+        Keeps the packed kernel vector, which `as_array` hands out.
+        """
+        values = [getattr(self, name) for name in PARAM_ORDER]
+        not_real = [name for name, value in zip(PARAM_ORDER, values)
+                    if not (_is_real(value) or (value is None and name in _PRICES))]
+        if not_real:
+            raise ParameterError("not a real number: " + ", ".join(not_real))
+        try:
+            vector = np.array(values, dtype=np.float64)
+        except OverflowError:
+            raise ParameterError("a parameter value is too large for a float") from None
+        errors = [f"{PARAM_ORDER[i]} must be finite and nonnegative, got {values[i]}"
+                  for i in np.flatnonzero(~(np.isfinite(vector) & (vector >= 0.0)))
+                  if values[i] is not None]
         if not self.P > self.P_r > 0:
             errors.append(f"require P > P_r > 0, got P={self.P}, P_r={self.P_r}")
-        for name in ("f_d", "beta1", "beta2", "f_r", "omega"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                errors.append(f"{name} must lie in [0, 1], got {value}")
-        for name in ("eta", "v1", "v2", "a", "b"):
-            if not getattr(self, name) > 0:
-                errors.append(f"{name} must be strictly positive")
+        errors += [f"{name} must lie in [0, 1], got {getattr(self, name)}"
+                   for name in _FRACTIONS if not 0.0 <= getattr(self, name) <= 1.0]
+        errors += [f"{name} must be strictly positive"
+                   for name in _POSITIVE if not getattr(self, name) > 0]
         if errors:
             raise ParameterError("; ".join(errors))
-        if self.eta > 1.0:
-            warnings.warn(
-                f"stock-consumption parameter eta={self.eta} exceeds 1; "
-                "accepted, but outside the stated (0, 1] modelling range",
-                stacklevel=3)
+        object.__setattr__(self, "_vector", vector)
 
     def require_policy_price(self, policy: str) -> None:
         """Fail if the carbon price used by `policy` was not supplied."""
@@ -153,12 +115,8 @@ class ModelParameters:
                 f"missing mandatory keys for policy {policy!r}: {field}")
 
     def as_array(self) -> np.ndarray:
-        """Pack into the kernel parameter vector (None becomes NaN)."""
-        out = np.empty(N_PARAMS, dtype=np.float64)
-        for i, name in enumerate(PARAM_ORDER):
-            value = getattr(self, name)
-            out[i] = np.nan if value is None else float(value)
-        return out
+        """The kernel parameter vector in PARAM_ORDER (an unset price is NaN)."""
+        return self._vector.copy()
 
     def replace(self, **changes) -> "ModelParameters":
         return dataclasses.replace(self, **changes)
@@ -173,7 +131,7 @@ class ModelParameters:
         Unknown keys are rejected.  Keys absent from the document fall back
         to the published defaults; the keys with no published value (v1, v2
         and the active policy's carbon price) must be present and are all
-        reported together when missing.
+        reported together when missing.  Warns once when eta exceeds 1.
         """
         known = set(PARAM_ORDER)
         unknown = sorted(set(doc) - known)
@@ -187,7 +145,13 @@ class ModelParameters:
         if missing:
             raise ParameterError(
                 f"missing mandatory keys: {', '.join(missing)}")
-        return cls(**{k: v for k, v in doc.items() if v is not None})
+        params = cls(**{k: v for k, v in doc.items() if v is not None})
+        if params.eta > 1.0:
+            warnings.warn(
+                f"stock-consumption parameter eta={params.eta} exceeds 1; "
+                "accepted, but outside the stated (0, 1] modelling range",
+                stacklevel=2)
+        return params
 
     @classmethod
     def from_json(cls, text: str, policy: str | None = None) -> "ModelParameters":
@@ -200,7 +164,17 @@ class ModelParameters:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-# The dataclass must cover the kernel layout exactly.
-_dataclass_names = {f.name for f in fields(ModelParameters)}
-assert _dataclass_names == set(PARAM_ORDER), (
-    "ModelParameters fields out of sync with kernel PARAM_ORDER")
+def _field(name: str):
+    if name in MANDATORY_FIELDS:
+        return name, float
+    if name in _PRICES:
+        return name, float | None, dataclasses.field(default=None)
+    return name, float, dataclasses.field(default=TABLE_DEFAULTS[name])
+
+
+# The generated __init__ calls the inherited __post_init__, so every
+# construction and `replace` validates.
+ModelParameters = dataclasses.make_dataclass(
+    "ModelParameters", [_field(name) for name in PARAM_ORDER],
+    bases=(_ParameterSet,), frozen=True, kw_only=True,
+    namespace={"__doc__": _ParameterSet.__doc__, "__module__": __name__})

@@ -349,6 +349,29 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "--config", str(path), "evaluate")
         assert code == 2 and "parameters_file" in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("C_Tax", "2", "not a real number: C_Tax"),
+        ("P", [1], "not a real number: P"),
+        ("f_d", True, "not a real number: f_d"),
+        ("P", 10 ** 400, "too large for a float"),
+        ("D_r", 0.0, "D_r must be strictly positive"),
+    ], ids=["string", "list", "bool", "huge_int", "zero_D_r"])
+    def test_unusable_parameter_value_is_invalid(self, capsys, tmp_path, key,
+                                                 value, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters": {**PARAMS, key: value},
+                                    "decisions": DECISIONS}))
+        code, _, err = run_cli(capsys, "--config", str(path), "evaluate")
+        assert code == 2 and message in err
+
+    def test_removed_inertia_option_rejected(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters": PARAMS, "seed": 1,
+                                    "optimizer": {"inertia_final": 0.4}}))
+        code, _, err = run_cli(capsys, "--config", str(path), "optimize",
+                               "--iters", "1")
+        assert code == 2 and "inertia_final" in err
+
     def test_unknown_policy_rejected(self, capsys, config_path):
         code, _, err = run_cli(capsys, "--config", config_path,
                                "--policy", "tax", "evaluate", "--W_r", "500")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenchain import DecisionVector, ModelParameters, evaluate_policy
 from greenchain import kernels as K
+from greenchain.params import TABLE_DEFAULTS
 from greenchain.policy import POLICY_IDS, make_batch_objective
 from conftest import sample_admissible
 
@@ -115,3 +118,55 @@ def test_term_names_cover_layout():
     assert len(K.TERM_NAMES) == K.N_TERMS
     assert K.TERM_NAMES[K.T_PHI_T] == "phi_T"
     assert K.TERM_NAMES[K.T_Q_M] == "Q_m"
+
+
+# Every parameter over its validated domain: each table constant in
+# [0, 3 x default] (setup costs, default 0, in [0, 100]), the fractions over
+# [0, 1], the strictly positive ones bounded away from 0.  P is drawn as a
+# multiple of P_r so that P > P_r holds.
+PARAMETER_DRAWS = {name: st.floats(0.0, 3.0 * value if value else 100.0)
+                   for name, value in TABLE_DEFAULTS.items()}
+PARAMETER_DRAWS.update(
+    {name: st.floats(0.0, 1.0) for name in ("f_d", "beta1", "beta2", "f_r", "omega")},
+    P_r=st.floats(10.0, 7500.0), P=st.floats(1.01, 10.0), D_r=st.floats(1.0, 1200.0),
+    a=st.floats(1.0, 90.0), b=st.floats(0.01, 0.3), eta=st.floats(0.01, 4.8),
+    v1=st.floats(1e-3, 0.2), v2=st.floats(1e-3, 0.2),
+    C_Tax=st.floats(0.0, 10.0), C_CT=st.floats(0.0, 10.0))
+
+
+@st.composite
+def parameters_and_decisions(draw):
+    """A full parameter vector and 1-6 decision rows around both boundaries."""
+    v = {name: draw(strategy) for name, strategy in PARAMETER_DRAWS.items()}
+    v["P"] *= v["P_r"]
+    p = ModelParameters(**v).as_array()
+    P_e, P_de = K.effective_rates(v["P"], v["f_d"], v["beta1"], v["beta2"])
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        T0 = draw(st.floats(1e-3, 2.0))
+        # theta_m = theta1 exp(-v1 xi1) from theta1 down to e^-40 theta1,
+        # across THETA_FLOOR.
+        xi1 = draw(st.floats(0.0, 40.0)) / v["v1"]
+        theta_m = K.preserved_rate(v["theta1"], v["v1"], xi1)
+        T1 = K.manufacturer_cycle(v["P"], P_e, P_de, v["P_r"], v["D_r"],
+                                  theta_m, T0)[0]
+        # The backlog clears while B2 > s eta, i.e. f(W_r) (1 + T1 eta) < D_r;
+        # a share below 0 gives no demand at all.
+        fW = draw(st.floats(-0.1, 1.5)) * v["D_r"] / (1.0 + T1 * v["eta"])
+        rows.append((T0, xi1, draw(st.floats(0.0, 500.0)),
+                     draw(st.floats(0.0, 50.0)), (v["a"] - fW) / v["b"]))
+    return p, np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=parameters_and_decisions())
+def test_scalar_kernel_matches_twin_over_whole_table(case):
+    p, X = case
+    n = len(X)
+    for pid in POLICY_IDS.values():
+        values, violations, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        K.evaluate_policy_batch(pid, X, p, values, violations, ok)
+        twin_values, twin_violations, twin_ok = K.evaluate_policy_batch_numpy(pid, X, p)
+        assert np.array_equal(ok, twin_ok)
+        np.testing.assert_allclose(values[ok], twin_values[ok], rtol=1e-9)
+        np.testing.assert_allclose(violations[ok], twin_violations[ok], rtol=1e-9)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,27 @@ def test_as_array_follows_kernel_layout():
             assert np.isnan(arr[i])
         else:
             assert arr[i] == value
+
+
+def test_as_array_is_a_fresh_copy():
+    p = ModelParameters(v1=0.05, v2=0.06)
+    arr = p.as_array()
+    assert arr.dtype == np.float64
+    arr[:] = -1.0
+    again = p.as_array()
+    assert again[PARAM_ORDER.index("P")] == 7500.0 and np.isnan(again[-1])
+    assert p.P == 7500.0
+
+
+def test_numpy_scalars_accepted():
+    p = ModelParameters(v1=np.float64(0.05), v2=np.float32(0.25), P=np.int64(8000))
+    q = ModelParameters(v1=0.05, v2=0.25, P=8000)
+    assert np.array_equal(p.as_array(), q.as_array(), equal_nan=True)
+
+
+def test_non_numeric_values_all_named():
+    with pytest.raises(ParameterError, match="not a real number: f_d, v1, C_CT$"):
+        ModelParameters(v1="0.05", v2=0.05, f_d=True, C_CT=[2.0])
 
 
 def test_json_round_trip():
@@ -87,13 +109,13 @@ def test_v_must_be_positive():
 
 
 def test_eta_above_one_warns():
-    with pytest.warns(UserWarning, match="eta"):
-        ModelParameters(v1=0.05, v2=0.05, eta=1.6)
-    import warnings
-
+    with pytest.warns(UserWarning, match="eta") as record:
+        ModelParameters.from_dict({"v1": 0.05, "v2": 0.05, "eta": 1.6})
+    assert len(record) == 1 and record[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ModelParameters(v1=0.05, v2=0.05, eta=0.9)
+        ModelParameters.from_dict({"v1": 0.05, "v2": 0.05, "eta": 0.9})
+        ModelParameters(v1=0.05, v2=0.05, eta=1.6).replace(eta=1.7)
 
 
 def test_replace_revalidates():
