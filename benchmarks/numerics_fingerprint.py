@@ -18,6 +18,10 @@ Entries (one process, about 20 s on two cores):
 - ``multi_seed_run`` with five seeds for the same nine pairs;
 - lockstep runs whose penalty coefficient doubles (``limited`` with no cap,
   three runs per algorithm with different doubling schedules);
+- one lockstep call per algorithm that mixes runs which become feasible
+  with a run that never does;
+- runs on an objective that rejects every row (no incumbent: ``x_best``
+  falls back to the final population's first row, the history is -inf);
 - ``run_sweep`` for all 14 parameters of the direction check;
 - one ``direction_report``;
 - the ``calibrate_missing_defaults`` triple;
@@ -106,6 +110,25 @@ def _optimizer_entries(gc) -> dict:
                        for seed, every in ((1, 3), (2, 5), (3, 7))]
             entries[f"doubling/{algo}/l3={l3}"] = run_many(
                 [default_search_space(tight)] * 3, configs, objective)
+
+    # Runs 0 and 2 become feasible, run 1 (as above at l3 = 1.5) never does.
+    mixed = [params, params.replace(U2=0.0, l3=1.5), params]
+    objective = gc.make_batch_objective(mixed, "limited")
+    for algo in ALGORITHMS:
+        configs = [OptimizerConfig(algorithm=algo, seed=seed, max_iter=60,
+                                   penalty_coefficient=1e-3,
+                                   penalty_double_every=every)
+                   for seed, every in ((4, 1), (5, 3), (6, 50))]
+        entries[f"mixed_feasibility/{algo}"] = run_many(
+            [default_search_space(p) for p in mixed], configs, objective)
+
+    def reject_all(X):
+        n = len(X)
+        return np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=bool)
+
+    for algo in ALGORITHMS:
+        entries[f"reject_all/{algo}"] = run(
+            space, OptimizerConfig(algorithm=algo, seed=9, max_iter=20), reject_all)
     return entries
 
 

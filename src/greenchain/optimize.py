@@ -7,9 +7,16 @@ every `penalty_double_every` generations while the incumbent best is still
 infeasible.  Candidates the model rejects outright get fitness -inf and
 never abort a run.
 
+Incumbent rule (Deb's feasibility rule): a valid candidate with violation
+<= 0 is feasible and beats every infeasible point; among feasible points
+the larger value wins, among infeasible ones the larger fitness under the
+current coefficient; ties keep the incumbent, then the earlier row.  The
+history is the running maximum of the incumbent fitness.
+
 Lockstep: ``run_many`` advances K independent runs together and makes one
 objective call per generation on their stacked (K*NP, d) populations;
-``run`` is ``run_many`` with one entry.
+``run`` is ``run_many`` with one entry.  Per-run state (incumbent,
+coefficient, feasibility, history) is kept in (K, ...) arrays.
 
 Determinism: each run has its own PCG64 generator seeded from its
 ``config.seed``; draws happen in a fixed order per generation (DE: mutation
@@ -24,6 +31,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import sys
 import time
 from dataclasses import dataclass
 
@@ -70,6 +79,12 @@ def default_search_space(params: ModelParameters) -> SearchSpace:
         upper=np.array([2.0, 500.0, 500.0, 50.0, params.a / params.b]))
 
 
+def _is_number(value, kind) -> bool:
+    """A finite `kind` (numbers.Integral or numbers.Real) other than a bool."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass
 class OptimizerConfig:
     """Knobs for one optimizer run.
@@ -100,6 +115,15 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.seed is None:
             raise ValueError("seed is mandatory for optimizer runs")
+        integers = ("pop_size", "penalty_double_every") + (
+            () if self.max_iter is None else ("max_iter",))
+        wrong = [f"{name} must be an integer" for name in integers
+                 if not _is_number(getattr(self, name), numbers.Integral)]
+        wrong += [f"{name} must be a finite real number"
+                  for name in ("F", "Pc", "c1", "c2", "m0", "penalty_coefficient")
+                  if not _is_number(getattr(self, name), numbers.Real)]
+        if wrong:
+            raise ValueError("; ".join(wrong))
         if self.pop_size < 5:
             raise ValueError("population size must be at least 5")
         if self.max_iter is not None and self.max_iter < 0:
@@ -191,71 +215,6 @@ def penalize(values, violations, valid, coeff):
         return np.where(valid, values - coeff * violations ** 2, -math.inf)
 
 
-class _Incumbent:
-    """Best-so-far bookkeeping with feasibility preference.
-
-    A feasible point always outranks every infeasible one; among feasible
-    points the raw value decides, among infeasible ones the penalized
-    fitness under the current coefficient.  The recorded history is the
-    running maximum of the incumbent fitness, so it stays nondecreasing
-    across penalty-coefficient updates.
-    """
-
-    def __init__(self):
-        self.x = None
-        self.value = -math.inf
-        self.violation = math.inf
-        self.feasible = False
-        self.history: list[float] = []
-        self.history_feasible: list[bool] = []
-        self._scored = None          # (x, coeff) that self._score belongs to
-        self._score = -math.inf
-
-    def offer(self, X, values, violations, valid, fitness, coeff):
-        """Offer candidates together with their fitness under `coeff`."""
-        feas = valid & (violations <= 0.0)
-        if np.any(feas):
-            i = int(np.argmax(np.where(feas, values, -math.inf)))
-            if not self.feasible or values[i] > self.value:
-                self.x = X[i].copy()
-                self.value = float(values[i])
-                self.violation = 0.0
-                self.feasible = True
-        if not self.feasible:
-            i = int(np.argmax(fitness))
-            if fitness[i] > self.fitness(coeff):
-                self.x = X[i].copy()
-                self.value = float(values[i]) if valid[i] else -math.inf
-                self.violation = float(violations[i]) if valid[i] else math.inf
-
-    def fitness(self, coeff: float) -> float:
-        if self.x is None or not math.isfinite(self.value):
-            return -math.inf
-        # Read every generation; it changes only with the incumbent or coeff.
-        if self._scored is None or self._scored[0] is not self.x \
-                or self._scored[1] != coeff:
-            self._score = float(penalize(self.value, self.violation, True, coeff))
-            self._scored = (self.x, coeff)
-        return self._score
-
-    def record(self, coeff: float) -> None:
-        fit = self.fitness(coeff)
-        if self.history and fit < self.history[-1]:
-            fit = self.history[-1]
-        self.history.append(fit)
-        self.history_feasible.append(self.feasible)
-
-    def result(self, algorithm, seed, evals, start, fallback_x, coeff) -> RunResult:
-        return RunResult(
-            algorithm=algorithm, seed=seed,
-            x_best=self.x if self.x is not None else fallback_x,
-            best_value=self.value, best_fitness=self.fitness(coeff),
-            best_violation=self.violation, feasible=self.feasible,
-            history=np.asarray(self.history),
-            history_feasible=np.asarray(self.history_feasible, dtype=bool),
-            evaluations=evals, wall_time_s=time.perf_counter() - start)
-
-
 def _mutation_indices(rng: np.random.Generator, NP: int, n_aux: int) -> np.ndarray:
     """Distinct partner indices per member, none equal to the member itself.
 
@@ -274,11 +233,13 @@ def _mutation_indices(rng: np.random.Generator, NP: int, n_aux: int) -> np.ndarr
 
 
 class _Runs:
-    """Per-run state of K lockstep runs: bounds, generators, penalties, incumbents.
+    """State of K lockstep runs: bounds, generators, penalties, incumbents.
 
     Populations are (K, NP, d) arrays and bounds (K, 1, d); every per-run
-    quantity broadcasts against them, so each run sees exactly the
-    elementwise arithmetic it would see alone.
+    quantity is a (K, ...) array that broadcasts against them, so each run
+    sees exactly the elementwise arithmetic it would see alone.  The
+    incumbent of run k is ``x[k]``, with its raw ``value``, ``violation``,
+    ``feasible`` flag and penalized fitness ``fit`` under ``coeff[k]``.
     """
 
     def __init__(self, spaces, configs, algorithms: tuple):
@@ -303,8 +264,16 @@ class _Runs:
         self.lower = np.stack([s.lower for s in spaces])[:, None, :]
         self.upper = np.stack([s.upper for s in spaces])[:, None, :]
         self.rngs = [np.random.default_rng(c.seed) for c in configs]
-        self.coeff = [c.penalty_coefficient for c in configs]
-        self.best = [_Incumbent() for _ in configs]
+        self.coeff = np.array([c.penalty_coefficient for c in configs], dtype=np.float64)
+        self.every = np.array([c.penalty_double_every for c in configs])
+        self.rows = np.arange(self.K)
+        self.x = np.zeros((self.K, self.d))
+        self.has_x = np.zeros(self.K, dtype=bool)
+        self.value = np.full(self.K, -math.inf)
+        self.violation = np.full(self.K, math.inf)
+        self.feasible = np.zeros(self.K, dtype=bool)
+        self.fit = np.full(self.K, -math.inf)
+        self.history, self.history_feasible = [], []   # one (K,) entry per call
         self.evals = 0
         self.start = time.perf_counter()
 
@@ -314,61 +283,92 @@ class _Runs:
                         dtype=np.float64)[:, None, None]
 
     def initial_population(self, objective):
-        """Uniform draws in each box, evaluated and offered.
-
-        Returns the population, its values, violations, validity and fitness.
-        """
+        """Uniform draws in each box, evaluated: X and `evaluate`'s arrays."""
         draws = np.stack([rng.random((self.NP, self.d)) for rng in self.rngs])
         X = self.lower + draws * (self.upper - self.lower)
         return (X, *self.evaluate(objective, X))
 
     def evaluate(self, objective, X: np.ndarray):
         """One objective call on the stacked (K*NP, d) rows, penalized under
-        each run's coefficient and offered to its incumbent.
-
-        Returns values, violations, validity and fitness, each (K, NP).
-        """
-        values, violations, valid = objective(X.reshape(self.K * self.NP, self.d))
-        self.evals += self.NP
+        each run's coefficient and offered to its incumbent.  Returns values,
+        violations, validity and fitness, each (K, NP)."""
         shape = (self.K, self.NP)
-        values, violations, valid = (values.reshape(shape), violations.reshape(shape),
-                                     valid.reshape(shape))
-        fitness = penalize(values, violations, valid, np.array(self.coeff)[:, None])
-        for k, best in enumerate(self.best):
-            best.offer(X[k], values[k], violations[k], valid[k], fitness[k],
-                       self.coeff[k])
-            best.record(self.coeff[k])
+        values, violations, valid = (a.reshape(shape)
+                                     for a in objective(X.reshape(-1, self.d)))
+        self.evals += self.NP
+        fitness = penalize(values, violations, valid, self.coeff[:, None])
+        self._offer(X, values, violations, valid, fitness)
+        self.history.append(self.fit.copy())
+        self.history_feasible.append(self.feasible.copy())
         return values, violations, valid, fitness
 
-    def double_penalties(self, gen: int) -> list[int]:
+    def _offer(self, X, values, violations, valid, fitness) -> None:
+        """Apply the incumbent rule to one generation of every run."""
+        feas = valid & (violations <= 0.0)
+        best = np.where(feas, values, -math.inf)
+        # The value a feasible candidate must beat: -inf while infeasible.
+        found = best.max(axis=1) > np.where(self.feasible, self.value, -math.inf)
+        if self.feasible.all() and not found.any():
+            return
+        rows = self.rows
+        j = fitness.argmax(axis=1)
+        fitter = ~(self.feasible | found) & (fitness[rows, j] > self.fit)
+        changed = found | fitter
+        # A candidate fitter than the incumbent has fitness > -inf: it is valid.
+        pick = np.where(found, best.argmax(axis=1), j)
+        self.x[changed] = X[rows, pick][changed]
+        self.value = np.where(changed, values[rows, pick], self.value)
+        self.violation = np.where(found, 0.0,
+                                  np.where(fitter, violations[rows, pick], self.violation))
+        self.feasible |= found
+        self.has_x |= changed
+        self._rescore(changed)
+
+    def _rescore(self, runs: np.ndarray) -> None:
+        """Incumbent fitness of the masked runs; -inf without a finite value."""
+        value = self.value[runs]
+        self.fit[runs] = penalize(value, self.violation[runs], np.isfinite(value),
+                                  self.coeff[runs])
+
+    def double_penalties(self, gen: int, values, violations, valid, fitness):
         """Double the coefficient of each run due this generation and still
-        infeasible; returns those runs."""
-        doubled = []
-        for k, config in enumerate(self.configs):
-            if gen % config.penalty_double_every == 0 and not self.best[k].feasible:
-                self.coeff[k] *= 2.0
-                doubled.append(k)
-        return doubled
+        infeasible, and return `fitness` with those runs' rows re-penalized."""
+        if self.feasible.all():
+            return fitness
+        due = (gen % self.every == 0) & ~self.feasible
+        if not due.any():
+            return fitness
+        self.coeff = np.where(due, 2.0 * self.coeff, self.coeff)
+        self._rescore(due)
+        return np.where(due[:, None],
+                        penalize(values, violations, valid, self.coeff[:, None]), fitness)
 
     def results(self, X: np.ndarray) -> list[RunResult]:
-        return [best.result(self.algorithm, config.seed, self.evals, self.start,
-                            X[k, 0].copy(), self.coeff[k])
-                for k, (best, config) in enumerate(zip(self.best, self.configs))]
+        """One result per run; the fallback x_best is the final row 0."""
+        history = np.maximum.accumulate(self.history).T.copy()
+        history_feasible = np.array(self.history_feasible).T.copy()
+        x_best = np.where(self.has_x[:, None], self.x, X[:, 0])
+        wall_time = time.perf_counter() - self.start
+        return [RunResult(algorithm=self.algorithm, seed=config.seed, x_best=x_best[k],
+                          best_value=float(self.value[k]), best_fitness=float(self.fit[k]),
+                          best_violation=float(self.violation[k]),
+                          feasible=bool(self.feasible[k]), history=history[k],
+                          history_feasible=history_feasible[k],
+                          evaluations=self.evals, wall_time_s=wall_time)
+                for k, config in enumerate(self.configs)]
 
 
 def de_run(spaces, configs, objective) -> list[RunResult]:
     """Differential evolution with greedy one-to-one selection, K runs in lockstep."""
     runs = _Runs(spaces, configs, ("de1", "de2"))
-    K, NP, d = runs.K, runs.NP, runs.d
-    rows = np.arange(K)
+    K, NP, rows = runs.K, runs.NP, runs.rows
     F = runs.column("F")
 
     X, values, violations, valid, fitness = runs.initial_population(objective)
 
     n_aux = 2 if runs.algorithm == "de1" else 3
     for gen in range(1, runs.iters + 1):
-        for k in runs.double_penalties(gen):
-            fitness[k] = penalize(values[k], violations[k], valid[k], runs.coeff[k])
+        fitness = runs.double_penalties(gen, values, violations, valid, fitness)
 
         idx = np.empty((K, NP, n_aux), dtype=np.int64)
         R = np.empty((K, NP, 1))
@@ -401,24 +401,19 @@ def de_run(spaces, configs, objective) -> list[RunResult]:
 def pso_run(spaces, configs, objective) -> list[RunResult]:
     """Particle swarm with clamp-to-bound and velocity zeroing, K runs in lockstep."""
     runs = _Runs(spaces, configs, ("pso",))
-    K, NP, d = runs.K, runs.NP, runs.d
-    rows = np.arange(K)
+    K, NP, d, rows = runs.K, runs.NP, runs.d, runs.rows
     w, c1, c2 = runs.column("m0"), runs.column("c1"), runs.column("c2")
 
     X, values, violations, valid, fitness = runs.initial_population(objective)
     V = np.zeros((K, NP, d))
     r = np.empty((K, 2, NP, d))
 
-    pbest_X = X.copy()
-    pbest_values = values.copy()
-    pbest_violations = violations.copy()
-    pbest_valid = valid.copy()
-    pbest_fit = fitness.copy()
+    pbest_X, pbest_values, pbest_violations, pbest_valid, pbest_fit = (
+        X.copy(), values, violations, valid, fitness)
 
     for gen in range(1, runs.iters + 1):
-        for k in runs.double_penalties(gen):
-            pbest_fit[k] = penalize(pbest_values[k], pbest_violations[k],
-                                    pbest_valid[k], runs.coeff[k])
+        pbest_fit = runs.double_penalties(gen, pbest_values, pbest_violations,
+                                          pbest_valid, pbest_fit)
 
         gbest = pbest_X[rows, np.argmax(pbest_fit, axis=1)][:, None, :]
         # r1 then r2 per run: one (2, NP, d) draw is the same stream.

@@ -133,6 +133,18 @@ class _ParameterSet:
         and the active policy's carbon price) must be present and are all
         reported together when missing.  Warns once when eta exceeds 1.
         """
+        return cls._load(doc, policy)
+
+    @classmethod
+    def from_json(cls, text: str, policy: str | None = None) -> "ModelParameters":
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ParameterError("parameter document must be a JSON object")
+        return cls._load(doc, policy)
+
+    @classmethod
+    def _load(cls, doc: dict, policy: str | None) -> "ModelParameters":
+        # Called from from_dict and from_json only: stacklevel=3 is their caller.
         known = set(PARAM_ORDER)
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -150,15 +162,8 @@ class _ParameterSet:
             warnings.warn(
                 f"stock-consumption parameter eta={params.eta} exceeds 1; "
                 "accepted, but outside the stated (0, 1] modelling range",
-                stacklevel=2)
+                stacklevel=3)
         return params
-
-    @classmethod
-    def from_json(cls, text: str, policy: str | None = None) -> "ModelParameters":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ParameterError("parameter document must be a JSON object")
-        return cls.from_dict(doc, policy=policy)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

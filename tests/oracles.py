@@ -95,3 +95,35 @@ def stock_drain(t, end_t, demand, theta):
     """dI/dt = -demand - theta I with I(end_t) = 0."""
     t = np.asarray(t, dtype=np.float64)
     return demand / theta * np.expm1(theta * (end_t - t))
+
+
+def incumbent_reference(generations, coeff: float, every: int):
+    """Deb's feasibility rule for one optimizer run, one candidate at a time.
+
+    `generations` lists (X, values, violations, valid) per objective call.
+    A valid candidate with violation <= 0 is feasible and beats every
+    infeasible point; among feasible points the larger value wins, among
+    infeasible ones the larger fitness ``value - coeff * violation**2``.
+    Ties keep the earlier point.  Before call g >= 1 the coefficient
+    doubles when g is a multiple of `every` and the incumbent is still
+    infeasible.  Returns (x, value, violation, feasible, history,
+    history_feasible); x is None if nothing was ever accepted, and the
+    history is the best incumbent fitness seen so far.
+    """
+    x, value, violation, feasible = None, -np.inf, np.inf, False
+    history, history_feasible = [], []
+
+    def fitness(v, c):
+        return v - coeff * (c * c) if np.isfinite(v) else -np.inf
+
+    for g, (X, values, violations, valid) in enumerate(generations):
+        if g > 0 and g % every == 0 and not feasible:
+            coeff *= 2.0
+        for row, v, c, ok in zip(X, values, violations, valid):
+            if ok and c <= 0.0 and (not feasible or v > value):
+                x, value, violation, feasible = row, v, 0.0, True
+            elif ok and not feasible and fitness(v, c) > fitness(value, violation):
+                x, value, violation = row, v, c
+        history.append(max([fitness(value, violation)] + history[-1:]))
+        history_feasible.append(feasible)
+    return x, value, violation, feasible, history, history_feasible

@@ -112,6 +112,20 @@ class TestOptimize:
         assert code == 2 and "error:" in err
         assert out == ""
 
+    @pytest.mark.parametrize("option", [
+        {"pop_size": "50"}, {"pop_size": 7.5}, {"max_iter": "10"},
+        {"max_iter": 2.5}, {"penalty_coefficient": "big"}, {"Pc": "0.5"},
+        {"m0": None}, {"penalty_double_every": True}])
+    def test_mistyped_optimizer_option_is_usage_error(self, capsys, tmp_path,
+                                                      option):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters": PARAMS, "seed": 1,
+                                    "optimizer": option}))
+        code, out, err = run_cli(capsys, "--config", str(path), "optimize",
+                                 "--algo", "pso")
+        assert code == 2 and "error:" in err and next(iter(option)) in err
+        assert out == ""
+
     def test_limited_policy_reports_feasibility(self, capsys, config_path,
                                                 tmp_path):
         out_dir = tmp_path / "art"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenchain import ModelParameters, make_batch_objective, sensitivity
 from greenchain.cli import main
@@ -10,6 +12,7 @@ from greenchain.optimize import (OptimizerConfig, RunResult, SearchSpace,
                                  de_mutate_rand_to_best, default_search_space,
                                  multi_seed_run, multi_seed_stats, pso_update,
                                  run, run_many)
+from oracles import incumbent_reference
 
 
 def sphere_objective(X):
@@ -156,7 +159,12 @@ class TestRuns:
         with pytest.raises(ValueError, match="seed"):
             run(cube, OptimizerConfig(algorithm="pso"), sphere_objective)
 
-    @pytest.mark.parametrize("bad", [{"max_iter": -1}, {"penalty_double_every": 0}])
+    @pytest.mark.parametrize("bad", [
+        {"max_iter": -1}, {"penalty_double_every": 0}, {"pop_size": "50"},
+        {"pop_size": 7.5}, {"pop_size": True}, {"max_iter": "10"}, {"max_iter": 2.5},
+        {"penalty_double_every": 2.0}, {"penalty_coefficient": "big"},
+        {"penalty_coefficient": float("inf")}, {"Pc": "0.5"}, {"m0": None},
+        {"F": float("nan")}, {"c1": True}, {"c2": 10 ** 400}])
     def test_out_of_range_schedule_rejected(self, cube, bad):
         with pytest.raises(ValueError):
             run(cube, OptimizerConfig(algorithm="de1", seed=1, **bad),
@@ -331,3 +339,61 @@ class TestLockstep:
             params)
         assert len(rows) == 5 and all(r.feasible for r in rows)
         assert calls == [5 * 50] * (iters + 1)
+
+
+@st.composite
+def scripted_lockstep(draw):
+    """K runs of one algorithm over scripted objective streams.
+
+    Values are small integers, so ties are common; violations are either
+    feasible (-0.5 or 0) or positive, and invalid rows carry NaN.
+    """
+    K = draw(st.integers(1, 4))
+    algorithm = draw(st.sampled_from(["de1", "de2", "pso"]))
+    iters = draw(st.integers(0, 8))
+    configs = [OptimizerConfig(
+        algorithm=algorithm, seed=k, pop_size=5, max_iter=iters,
+        penalty_coefficient=draw(st.sampled_from([1e-3, 1.0, 1e3])),
+        penalty_double_every=draw(st.integers(1, 4))) for k in range(K)]
+    p_valid = draw(st.sampled_from([0.0, 0.6, 1.0]))
+    p_feasible = draw(st.sampled_from([0.0, 0.04, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    streams = []
+    for _ in range(iters + 1):
+        valid = rng.random(5 * K) < p_valid
+        values = rng.integers(-3, 4, 5 * K).astype(float)
+        violations = np.where(rng.random(5 * K) < p_feasible,
+                              rng.choice([-0.5, 0.0], 5 * K),
+                              rng.choice([0.25, 1.0, 2.0], 5 * K))
+        streams.append((np.where(valid, values, np.nan),
+                        np.where(valid, violations, np.nan), valid))
+    return configs, streams
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scripted_lockstep())
+def test_incumbent_rule_matches_scalar_reference(case):
+    configs, streams = case
+    calls = []
+
+    def scripted(X):
+        calls.append(X.copy())
+        return streams[len(calls) - 1]
+
+    space = SearchSpace(lower=np.zeros(2), upper=np.ones(2))
+    results = run_many([space] * len(configs), configs, scripted)
+    assert len(calls) == len(streams)
+    for k, (config, result) in enumerate(zip(configs, results)):
+        block = slice(5 * k, 5 * k + 5)
+        x, value, violation, feasible, history, history_feasible = incumbent_reference(
+            [(X[block], *(a[block] for a in stream))
+             for X, stream in zip(calls, streams)],
+            config.penalty_coefficient, config.penalty_double_every)
+        if x is None:   # nothing accepted: the final population's first row
+            assert any(np.array_equal(result.x_best, X[5 * k]) for X in calls)
+        else:
+            assert np.array_equal(result.x_best, x)
+        assert (result.best_value, result.best_violation, result.feasible) == (
+            value, violation, feasible)
+        assert np.array_equal(result.history, history)
+        assert np.array_equal(result.history_feasible, history_feasible)

@@ -112,9 +112,13 @@ def test_eta_above_one_warns():
     with pytest.warns(UserWarning, match="eta") as record:
         ModelParameters.from_dict({"v1": 0.05, "v2": 0.05, "eta": 1.6})
     assert len(record) == 1 and record[0].filename == __file__
+    with pytest.warns(UserWarning, match="eta") as record:
+        ModelParameters.from_json('{"v1": 0.05, "v2": 0.05}')
+    assert len(record) == 1 and record[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ModelParameters.from_dict({"v1": 0.05, "v2": 0.05, "eta": 0.9})
+        ModelParameters.from_json('{"v1": 0.05, "v2": 0.05, "eta": 0.9}')
         ModelParameters(v1=0.05, v2=0.05, eta=1.6).replace(eta=1.7)
 
 
