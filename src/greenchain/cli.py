@@ -33,7 +33,7 @@ from .model import (DECISION_NAMES, DecisionVector, DomainError, base_profits,
                     compute_breakdown, compute_schedule)
 from .optimize import (OptimizerConfig, default_search_space, multi_seed_run,
                        multi_seed_stats)
-from .params import ModelParameters, ParameterError
+from .params import ModelParameters, ParameterError, to_real
 from .policy import POLICY_IDS, evaluate_policy, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
                           SWEEP_CSV_COLUMNS, SweepSpec,
@@ -47,6 +47,10 @@ EXIT_CALIBRATION = 3
 
 CONFIG_ENV = "GREENCHAIN_CONFIG"
 EXCLUSIVE_SECTIONS = ("evaluate", "sensitivity", "anfis", "surface", "calibrate")
+# The JSON type each shared key and section must have; null counts as absent.
+CONFIG_TYPES = {"parameters": dict, "parameters_file": str, "policy": str,
+                "out_dir": str, "optimizer": dict, "decisions": dict,
+                **dict.fromkeys(EXCLUSIVE_SECTIONS, dict)}
 
 
 class UsageError(ValueError):
@@ -90,6 +94,12 @@ def load_config(path: str | None) -> dict:
         raise UsageError(
             "config may contain at most one subcommand section, found: "
             + ", ".join(present))
+    wrong = [f"config key {key!r} must hold "
+             + ("a JSON object" if kind is dict else "a string")
+             for key, kind in CONFIG_TYPES.items()
+             if doc.get(key) is not None and not isinstance(doc[key], kind)]
+    if wrong:
+        raise UsageError("; ".join(wrong))
     return doc
 
 
@@ -118,11 +128,28 @@ def _policy(args, config) -> str:
     return policy
 
 
+def _count(value, name: str) -> int:
+    """`value` itself if it is an integer; floats, bools and null are refused."""
+    if type(value) is not int:
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _range(value, name: str) -> tuple[float, float]:
+    """A [low, high] pair of real numbers with low < high."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise UsageError(f"{name} needs two numbers [low, high], got {value!r}")
+    low, high = (to_real(v, name) for v in value)
+    if not low < high:
+        raise UsageError(f"{name} needs low < high, got {value!r}")
+    return low, high
+
+
 def _seed(args, config, required: bool) -> int | None:
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None and required:
         raise UsageError("a seed is required (flag --seed or config 'seed')")
-    return None if seed is None else int(seed)
+    return None if seed is None else _count(seed, "seed")
 
 
 def _out_dir(args, config) -> Path | None:
@@ -133,16 +160,23 @@ def _out_dir(args, config) -> Path | None:
 def _decisions(config: dict, section: dict | None, args=None) -> DecisionVector:
     """Decision vector from top-level config, section override, then flags."""
     doc = dict(config.get("decisions") or {})
-    doc.update((section or {}).get("decisions") or {})
+    override = (section or {}).get("decisions") or {}
+    if not isinstance(override, dict):
+        raise UsageError("section 'decisions' must hold a JSON object")
+    doc.update(override)
     if args is not None:
         for name in DECISION_NAMES:
             flag = getattr(args, name, None)
             if flag is not None:
                 doc[name] = flag
+    _require_all_decisions(doc)
+    return DecisionVector.from_dict(doc)
+
+
+def _require_all_decisions(doc: dict) -> None:
     missing = [k for k in DECISION_NAMES if k not in doc]
     if missing:
         raise UsageError("missing decision components: " + ", ".join(missing))
-    return DecisionVector.from_dict(doc)
 
 
 def _optimizer_config(args, config, seed: int) -> OptimizerConfig:
@@ -280,19 +314,16 @@ def cmd_anfis(args, config) -> int:
     section = dict(config.get("anfis") or {})
     variable = args.variable or section.get("variable", "T0")
     n_points = args.points if args.points is not None else section.get("n_points", 61)
-    bounds = section.get("range")
-    if args.range:
-        bounds = args.range
-    if not bounds:
-        raise UsageError("anfis needs a sweep range (--range or config)")
+    n_points = _count(n_points, "anfis n_points")
+    bounds = _range(args.range or section.get("range"), "anfis range")
     epochs = args.epochs if args.epochs is not None else section.get("epochs", 100)
-    if int(epochs) < 1:
+    if _count(epochs, "anfis epochs") < 1:
         raise UsageError("anfis needs at least one training epoch")
     lr = section.get("learning_rate", 0.01)
     decisions = _decisions(config, section)
 
     x, y, skipped = generate_dataset(params, decisions, variable,
-                                     int(n_points), tuple(bounds), policy)
+                                     n_points, bounds, policy)
     rules = 5
     if x.size < 2 * rules:
         raise UsageError(
@@ -300,7 +331,7 @@ def cmd_anfis(args, config) -> int:
             f"{2 * rules} linear consequent parameters of {rules} rules")
     model = grid_partition(float(x.min()), float(x.max()), rules,
                            input_name=variable)
-    model, history = train_hybrid(model, x, y, epochs=int(epochs),
+    model, history = train_hybrid(model, x, y, epochs=epochs,
                                   learning_rate=float(lr))
     y_pred = model.forward(x)
     rng = float(y.max() - y.min())
@@ -332,24 +363,24 @@ def cmd_surface(args, config) -> int:
     params = _load_parameters(config, policy)
     section = dict(config.get("surface") or {})
     variables = args.vars or section.get("variables")
-    if not variables or len(variables) != 2:
+    if not isinstance(variables, list) or len(variables) != 2:
         raise UsageError("surface needs exactly two decision variable names")
     v1, v2 = variables
     for v in (v1, v2):
         if v not in DECISION_NAMES:
             raise UsageError(f"unknown decision variable {v!r}")
-    range1 = args.range1 or section.get("range1")
-    range2 = args.range2 or section.get("range2")
-    if not range1 or not range2 or range1[0] >= range1[1] or range2[0] >= range2[1]:
-        raise UsageError("surface needs nonempty ranges for both variables")
-    n1 = args.n1 if args.n1 is not None else section.get("n1", 25)
-    n2 = args.n2 if args.n2 is not None else section.get("n2", 25)
-    if int(n1) < 1 or int(n2) < 1:
+    range1 = _range(args.range1 or section.get("range1"), "surface range1")
+    range2 = _range(args.range2 or section.get("range2"), "surface range2")
+    n1 = _count(args.n1 if args.n1 is not None else section.get("n1", 25),
+                "surface n1")
+    n2 = _count(args.n2 if args.n2 is not None else section.get("n2", 25),
+                "surface n2")
+    if n1 < 1 or n2 < 1:
         raise UsageError("surface needs at least one grid point per variable")
     decisions = _decisions(config, section)
 
-    xs = np.linspace(range1[0], range1[1], int(n1))
-    ys = np.linspace(range2[0], range2[1], int(n2))
+    xs = np.linspace(range1[0], range1[1], n1)
+    ys = np.linspace(range2[0], range2[1], n2)
     base = decisions.as_array()
     grid = np.tile(base, (xs.size * ys.size, 1))
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
@@ -380,10 +411,14 @@ def cmd_calibrate(args, config) -> int:
     target = DEFAULT_CALIBRATION_TARGET
     if "target" in section:
         doc = section["target"]
+        if not isinstance(doc, dict) or not isinstance(doc.get("decisions"), dict):
+            raise UsageError("calibrate target must be a JSON object with a "
+                             "'decisions' object")
+        _require_all_decisions(doc["decisions"])
         target = CalibrationTarget(
             decisions=DecisionVector.from_dict(doc["decisions"]),
-            Z_m=float(doc["Z_m"]), Z_r=float(doc["Z_r"]),
-            phi_T=float(doc["phi_T"]))
+            **{k: to_real(doc.get(k), f"calibrate target {k}")
+               for k in ("Z_m", "Z_r", "phi_T")})
     base_values = config.get("parameters")
     result = calibrate_missing_defaults(target, base_values=base_values)
     report = result.report()

@@ -2,16 +2,12 @@
 
 Everything numeric lives here: effective production rates, cycle schedules,
 inventory trajectories and their exact integrals, cost and emission terms,
-per-player profits and the three carbon-policy objectives.  The functions are
-written as plain scalar math so a single implementation serves both execution
-backends:
-
-* compiled with ``numba.njit`` when the optional numba extra imports, or
-* interpreted CPython otherwise, or when ``GREENCHAIN_NO_NUMBA=1`` is set.
-
-A separately implemented, vectorised NumPy twin of the batch objective
-(`evaluate_policy_batch_numpy`) backs the fallback path for optimizer loops;
-``tests/test_kernels.py`` pins the two paths against each other.
+per-player profits and the three carbon-policy objectives.  The scalar
+functions are plain Python math and serve single evaluations (the model
+layer, calibration, the ANFIS dataset).  Optimizer populations and surfaces
+go through `evaluate_policy_batch_numpy`, a separately implemented
+vectorised twin of the batch objective; ``tests/test_kernels.py`` pins the
+two against each other.
 
 All cycle formulas route the ill-conditioned ``(e^x - 1 - x) / x**2`` style
 terms through series-protected helpers, so they are uniformly accurate for
@@ -22,29 +18,12 @@ deterioration rates all the way down to the documented floor of 1e-10
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("GREENCHAIN_NO_NUMBA", "").strip().lower()
-_DISABLED = _flag in ("1", "true", "yes", "on")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def _jit(fn):
-    if NUMBA_ENABLED:
-        return njit(cache=True)(fn)
-    return fn
-
+# Recorded by perfbench/run.py in its environment block; there is no
+# compiled backend, so it is always False.
+NUMBA_ENABLED = False
 
 # Deterioration rates below this floor switch to the analytic zero-rate limits.
 THETA_FLOOR = 1e-10
@@ -110,13 +89,11 @@ TERM_NAMES = (
 )
 N_TERMS = len(TERM_NAMES)
 
-# Slot constants T_<NAME> (e.g. T_Q_M for "Q_m").  They are plain module-level
-# ints, which numba's nopython mode freezes as compile-time constants.
+# Slot constants T_<NAME> (e.g. T_Q_M for "Q_m"), plain module-level ints.
 globals().update({"T_" + name.upper(): slot
                   for slot, name in enumerate(TERM_NAMES)})
 
 
-@_jit
 def phi1(x):
     """(e^x - 1) / x, series-protected near zero."""
     if abs(x) < 1e-4:
@@ -124,7 +101,6 @@ def phi1(x):
     return math.expm1(x) / x
 
 
-@_jit
 def phi2(x):
     """(e^x - 1 - x) / x^2, series-protected near zero."""
     if abs(x) < 1e-3:
@@ -132,7 +108,6 @@ def phi2(x):
     return (math.expm1(x) - x) / (x * x)
 
 
-@_jit
 def effective_rates(P, f_d, beta1, beta2):
     """Perfect / defective effective production rates; they sum to P."""
     P_e = (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1
@@ -140,13 +115,11 @@ def effective_rates(P, f_d, beta1, beta2):
     return P_e, P_de
 
 
-@_jit
 def preserved_rate(theta_base, v, xi):
     """Deterioration rate after a preservation investment xi at efficiency v."""
     return theta_base * math.exp(-v * xi)
 
 
-@_jit
 def manufacturer_cycle(P, P_e, P_de, P_r, D_r, theta_m, T0):
     """Rework-end time T1, cycle-end time T2 and lot size Q_m.
 
@@ -167,7 +140,6 @@ def manufacturer_cycle(P, P_e, P_de, P_r, D_r, theta_m, T0):
     return T1, T2, Q_m
 
 
-@_jit
 def manufacturer_integrals(P_e, P_de, P_r, D_r, Q_m, theta_m, T0, T1, T2):
     """Exact integrals of the perfect and defective stock over their cycles."""
     d1 = T1 - T0
@@ -187,7 +159,6 @@ def manufacturer_integrals(P_e, P_de, P_r, D_r, Q_m, theta_m, T0, T1, T2):
     return int_I, int_Id
 
 
-@_jit
 def manufacturer_stock(t, P_e, P_r, D_r, Q_m, theta_m, T0, T1, T2):
     """Perfect-stock level I(t) on [0, T2] (branch by production phase)."""
     if theta_m < THETA_FLOOR:
@@ -205,7 +176,6 @@ def manufacturer_stock(t, P_e, P_r, D_r, Q_m, theta_m, T0, T1, T2):
     return (D_r / theta_m) * math.expm1(theta_m * (T2 - t))
 
 
-@_jit
 def defective_stock(t, P_de, P_r, theta_m, T0, T1):
     """Defective-stock level I_d(t) on [0, T1]."""
     if theta_m < THETA_FLOOR:
@@ -217,7 +187,6 @@ def defective_stock(t, P_de, P_r, theta_m, T0, T1):
     return (P_r / theta_m) * math.expm1(theta_m * (T1 - t))
 
 
-@_jit
 def retailer_cycle(fW, D_r, eta, theta_r, T1, T2):
     """Backlog s, clearing time T11, stock peak Q_r and cycle end T3.
 
@@ -232,7 +201,6 @@ def retailer_cycle(fW, D_r, eta, theta_r, T1, T2):
     return s, T11, Q_r, T3, B1, B2
 
 
-@_jit
 def retailer_integrals(fW, s, eta, B1, B2, T1, T11, T2, T3):
     """Stock integrals over [T11, T3] (holding) and [T1, T3] (revenue).
 
@@ -249,7 +217,6 @@ def retailer_integrals(fW, s, eta, B1, B2, T1, T11, T2, T3):
     return piece2 + piece3, piece1 + piece2 + piece3
 
 
-@_jit
 def retailer_stock(t, fW, s, eta, B1, B2, Q_r, T1, T11, T2, T3):
     """Retailer stock on the printed branches.
 
@@ -266,7 +233,6 @@ def retailer_stock(t, fW, s, eta, B1, B2, Q_r, T1, T11, T2, T3):
     return (fW / B1) * math.expm1(B1 * (T3 - t))
 
 
-@_jit
 def green_reduction_terms(G, omega, l1, l2, kappa1, l3, l4, kappa2):
     """Emission reductions bought by the green investment G."""
     gm = omega * G
@@ -277,7 +243,6 @@ def green_reduction_terms(G, omega, l1, l2, kappa1, l3, l4, kappa2):
     return rho_m, rho_r, rho_G
 
 
-@_jit
 def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
     """Fill `out` with every schedule, cost, emission and profit term.
 
@@ -441,7 +406,6 @@ def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
     return OK
 
 
-@_jit
 def policy_value_from_terms(policy_id, G, p, terms):
     """Compose (value, phi_m, phi_r, violation) for one policy from terms."""
     f_r = p[P_F_R]
@@ -487,26 +451,6 @@ def policy_value_from_terms(policy_id, G, p, terms):
     return phi_m + phi_r, phi_m, phi_r, 0.0
 
 
-@_jit
-def evaluate_policy_batch(policy_id, X, p, values, violations, valid):
-    """Evaluate a population X (n, 5) under one policy in a tight loop."""
-    n = X.shape[0]
-    terms = np.empty(N_TERMS, dtype=np.float64)
-    for i in range(n):
-        status = evaluate_terms(X[i, 0], X[i, 1], X[i, 2], X[i, 3], X[i, 4],
-                                p, terms)
-        if status != OK:
-            values[i] = np.nan
-            violations[i] = np.nan
-            valid[i] = False
-        else:
-            value, _, _, violation = policy_value_from_terms(
-                policy_id, X[i, 3], p, terms)
-            values[i] = value
-            violations[i] = violation
-            valid[i] = True
-
-
 def _np_phi1(x):
     small = np.abs(x) < 1e-4
     xs = np.where(small, 0.0, x)
@@ -526,10 +470,11 @@ def _np_phi2(x):
 
 
 def evaluate_policy_batch_numpy(policy_id, X, p):
-    """Vectorised NumPy twin of evaluate_policy_batch.
+    """Evaluate a population X (n, 5) under one policy, vectorised.
 
-    Returns (values, violations, valid); invalid rows carry NaN.  Kept as an
-    independent implementation so the two backends cross-check each other.
+    Returns (values, violations, valid); invalid rows carry NaN.  `p` is one
+    parameter vector, or an (N_PARAMS, n) matrix with one column per row.
+    Written independently of the scalar kernels, which it is tested against.
     """
     X = np.asarray(X, dtype=np.float64)
     T0 = X[:, 0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, make_dataclass
 import numpy as np
 
 from . import kernels as K
-from .params import ModelParameters
+from .params import ModelParameters, to_real
 
 
 class DomainError(ValueError):
@@ -49,7 +49,8 @@ class DecisionVector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionVector":
-        return cls(**{k: float(doc[k]) for k in DECISION_NAMES})
+        # Values follow the parameter rule: real numbers, not bools or strings.
+        return cls(**{k: to_real(doc[k], k) for k in DECISION_NAMES})
 
 
 #: Decision names in layout order, as read from the DecisionVector fields.

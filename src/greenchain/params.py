@@ -20,7 +20,7 @@ from .kernels import PARAM_ORDER
 
 
 class ParameterError(ValueError):
-    """Raised when a parameter document or value set is invalid."""
+    """Raised when a parameter document, value set or input value is invalid."""
 
 
 #: Published default values.  C_op and C_or have no published value either;
@@ -60,6 +60,16 @@ def _is_real(value) -> bool:
     # bool is an int subclass, but True is not a parameter value.
     return type(value) is float or (
         isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def to_real(value, name: str) -> float:
+    """`value` as a float; bools, strings and ints beyond a float are refused."""
+    if _is_real(value):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 
 class _ParameterSet:

@@ -89,12 +89,12 @@ def make_batch_objective(params, policy: str):
     """Vectorised objective for the optimizers.
 
     Returns ``f(X) -> (values, violations, valid)`` for an (n, 5) decision
-    matrix.  `params` is one ModelParameters or a sequence of K; with K
-    sets the rows come in K equal blocks (the stacked populations of
+    matrix, computed by the NumPy twin ``kernels.evaluate_policy_batch_numpy``.
+    `params` is one ModelParameters or a sequence of K; with K sets the rows
+    come in K equal blocks (the stacked populations of
     ``optimize.run_many``) and block k is evaluated under set k.  Rows that
     violate the model domain come back invalid; the optimizers treat them
-    as unusable rather than aborting.  Uses the compiled batch kernel when
-    numba is active, the NumPy twin otherwise.
+    as unusable rather than aborting.
     """
     sets = [params] if isinstance(params, ModelParameters) else list(params)
     if not sets:
@@ -103,22 +103,8 @@ def make_batch_objective(params, policy: str):
         p_set.require_policy_price(policy)
     pid = policy_id(policy)
     vectors = [p_set.as_array() for p_set in sets]
-    n_sets = len(vectors)
 
-    if K.NUMBA_ENABLED:
-        def objective(X: np.ndarray):
-            X = np.ascontiguousarray(X, dtype=np.float64)
-            n = X.shape[0]
-            values = np.empty(n, dtype=np.float64)
-            violations = np.empty(n, dtype=np.float64)
-            valid = np.empty(n, dtype=np.bool_)
-            m = _block_rows(n, n_sets)
-            for k, p in enumerate(vectors):
-                block = slice(k * m, (k + 1) * m)
-                K.evaluate_policy_batch(pid, X[block], p, values[block],
-                                        violations[block], valid[block])
-            return values, violations, valid
-    elif n_sets == 1:
+    if len(vectors) == 1:
         # One set stays a 1-D vector that the twin broadcasts: a per-row
         # matrix holds N_PARAMS floats per row (≈40 MB for a 320 × 320 surface).
         p = vectors[0]
@@ -130,19 +116,17 @@ def make_batch_objective(params, policy: str):
         # broadcasts it elementwise, so each block gets the numbers a
         # separate call would.  Built on first use and kept for that n.
         stacked = np.stack(vectors, axis=1)
+        n_sets = len(vectors)
         per_row = {}
 
         def objective(X: np.ndarray):
             X = np.asarray(X)
             n = X.shape[0]
             if n not in per_row:
-                per_row[n] = np.repeat(stacked, _block_rows(n, n_sets), axis=1)
+                if n % n_sets:
+                    raise ValueError(
+                        f"{n} rows do not split into {n_sets} equal blocks")
+                per_row[n] = np.repeat(stacked, n // n_sets, axis=1)
             return K.evaluate_policy_batch_numpy(pid, X, per_row[n])
 
     return objective
-
-
-def _block_rows(n: int, n_sets: int) -> int:
-    if n % n_sets:
-        raise ValueError(f"{n} rows do not split into {n_sets} equal blocks")
-    return n // n_sets

@@ -4,12 +4,16 @@ Everything here is deliberately implemented from the governing balance
 equations, not from the package's closed forms: fourth-order Runge-Kutta
 integration of the inventory ODEs, composite Simpson quadrature, bisection
 root finding, and direct vectorised evaluations of the printed trajectory
-branches.  The tests compare the package against these.
+branches.  The tests compare the package against these.  The exception
+is `evaluate_policy_batch`, a row-by-row loop over the package's scalar
+kernels that the vectorised NumPy twin is checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from greenchain import kernels as K
 
 
 def rk4_path(rhs, t0: float, y0, t1: float, n_steps: int):
@@ -127,3 +131,22 @@ def incumbent_reference(generations, coeff: float, every: int):
         history.append(max([fitness(value, violation)] + history[-1:]))
         history_feasible.append(feasible)
     return x, value, violation, feasible, history, history_feasible
+
+
+def evaluate_policy_batch(policy_id, X, p):
+    """Evaluate a population X (n, 5) one row at a time with the scalar kernels.
+
+    Returns (values, violations, valid) like
+    ``kernels.evaluate_policy_batch_numpy``; invalid rows carry NaN.
+    """
+    n = X.shape[0]
+    values = np.full(n, np.nan)
+    violations = np.full(n, np.nan)
+    valid = np.zeros(n, dtype=bool)
+    terms = np.empty(K.N_TERMS, dtype=np.float64)
+    for i in range(n):
+        if K.evaluate_terms(*X[i], p, terms) == K.OK:
+            values[i], _, _, violations[i] = K.policy_value_from_terms(
+                policy_id, X[i, 3], p, terms)
+            valid[i] = True
+    return values, violations, valid

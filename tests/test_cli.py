@@ -14,6 +14,10 @@ from greenchain.cli import build_parser, main
 PARAMS = {"v1": 0.04, "v2": 0.06, "C_Tax": 2.1, "C_CT": 2.1}
 DECISIONS = {"T0": 0.6626, "xi1": 167.8651, "xi2": 93.6741,
              "G": 7.7565, "W_r": 292.28}
+OPTIMIZE = ["optimize", "--algo", "pso", "--iters", "1"]
+SURFACE = {"variables": ["T0", "xi1"], "range1": [0.2, 0.8],
+           "range2": [0.0, 10.0], "n1": 2, "n2": 2}
+ANFIS = {"range": [0.2, 1.0], "n_points": 12, "epochs": 1}
 
 
 @pytest.fixture
@@ -377,6 +381,41 @@ class TestConfigValidation:
                                     "decisions": DECISIONS}))
         code, _, err = run_cli(capsys, "--config", str(path), "evaluate")
         assert code == 2 and message in err
+
+    @pytest.mark.parametrize("command, change", [
+        (OPTIMIZE, {"seed": 2.5}),
+        (OPTIMIZE, {"seed": True}),
+        (["surface"], {"surface": {**SURFACE, "n1": 2.5}}),
+        (["surface"], {"surface": {**SURFACE, "n1": True}}),
+        (["anfis"], {"anfis": {**ANFIS, "epochs": 2.5}}),
+        (["anfis"], {"anfis": {**ANFIS, "n_points": None}}),
+        (["evaluate"], {"decisions": [1, 2]}),
+        (OPTIMIZE, {"optimizer": [1]}),
+        (["sensitivity", "--param", "v1"], {"sensitivity": [1]}),
+        (["evaluate"], {"policy": ["tax"]}),
+        (["evaluate"], {"parameters": [1]}),
+        (["evaluate"], {"out_dir": 5}),
+        (["surface"], {"surface": {**SURFACE, "range1": ["a", "b"]}}),
+        (["surface"], {"surface": {**SURFACE, "range1": [1]}}),
+        (["calibrate"], {"calibrate": {"target": "x"}}),
+        (["calibrate"], {"calibrate": {"target": {
+            "decisions": {}, "Z_m": 1.0, "Z_r": 1.0, "phi_T": 2.0}}}),
+        (["evaluate"], {"decisions": {**DECISIONS, "T0": True}}),
+        (["evaluate"], {"decisions": {**DECISIONS, "T0": "0.6626"}}),
+    ], ids=["seed_float", "seed_bool", "n1_float", "n1_bool", "epochs_float",
+            "n_points_null", "decisions_list", "optimizer_list",
+            "sensitivity_list", "policy_list", "parameters_list",
+            "out_dir_number", "range1_strings", "range1_short",
+            "target_string", "target_empty_decisions", "decision_bool",
+            "decision_string"])
+    def test_malformed_config_value_is_usage_error(self, capsys, tmp_path,
+                                                   command, change):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters": PARAMS, "seed": 7,
+                                    "decisions": DECISIONS, **change}))
+        code, out, err = run_cli(capsys, "--config", str(path), *command)
+        assert code == 2 and "error:" in err
+        assert out == ""
 
     def test_removed_inertia_option_rejected(self, capsys, tmp_path):
         path = tmp_path / "c.json"

@@ -8,6 +8,7 @@ from greenchain import kernels as K
 from greenchain.params import TABLE_DEFAULTS
 from greenchain.policy import POLICY_IDS, make_batch_objective
 from conftest import sample_admissible
+from oracles import evaluate_policy_batch
 
 
 def _random_batch(rng, n):
@@ -31,11 +32,7 @@ def test_batch_backends_agree(policy):
     X = _random_batch(rng, 4000)
     pid = POLICY_IDS[policy]
 
-    n = X.shape[0]
-    va = np.empty(n)
-    ca = np.empty(n)
-    oka = np.empty(n, dtype=bool)
-    K.evaluate_policy_batch(pid, np.ascontiguousarray(X), p, va, ca, oka)
+    va, ca, oka = evaluate_policy_batch(pid, X, p)
     vb, cb, okb = K.evaluate_policy_batch_numpy(pid, X, p)
 
     assert np.array_equal(oka, okb)
@@ -162,10 +159,8 @@ def parameters_and_decisions(draw):
 @given(case=parameters_and_decisions())
 def test_scalar_kernel_matches_twin_over_whole_table(case):
     p, X = case
-    n = len(X)
     for pid in POLICY_IDS.values():
-        values, violations, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-        K.evaluate_policy_batch(pid, X, p, values, violations, ok)
+        values, violations, ok = evaluate_policy_batch(pid, X, p)
         twin_values, twin_violations, twin_ok = K.evaluate_policy_batch_numpy(pid, X, p)
         assert np.array_equal(ok, twin_ok)
         np.testing.assert_allclose(values[ok], twin_values[ok], rtol=1e-9)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenchain import (DecisionVector, DomainError,
-                        ModelParameters, base_profits, compute_breakdown,
-                        compute_schedule, deterioration_rates,
-                        effective_rates, manufacturer_schedule,
-                        retailer_schedule)
+                        ModelParameters, ParameterError, base_profits,
+                        compute_breakdown, compute_schedule,
+                        deterioration_rates, effective_rates,
+                        manufacturer_schedule, retailer_schedule)
 from greenchain import kernels as K
 from greenchain import model
 from conftest import sample_admissible
@@ -350,3 +350,14 @@ def test_random_admissible_point_is_internally_consistent(seed):
     assert schedule.P_e + schedule.P_de == pytest.approx(p.P, rel=1e-12)
     profits = base_profits(p, d)
     assert profits.phi_r == (1.0 - p.f_r) * profits.phi_r_raw
+
+
+@pytest.mark.parametrize("value", [True, "0.6626", None, 10**400],
+                         ids=["bool", "string", "null", "huge_int"])
+def test_decision_from_dict_takes_only_real_numbers(value):
+    doc = {"T0": T0_REF, "xi1": 0.0, "xi2": 0, "G": np.float64(1.0),
+           "W_r": 292.28}
+    assert DecisionVector.from_dict(doc).as_array().tolist() == [
+        T0_REF, 0.0, 0.0, 1.0, 292.28]
+    with pytest.raises(ParameterError, match="T0"):
+        DecisionVector.from_dict({**doc, "T0": value})
