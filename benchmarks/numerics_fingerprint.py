@@ -26,8 +26,8 @@ Entries (one process, about 20 s on two cores):
 - one ``direction_report``;
 - the ``calibrate_missing_defaults`` triple;
 - the ``evaluate``, ``optimize --seeds 3``, ``sensitivity``, ``anfis`` and
-  ``surface`` CLI outputs (stdout and every file written), with ``meta``
-  removed from JSON.
+  ``surface`` CLI outputs (stdout and every file written, line ends
+  included), with ``meta`` removed from JSON.
 
 Wall times are left out everywhere.
 """
@@ -182,7 +182,7 @@ def _cli_entries(gc) -> dict:
                 code = main(["--config", str(config), "--out", str(out)] + argv)
             files = {}
             for path in sorted(out.iterdir()):
-                text = path.read_text()
+                text = path.read_bytes().decode()
                 files[path.name] = (_strip_meta(text) if path.suffix == ".json"
                                     else text)
             entries[f"cli/{name}"] = {

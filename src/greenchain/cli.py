@@ -282,9 +282,17 @@ def cmd_sensitivity(args, config) -> int:
     levels = section.get("levels", [-40.0, -20.0, 0.0, 20.0, 40.0])
     if args.levels:
         levels = [float(v) for v in args.levels.split(",")]
+    if not isinstance(levels, list):
+        raise UsageError("sensitivity levels must be a list of numbers, "
+                         f"got {levels!r}")
+    levels = [to_real(v, "sensitivity levels") for v in levels]
     seed = _seed(args, config, required=True)
     cfg = _optimizer_config(args, config, seed)
-    reoptimize = not args.no_reoptimize and section.get("reoptimize", True)
+    reoptimize = section.get("reoptimize", True)
+    if type(reoptimize) is not bool:
+        raise UsageError("sensitivity reoptimize must be true or false, "
+                         f"got {reoptimize!r}")
+    reoptimize = reoptimize and not args.no_reoptimize
     decisions = None
     if not reoptimize:
         decisions = _decisions(config, section)
@@ -319,7 +327,7 @@ def cmd_anfis(args, config) -> int:
     epochs = args.epochs if args.epochs is not None else section.get("epochs", 100)
     if _count(epochs, "anfis epochs") < 1:
         raise UsageError("anfis needs at least one training epoch")
-    lr = section.get("learning_rate", 0.01)
+    lr = to_real(section.get("learning_rate", 0.01), "anfis learning_rate")
     decisions = _decisions(config, section)
 
     x, y, skipped = generate_dataset(params, decisions, variable,
@@ -332,7 +340,7 @@ def cmd_anfis(args, config) -> int:
     model = grid_partition(float(x.min()), float(x.max()), rules,
                            input_name=variable)
     model, history = train_hybrid(model, x, y, epochs=epochs,
-                                  learning_rate=float(lr))
+                                  learning_rate=lr)
     y_pred = model.forward(x)
     rng = float(y.max() - y.min())
     print(f"anfis {variable}: {x.size} points (skipped {skipped}), "
@@ -369,6 +377,8 @@ def cmd_surface(args, config) -> int:
     for v in (v1, v2):
         if v not in DECISION_NAMES:
             raise UsageError(f"unknown decision variable {v!r}")
+    if v1 == v2:
+        raise UsageError(f"surface needs two different variables, got {v1!r} twice")
     range1 = _range(args.range1 or section.get("range1"), "surface range1")
     range2 = _range(args.range2 or section.get("range2"), "surface range2")
     n1 = _count(args.n1 if args.n1 is not None else section.get("n1", 25),
@@ -381,22 +391,26 @@ def cmd_surface(args, config) -> int:
 
     xs = np.linspace(range1[0], range1[1], n1)
     ys = np.linspace(range2[0], range2[1], n2)
-    base = decisions.as_array()
-    grid = np.tile(base, (xs.size * ys.size, 1))
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    grid[:, DECISION_NAMES.index(v1)] = XX.ravel()
-    grid[:, DECISION_NAMES.index(v2)] = YY.ravel()
-    values, _, valid = make_batch_objective(params, policy)(grid)
+    grid = np.tile(decisions.as_array(), (n1, n2, 1))
+    grid[:, :, DECISION_NAMES.index(v1)] = xs[:, None]
+    grid[:, :, DECISION_NAMES.index(v2)] = ys
+    values, _, valid = make_batch_objective(params, policy)(
+        grid.reshape(n1 * n2, -1))
 
     out = _out_dir(args, config)
     target = (out / f"surface_{v1}_{v2}.csv") if out else None
 
     def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow([v1, v2, "phi_T"])
-        for (xv, yv, val, ok) in zip(XX.ravel(), YY.ravel(), values, valid):
-            writer.writerow([repr(float(xv)), repr(float(yv)),
-                             repr(float(val)) if ok else ""])
+        # The bytes csv.writer would give (repr cells, "\r\n" line ends),
+        # one grid row per write, each axis value formatted once.
+        fh.write(f"{v1},{v2},phi_T\r\n")
+        middles = [f",{y!r}," for y in ys.tolist()]
+        for i, x in enumerate(xs.tolist()):
+            row = slice(i * n2, (i + 1) * n2)
+            x = repr(x)
+            fh.write("".join([f"{x}{mid}{v!r}\r\n" if ok else f"{x}{mid}\r\n"
+                              for mid, v, ok in zip(middles, values[row].tolist(),
+                                                    valid[row].tolist())]))
 
     if target:
         _atomic_csv(target, write)

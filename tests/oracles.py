@@ -4,12 +4,17 @@ Everything here is deliberately implemented from the governing balance
 equations, not from the package's closed forms: fourth-order Runge-Kutta
 integration of the inventory ODEs, composite Simpson quadrature, bisection
 root finding, and direct vectorised evaluations of the printed trajectory
-branches.  The tests compare the package against these.  The exception
-is `evaluate_policy_batch`, a row-by-row loop over the package's scalar
-kernels that the vectorised NumPy twin is checked against.
+branches.  The tests compare the package against these.  The exceptions
+are `evaluate_policy_batch`, a row-by-row loop over the package's scalar
+kernels that the vectorised NumPy twin is checked against, and
+`surface_csv_reference`, the `csv.writer` loop the surface writer must
+match byte for byte.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 import numpy as np
 
@@ -150,3 +155,19 @@ def evaluate_policy_batch(policy_id, X, p):
                 policy_id, X[i, 3], p, terms)
             valid[i] = True
     return values, violations, valid
+
+
+def surface_csv_reference(v1, v2, xs, ys, values, valid) -> str:
+    """The `surface` CSV text written one cell row at a time by `csv.writer`.
+
+    Rows run over the grid in `v1`-major order; every number is its
+    ``repr`` and an inadmissible cell (``valid`` false) is left empty.
+    """
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow([v1, v2, "phi_T"])
+    XX, YY = np.meshgrid(xs, ys, indexing="ij")
+    for xv, yv, val, ok in zip(XX.ravel(), YY.ravel(), values, valid):
+        writer.writerow([repr(float(xv)), repr(float(yv)),
+                         repr(float(val)) if ok else ""])
+    return fh.getvalue()

@@ -9,12 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greenchain import DecisionVector, ModelParameters
 from greenchain.cli import build_parser, main
+from greenchain.model import DECISION_NAMES
+from greenchain.policy import make_batch_objective
+
+from oracles import surface_csv_reference
 
 PARAMS = {"v1": 0.04, "v2": 0.06, "C_Tax": 2.1, "C_CT": 2.1}
 DECISIONS = {"T0": 0.6626, "xi1": 167.8651, "xi2": 93.6741,
              "G": 7.7565, "W_r": 292.28}
 OPTIMIZE = ["optimize", "--algo", "pso", "--iters", "1"]
+SENSITIVITY = ["sensitivity", "--param", "v1", "--iters", "1"]
 SURFACE = {"variables": ["T0", "xi1"], "range1": [0.2, 0.8],
            "range2": [0.0, 10.0], "n1": 2, "n2": 2}
 ANFIS = {"range": [0.2, 1.0], "n_points": 12, "epochs": 1}
@@ -219,7 +225,63 @@ class TestAnfis:
         assert not out_dir.exists()
 
 
+def expected_surface(v1, v2, range1, range2, n1, n2):
+    """The reference CSV text for a `surface` run on the fixture config."""
+    xs = np.linspace(*range1, n1)
+    ys = np.linspace(*range2, n2)
+    grid = np.tile(DecisionVector.from_dict(DECISIONS).as_array(), (n1 * n2, 1))
+    XX, YY = np.meshgrid(xs, ys, indexing="ij")
+    grid[:, DECISION_NAMES.index(v1)] = XX.ravel()
+    grid[:, DECISION_NAMES.index(v2)] = YY.ravel()
+    values, _, valid = make_batch_objective(ModelParameters(**PARAMS), "tax")(grid)
+    return surface_csv_reference(v1, v2, xs, ys, values, valid)
+
+
 class TestSurface:
+    @pytest.mark.parametrize("v1, v2, range1, range2, n1, n2", [
+        ("T0", "W_r", (0.2, 0.8), (290.0, 310.0), 3, 5),
+        ("T0", "xi1", (0.45, 0.9), (120.0, 220.0), 1, 4),
+        ("xi2", "T0", (80.0, 100.0), (0.3, 0.9), 5, 1),
+        ("G", "T0", (1e-05, 3e-05), (0.1, 2.0), 4, 3),
+    ], ids=["mixed_admissible", "n1_one", "n2_one", "exponent_axis"])
+    def test_csv_bytes_match_reference(self, capsys, config_path, tmp_path,
+                                       v1, v2, range1, range2, n1, n2):
+        expected = expected_surface(v1, v2, range1, range2, n1, n2)
+        argv = ["--config", config_path]
+        tail = ["surface", "--vars", v1, v2,
+                "--range1", *map(repr, range1), "--range2", *map(repr, range2),
+                "--n1", str(n1), "--n2", str(n2)]
+        out_dir = tmp_path / "art"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_dir), *tail)
+        assert code == 0
+        written = (out_dir / f"surface_{v1}_{v2}.csv").read_bytes()
+        assert written == expected.encode()
+        code, out, _ = run_cli(capsys, *argv, *tail)
+        assert code == 0 and out == expected
+        lines = expected.split("\r\n")
+        assert lines[-1] == "" and len(lines) == n1 * n2 + 2
+        assert not any("\r" in line or "\n" in line for line in lines)
+
+    def test_reference_covers_empty_cells_and_exponents(self):
+        mixed = expected_surface("T0", "W_r", (0.2, 0.8), (290.0, 310.0), 3, 5)
+        cells = [line.split(",")[2] for line in mixed.splitlines()[1:]]
+        assert "" in cells and any(cells)
+        tiny = expected_surface("G", "T0", (1e-05, 3e-05), (0.1, 2.0), 4, 3)
+        assert tiny.splitlines()[1].startswith("1e-05,")
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_repeated_variable_is_usage_error(self, capsys, tmp_path, source):
+        surface = {**SURFACE, "variables": ["T0", "T0"]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters": PARAMS, "decisions": DECISIONS,
+                                    "surface": surface}))
+        flags = ["--vars", "T0", "T0"] if source == "flags" else []
+        out_dir = tmp_path / "art"
+        code, out, err = run_cli(capsys, "--config", str(path),
+                                 "--out", str(out_dir), "surface", *flags)
+        assert code == 2 and "different variables" in err
+        assert out == "" and not out_dir.exists()
+
     def test_single_cell_matches_evaluate(self, capsys, config_path, tmp_path):
         code, out, _ = run_cli(capsys, "--config", config_path, "evaluate")
         phi = json.loads(out)["policy_result"]["value"]
@@ -402,12 +464,20 @@ class TestConfigValidation:
             "decisions": {}, "Z_m": 1.0, "Z_r": 1.0, "phi_T": 2.0}}}),
         (["evaluate"], {"decisions": {**DECISIONS, "T0": True}}),
         (["evaluate"], {"decisions": {**DECISIONS, "T0": "0.6626"}}),
+        (SENSITIVITY, {"sensitivity": {"levels": 5}}),
+        (SENSITIVITY, {"sensitivity": {"levels": [-20, "0", 20]}}),
+        (SENSITIVITY, {"sensitivity": {"reoptimize": "no"}}),
+        (SENSITIVITY, {"sensitivity": {"reoptimize": 0}}),
+        (["anfis"], {"anfis": {**ANFIS, "learning_rate": [1]}}),
+        (["anfis"], {"anfis": {**ANFIS, "learning_rate": True}}),
     ], ids=["seed_float", "seed_bool", "n1_float", "n1_bool", "epochs_float",
             "n_points_null", "decisions_list", "optimizer_list",
             "sensitivity_list", "policy_list", "parameters_list",
             "out_dir_number", "range1_strings", "range1_short",
             "target_string", "target_empty_decisions", "decision_bool",
-            "decision_string"])
+            "decision_string", "levels_number", "levels_string",
+            "reoptimize_string", "reoptimize_number", "learning_rate_list",
+            "learning_rate_bool"])
     def test_malformed_config_value_is_usage_error(self, capsys, tmp_path,
                                                    command, change):
         path = tmp_path / "c.json"
