@@ -9,10 +9,6 @@ from .model import (
     base_profits,
     compute_breakdown,
     compute_schedule,
-    deterioration_rates,
-    effective_rates,
-    manufacturer_schedule,
-    retailer_schedule,
 )
 from .params import ModelParameters, ParameterError
 from .policy import (
@@ -29,7 +25,5 @@ __all__ = [
     "CostBreakdown", "CycleSchedule", "DecisionVector", "DomainError",
     "GreenReduction", "ModelParameters", "ParameterError", "PolicyObjective",
     "ProfitResult", "base_profits", "compute_breakdown", "compute_schedule",
-    "deterioration_rates", "effective_rates", "evaluate_policy",
-    "green_reduction", "make_batch_objective", "manufacturer_schedule",
-    "retailer_schedule",
+    "evaluate_policy", "green_reduction", "make_batch_objective",
 ]

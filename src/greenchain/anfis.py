@@ -225,6 +225,8 @@ def train_hybrid(model: AnfisModel, x, y, epochs: int = 100,
     y = np.asarray(y, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty training set")
+    if not learning_rate > 0.0:
+        raise ValueError(f"learning rate must be positive, got {learning_rate!r}")
     width = model.domain[1] - model.domain[0]
     lr = learning_rate
 

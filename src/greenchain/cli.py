@@ -31,12 +31,12 @@ import numpy as np
 from .anfis import generate_dataset, grid_partition, train_hybrid
 from .model import (DECISION_NAMES, DecisionVector, DomainError, base_profits,
                     compute_breakdown, compute_schedule)
-from .optimize import (OptimizerConfig, default_search_space, multi_seed_run,
-                       multi_seed_stats)
+from .optimize import (ALGORITHMS, OptimizerConfig, default_search_space,
+                       multi_seed_run, multi_seed_stats)
 from .params import ModelParameters, ParameterError, to_real
 from .policy import POLICY_IDS, evaluate_policy, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
-                          SWEEP_CSV_COLUMNS, SweepSpec,
+                          DEFAULT_LEVELS, SWEEP_CSV_COLUMNS, SweepSpec,
                           calibrate_missing_defaults, direction_report,
                           run_sweep, sweep_table)
 
@@ -122,7 +122,8 @@ def _load_parameters(config: dict, policy: str | None) -> ModelParameters:
 
 
 def _policy(args, config) -> str:
-    policy = args.policy or config.get("policy") or "tax"
+    policy = args.policy or config.get("policy")
+    policy = "tax" if policy is None else policy   # only null counts as absent
     if policy not in POLICY_IDS:
         raise UsageError(f"unknown policy {policy!r}")
     return policy
@@ -136,7 +137,7 @@ def _count(value, name: str) -> int:
 
 
 def _range(value, name: str) -> tuple[float, float]:
-    """A [low, high] pair of real numbers with low < high."""
+    """A [low, high] pair of finite real numbers with low < high."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise UsageError(f"{name} needs two numbers [low, high], got {value!r}")
     low, high = (to_real(v, name) for v in value)
@@ -169,14 +170,7 @@ def _decisions(config: dict, section: dict | None, args=None) -> DecisionVector:
             flag = getattr(args, name, None)
             if flag is not None:
                 doc[name] = flag
-    _require_all_decisions(doc)
     return DecisionVector.from_dict(doc)
-
-
-def _require_all_decisions(doc: dict) -> None:
-    missing = [k for k in DECISION_NAMES if k not in doc]
-    if missing:
-        raise UsageError("missing decision components: " + ", ".join(missing))
 
 
 def _optimizer_config(args, config, seed: int) -> OptimizerConfig:
@@ -279,7 +273,7 @@ def cmd_sensitivity(args, config) -> int:
     parameter = args.param or section.get("parameter")
     if not parameter:
         raise UsageError("sensitivity needs a parameter (--param or config)")
-    levels = section.get("levels", [-40.0, -20.0, 0.0, 20.0, 40.0])
+    levels = section.get("levels", list(DEFAULT_LEVELS))
     if args.levels:
         levels = [float(v) for v in args.levels.split(",")]
     if not isinstance(levels, list):
@@ -428,7 +422,6 @@ def cmd_calibrate(args, config) -> int:
         if not isinstance(doc, dict) or not isinstance(doc.get("decisions"), dict):
             raise UsageError("calibrate target must be a JSON object with a "
                              "'decisions' object")
-        _require_all_decisions(doc["decisions"])
         target = CalibrationTarget(
             decisions=DecisionVector.from_dict(doc["decisions"]),
             **{k: to_real(doc.get(k), f"calibrate target {k}")
@@ -462,24 +455,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", choices=sorted(POLICY_IDS))
     parser.add_argument("--seed", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The optimizer flags of every subcommand that runs the optimizers.
+    optimizer_flags = argparse.ArgumentParser(add_help=False)
+    optimizer_flags.add_argument("--algo", choices=ALGORITHMS)
+    optimizer_flags.add_argument("--pop", type=int)
+    optimizer_flags.add_argument("--iters", type=int)
 
     p_eval = sub.add_parser("evaluate", help="evaluate one decision vector")
     for name in DECISION_NAMES:
         p_eval.add_argument(f"--{name}", type=float, dest=name)
 
-    p_opt = sub.add_parser("optimize", help="run DE or PSO on a policy")
-    p_opt.add_argument("--algo", choices=["de1", "de2", "pso"])
-    p_opt.add_argument("--pop", type=int)
-    p_opt.add_argument("--iters", type=int)
+    p_opt = sub.add_parser("optimize", parents=[optimizer_flags],
+                           help="run DE or PSO on a policy")
     p_opt.add_argument("--seeds", type=int, help="number of seeds (statistics)")
 
-    p_sens = sub.add_parser("sensitivity", help="one-at-a-time parameter sweep")
+    p_sens = sub.add_parser("sensitivity", parents=[optimizer_flags],
+                            help="one-at-a-time parameter sweep")
     p_sens.add_argument("--param")
     p_sens.add_argument("--levels", help="comma-separated percents, e.g. --levels=-40,-20,0,20,40")
     p_sens.add_argument("--no-reoptimize", action="store_true")
-    p_sens.add_argument("--algo", choices=["de1", "de2", "pso"])
-    p_sens.add_argument("--pop", type=int)
-    p_sens.add_argument("--iters", type=int)
 
     p_anfis = sub.add_parser("anfis", help="train the neuro-fuzzy surrogate")
     p_anfis.add_argument("--variable", choices=DECISION_NAMES)
@@ -494,12 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_surf.add_argument("--n1", type=int)
     p_surf.add_argument("--n2", type=int)
 
-    p_cal = sub.add_parser("calibrate", help="fit the unpublished constants")
+    p_cal = sub.add_parser("calibrate", parents=[optimizer_flags],
+                           help="fit the unpublished constants")
     p_cal.add_argument("--check-directions", action="store_true",
                        help="also run the sweep sign checks (slow)")
-    p_cal.add_argument("--algo", choices=["de1", "de2", "pso"])
-    p_cal.add_argument("--pop", type=int)
-    p_cal.add_argument("--iters", type=int)
     return parser
 
 

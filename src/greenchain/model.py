@@ -1,9 +1,11 @@
-"""Cycle schedules, inventory trajectories, cost breakdowns and base profits.
+"""Decision vector, term views and domain errors over the scalar kernel.
 
-This is the readable layer over :mod:`greenchain.kernels`: it validates
-decision vectors, raises typed domain errors, and assembles the full
-per-component breakdown that the CLI and reports expose.  Optimizer inner
-loops bypass it and call the batch kernels directly.
+This is the readable layer over :mod:`greenchain.kernels`: it reads
+decision vectors, raises a typed error with the kernel's status for every
+input that ``kernels.evaluate_terms`` rejects (the only statement of the
+model's domain), and views the term vector as the schedule, cost
+breakdown and base profits that the CLI and reports expose.  The per-step
+formulas live in the kernels; optimizer inner loops call the batch twin.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, fields, make_dataclass
 import numpy as np
 
 from . import kernels as K
-from .params import ModelParameters, to_real
+from .params import ModelParameters, ParameterError, to_real
 
 
 class DomainError(ValueError):
@@ -49,7 +51,10 @@ class DecisionVector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionVector":
-        # Values follow the parameter rule: real numbers, not bools or strings.
+        missing = [k for k in DECISION_NAMES if k not in doc]
+        if missing:
+            raise ParameterError("missing decision components: " + ", ".join(missing))
+        # Values follow the parameter rule: finite reals, not bools or strings.
         return cls(**{k: to_real(doc[k], k) for k in DECISION_NAMES})
 
 
@@ -82,68 +87,6 @@ CostBreakdown = _term_dataclass(
 ProfitResult = _term_dataclass(
     "ProfitResult", "Per-cycle-averaged profits before any carbon policy.",
     K.TERM_NAMES[K.T_PHI_M:K.T_PHI_T + 1])
-
-
-def effective_rates(params: ModelParameters) -> tuple[float, float]:
-    """Perfect and defective effective production rates (sum to P)."""
-    return K.effective_rates(params.P, params.f_d, params.beta1, params.beta2)
-
-
-def deterioration_rates(params: ModelParameters, xi1: float, xi2: float
-                        ) -> tuple[float, float]:
-    """Effective deterioration rates under preservation investments."""
-    if xi1 < 0 or xi2 < 0:
-        raise DomainError(K.ERR_BAD_INVESTMENT)
-    return (K.preserved_rate(params.theta1, params.v1, xi1),
-            K.preserved_rate(params.theta2, params.v2, xi2))
-
-
-def manufacturer_schedule(params: ModelParameters, T0: float, theta_m: float
-                          ) -> tuple[float, float, float]:
-    """(T1, T2, Q_m) for a production run of length T0."""
-    if not T0 > 0:
-        raise DomainError(K.ERR_BAD_T0)
-    P_e, P_de = effective_rates(params)
-    return K.manufacturer_cycle(params.P, P_e, P_de, params.P_r,
-                                params.D_r, theta_m, T0)
-
-
-def manufacturer_inventory(t: float, params: ModelParameters, T0: float,
-                           theta_m: float) -> float:
-    """Perfect-stock level I(t), 0 <= t <= T2."""
-    P_e, P_de = effective_rates(params)
-    T1, T2, Q_m = manufacturer_schedule(params, T0, theta_m)
-    if not 0.0 <= t <= T2:
-        raise ValueError(f"t={t} outside [0, T2={T2}]")
-    return K.manufacturer_stock(t, P_e, params.P_r, params.D_r, Q_m,
-                                theta_m, T0, T1, T2)
-
-
-def defective_inventory(t: float, params: ModelParameters, T0: float,
-                        theta_m: float) -> float:
-    """Defective-stock level I_d(t), 0 <= t <= T1."""
-    P_e, P_de = effective_rates(params)
-    T1, _, _ = manufacturer_schedule(params, T0, theta_m)
-    if not 0.0 <= t <= T1:
-        raise ValueError(f"t={t} outside [0, T1={T1}]")
-    return K.defective_stock(t, P_de, params.P_r, theta_m, T0, T1)
-
-
-def retailer_schedule(params: ModelParameters, W_r: float, T1: float,
-                      T2: float, theta_r: float):
-    """(s, T11, Q_r, T3, B1, B2) for the retailer cycle."""
-    fW = params.a - params.b * W_r
-    if fW < 0:
-        raise DomainError(K.ERR_NEGATIVE_DEMAND)
-    if fW == 0.0:
-        raise DomainError(K.ERR_ZERO_DEMAND)
-    B2 = params.D_r - fW
-    s = fW * T1
-    if not B2 > 0:
-        raise DomainError(K.ERR_NET_REPLENISHMENT)
-    if not B2 - s * params.eta > 0:
-        raise DomainError(K.ERR_BACKLOG)
-    return K.retailer_cycle(fW, params.D_r, params.eta, theta_r, T1, T2)
 
 
 def _terms_or_raise(p: np.ndarray, decisions: DecisionVector) -> np.ndarray:

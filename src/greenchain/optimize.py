@@ -38,9 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DECISION_NAMES, DecisionVector
+# DECISION_NAMES stays importable from here for callers of the optimizers.
+from .model import DECISION_NAMES, DecisionVector  # noqa: F401
 from .params import ModelParameters
 
+#: The optimizer names `OptimizerConfig.algorithm` accepts.
+ALGORITHMS = ("de1", "de2", "pso")
 DE_DEFAULT_ITERS = 100
 PSO_DEFAULT_ITERS = 300
 
@@ -51,7 +54,6 @@ class SearchSpace:
 
     lower: np.ndarray
     upper: np.ndarray
-    names: tuple = DECISION_NAMES
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=np.float64)
@@ -93,7 +95,7 @@ class OptimizerConfig:
     PSO uses c1 = c2 = 2, inertia 0.7, 50 particles, 300 iterations.
     """
 
-    algorithm: str = "pso"            # "de1" | "de2" | "pso"
+    algorithm: str = "pso"            # one of ALGORITHMS
     seed: int | None = None           # mandatory: no wall-clock seeding
     pop_size: int = 50
     max_iter: int | None = None       # None: 100 for DE, 300 for PSO
@@ -111,7 +113,7 @@ class OptimizerConfig:
         return PSO_DEFAULT_ITERS if self.algorithm == "pso" else DE_DEFAULT_ITERS
 
     def validate(self) -> None:
-        if self.algorithm not in ("de1", "de2", "pso"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.seed is None:
             raise ValueError("seed is mandatory for optimizer runs")

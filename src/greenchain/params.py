@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import warnings
 
@@ -63,13 +64,16 @@ def _is_real(value) -> bool:
 
 
 def to_real(value, name: str) -> float:
-    """`value` as a float; bools, strings and ints beyond a float are refused."""
+    """`value` as a finite float; bools, strings, NaN, ±inf and huge ints are refused."""
     if _is_real(value):
         try:
-            return float(value)
+            real = float(value)
         except OverflowError:
             pass
-    raise ParameterError(f"{name} must be a real number, got {value!r}")
+        else:
+            if math.isfinite(real):
+                return real
+    raise ParameterError(f"{name} must be a finite real number, got {value!r}")
 
 
 class _ParameterSet:

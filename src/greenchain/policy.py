@@ -64,7 +64,7 @@ class PolicyObjective:
 
 
 def green_reduction(G: float, params: ModelParameters) -> GreenReduction:
-    if G < 0:
+    if not G >= 0.0:  # the kernel's test: NaN is refused too
         raise DomainError(K.ERR_BAD_INVESTMENT)
     rho_m, rho_r, rho_G = K.green_reduction_terms(
         G, params.omega, params.l1, params.l2, params.kappa1,

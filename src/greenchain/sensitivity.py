@@ -24,7 +24,7 @@ from .kernels import PARAM_ORDER
 from .model import DecisionVector, DomainError
 # `run` is not called here; it stays importable from this module for
 # callers that wrap it by attribute.
-from .optimize import (OptimizerConfig, SearchSpace, default_search_space, run,  # noqa: F401
+from .optimize import (OptimizerConfig, default_search_space, run,  # noqa: F401
                        run_many)
 from .params import ModelParameters, ParameterError, TABLE_DEFAULTS
 from .policy import evaluate_policy, make_batch_objective
@@ -51,7 +51,6 @@ class SweepSpec:
         default_factory=lambda: OptimizerConfig(algorithm="pso", seed=0))
     reoptimize: bool = True
     decisions: DecisionVector | None = None   # required when reoptimize=False
-    space: SearchSpace | None = None
 
     def validate(self) -> None:
         if self.parameter not in PARAM_ORDER:
@@ -133,7 +132,7 @@ def _run_sweeps(specs: list[SweepSpec], params: ModelParameters) -> list[list[Sw
     results = {}
     if pending:
         found = run_many(
-            [specs[i].space or default_search_space(lp) for i, _, lp in pending],
+            [default_search_space(lp) for _, _, lp in pending],
             [specs[i].optimizer for i, _, _ in pending],
             make_batch_objective([lp for _, _, lp in pending], specs[0].policy))
         results = {(i, j): result for (i, j, _), result in zip(pending, found)}
@@ -290,8 +289,14 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     the fixed target decisions plus lightly weighted stationarity anchors
     (see _stationarity_residuals).  Never silently succeeds: the result
     carries the residual (profit errors only), a pass/fail verdict at
-    `tolerance`, and per-coordinate identifiability flags.
+    `tolerance`, and per-coordinate identifiability flags.  A zero or
+    non-finite target profit has no relative error and is refused.
     """
+    unusable = [name for name in ("Z_m", "Z_r", "phi_T")
+                if not 0.0 < abs(getattr(target, name)) < math.inf]
+    if unusable:
+        raise ValueError("calibration target profits must be finite and "
+                         "nonzero: " + ", ".join(unusable))
     # scipy is loaded here, not at import: nothing else in the package
     # needs it, and it is most of the start-up time.
     from scipy import optimize as sciopt

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,8 @@ SENSITIVITY = ["sensitivity", "--param", "v1", "--iters", "1"]
 SURFACE = {"variables": ["T0", "xi1"], "range1": [0.2, 0.8],
            "range2": [0.0, 10.0], "n1": 2, "n2": 2}
 ANFIS = {"range": [0.2, 1.0], "n_points": 12, "epochs": 1}
+CALIBRATION_TARGET = {"decisions": DECISIONS, "Z_m": 6493.11, "Z_r": 60302.21,
+                      "phi_T": 66795.32}
 
 
 @pytest.fixture
@@ -470,6 +473,19 @@ class TestConfigValidation:
         (SENSITIVITY, {"sensitivity": {"reoptimize": 0}}),
         (["anfis"], {"anfis": {**ANFIS, "learning_rate": [1]}}),
         (["anfis"], {"anfis": {**ANFIS, "learning_rate": True}}),
+        (["surface"], {"surface": {**SURFACE, "range1": [0.2, math.inf]}}),
+        (["surface"], {"surface": {**SURFACE, "range1": [-math.inf, math.inf]}}),
+        (SENSITIVITY + ["--no-reoptimize", "--levels=nan,0"], {}),
+        (["anfis"], {"anfis": {**ANFIS, "learning_rate": -5}}),
+        (["anfis"], {"anfis": {**ANFIS, "learning_rate": 0}}),
+        (["evaluate", "--G", "inf"], {}),
+        (["evaluate", "--xi1", "inf"], {}),
+        (["calibrate"], {"calibrate": {"target": {**CALIBRATION_TARGET, "Z_m": 0}}}),
+        (["calibrate"], {"calibrate": {"target": {**CALIBRATION_TARGET,
+                                                  "Z_m": math.nan}}}),
+        (["calibrate"], {"calibrate": {"target": {**CALIBRATION_TARGET,
+                                                  "Z_m": math.inf}}}),
+        (["evaluate"], {"policy": ""}),
     ], ids=["seed_float", "seed_bool", "n1_float", "n1_bool", "epochs_float",
             "n_points_null", "decisions_list", "optimizer_list",
             "sensitivity_list", "policy_list", "parameters_list",
@@ -477,7 +493,10 @@ class TestConfigValidation:
             "target_string", "target_empty_decisions", "decision_bool",
             "decision_string", "levels_number", "levels_string",
             "reoptimize_string", "reoptimize_number", "learning_rate_list",
-            "learning_rate_bool"])
+            "learning_rate_bool", "range1_infinite", "range1_both_infinite",
+            "levels_flag_nan", "learning_rate_negative", "learning_rate_zero",
+            "G_flag_inf", "xi1_flag_inf", "target_zero",
+            "target_nan", "target_inf", "policy_empty"])
     def test_malformed_config_value_is_usage_error(self, capsys, tmp_path,
                                                    command, change):
         path = tmp_path / "c.json"

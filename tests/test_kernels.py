@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenchain import DecisionVector, ModelParameters, evaluate_policy
+from greenchain import (DecisionVector, DomainError, ModelParameters,
+                        compute_schedule, evaluate_policy)
 from greenchain import kernels as K
 from greenchain.params import TABLE_DEFAULTS
 from greenchain.policy import POLICY_IDS, make_batch_objective
@@ -131,12 +134,17 @@ PARAMETER_DRAWS.update(
     C_Tax=st.floats(0.0, 10.0), C_CT=st.floats(0.0, 10.0))
 
 
+#: Values that replace one decision component in some rows.
+ODD_VALUES = (math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0)
+
+
 @st.composite
 def parameters_and_decisions(draw):
-    """A full parameter vector and 1-6 decision rows around both boundaries."""
+    """A parameter set and 1-6 decision rows around both boundaries; some
+    rows carry one odd component or W_r exactly at a/b."""
     v = {name: draw(strategy) for name, strategy in PARAMETER_DRAWS.items()}
     v["P"] *= v["P_r"]
-    p = ModelParameters(**v).as_array()
+    params = ModelParameters(**v)
     P_e, P_de = K.effective_rates(v["P"], v["f_d"], v["beta1"], v["beta2"])
     rows = []
     for _ in range(draw(st.integers(1, 6))):
@@ -150,18 +158,40 @@ def parameters_and_decisions(draw):
         # The backlog clears while B2 > s eta, i.e. f(W_r) (1 + T1 eta) < D_r;
         # a share below 0 gives no demand at all.
         fW = draw(st.floats(-0.1, 1.5)) * v["D_r"] / (1.0 + T1 * v["eta"])
-        rows.append((T0, xi1, draw(st.floats(0.0, 500.0)),
-                     draw(st.floats(0.0, 50.0)), (v["a"] - fW) / v["b"]))
-    return p, np.array(rows)
+        row = [T0, xi1, draw(st.floats(0.0, 500.0)),
+               draw(st.floats(0.0, 50.0)), (v["a"] - fW) / v["b"]]
+        odd = draw(st.sampled_from(("none", "component", "price cap")))
+        if odd == "component":
+            row[draw(st.integers(0, 4))] = draw(st.sampled_from(ODD_VALUES))
+        elif odd == "price cap":
+            row[4] = v["a"] / v["b"]
+        rows.append(row)
+    return params, np.array(rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=parameters_and_decisions())
 def test_scalar_kernel_matches_twin_over_whole_table(case):
-    p, X = case
+    params, X = case
+    p = params.as_array()
+    # Both kernels admit an infinite investment; its value is not a number
+    # to compare, so values are compared on the finite rows only.
+    finite = np.isfinite(X).all(axis=1)
     for pid in POLICY_IDS.values():
         values, violations, ok = evaluate_policy_batch(pid, X, p)
         twin_values, twin_violations, twin_ok = K.evaluate_policy_batch_numpy(pid, X, p)
         assert np.array_equal(ok, twin_ok)
+        ok &= finite
         np.testing.assert_allclose(values[ok], twin_values[ok], rtol=1e-9)
         np.testing.assert_allclose(violations[ok], twin_violations[ok], rtol=1e-9)
+    # The model layer refuses exactly the rows the scalar kernel does, with
+    # the kernel's status.
+    out = np.empty(K.N_TERMS)
+    for row in X:
+        status = K.evaluate_terms(*row, p, out)
+        if status == K.OK:
+            compute_schedule(params, DecisionVector.from_array(row))
+        else:
+            with pytest.raises(DomainError) as info:
+                compute_schedule(params, DecisionVector.from_array(row))
+            assert info.value.status == status

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenchain import (DecisionVector, DomainError,
-                        ModelParameters, ParameterError, base_profits,
-                        compute_breakdown, compute_schedule,
-                        deterioration_rates, effective_rates,
-                        manufacturer_schedule, retailer_schedule)
+from greenchain import (DecisionVector, DomainError, ParameterError,
+                        base_profits, compute_breakdown, compute_schedule)
 from greenchain import kernels as K
-from greenchain import model
 from conftest import sample_admissible
 from oracles import bisect, rk4_path, simpson
 
@@ -32,20 +28,61 @@ QR_REF = 234.83735834472495
 T3_REF = 11.199602381745592
 
 
+def _rates(p):
+    return K.effective_rates(p.P, p.f_d, p.beta1, p.beta2)
+
+
+def _manufacturer_cycle(p, T0, theta_m):
+    """(T1, T2, Q_m) of a production run of length T0."""
+    P_e, P_de = _rates(p)
+    return K.manufacturer_cycle(p.P, P_e, P_de, p.P_r, p.D_r, theta_m, T0)
+
+
+def _manufacturer_stock(t, p, T0, theta_m):
+    """Perfect-stock level I(t), 0 <= t <= T2."""
+    P_e, _ = _rates(p)
+    T1, T2, Q_m = _manufacturer_cycle(p, T0, theta_m)
+    return K.manufacturer_stock(t, P_e, p.P_r, p.D_r, Q_m, theta_m, T0, T1, T2)
+
+
+def _defective_stock(t, p, T0, theta_m):
+    """Defective-stock level I_d(t), 0 <= t <= T1."""
+    _, P_de = _rates(p)
+    T1, _, _ = _manufacturer_cycle(p, T0, theta_m)
+    return K.defective_stock(t, P_de, p.P_r, theta_m, T0, T1)
+
+
+def _retailer_cycle(p, W_r, T1, T2, theta_r):
+    """(s, T11, Q_r, T3, B1, B2) of the retailer cycle."""
+    return K.retailer_cycle(p.a - p.b * W_r, p.D_r, p.eta, theta_r, T1, T2)
+
+
+def _rejection(params, match=None, **changes):
+    """The DomainError compute_schedule raises for the reference decisions
+    with `changes` applied; its status must be the scalar kernel's."""
+    dec = DecisionVector(**{**_reference_decisions().to_dict(), **changes})
+    with pytest.raises(DomainError, match=match) as info:
+        compute_schedule(params, dec)
+    out = np.empty(K.N_TERMS)
+    assert info.value.status == K.evaluate_terms(
+        dec.T0, dec.xi1, dec.xi2, dec.G, dec.W_r, params.as_array(), out)
+    return info.value
+
+
 class TestEffectiveRates:
     def test_defaults(self, params):
-        P_e, P_de = effective_rates(params)
+        P_e, P_de = _rates(params)
         assert P_e == pytest.approx(6862.5, abs=1e-12)
         assert P_de == pytest.approx(637.5, abs=1e-12)
 
     def test_no_inspection_errors(self, params):
         p = params.replace(beta1=0.0, beta2=0.0)
-        P_e, P_de = effective_rates(p)
+        P_e, P_de = _rates(p)
         assert P_e == pytest.approx(7125.0) and P_de == pytest.approx(375.0)
 
     def test_perfect_production(self, params):
         p = params.replace(f_d=0.0, beta1=0.0)
-        P_e, P_de = effective_rates(p)
+        P_e, P_de = _rates(p)
         assert P_e == p.P and P_de == 0.0
 
     @given(f_d=st.floats(0, 0.99), b1=st.floats(0, 1), b2=st.floats(0, 1),
@@ -57,28 +94,29 @@ class TestEffectiveRates:
 
 class TestDeteriorationRates:
     def test_zero_investment(self, params):
-        theta_m, theta_r = deterioration_rates(params, 0.0, 0.0)
+        theta_m = K.preserved_rate(params.theta1, params.v1, 0.0)
+        theta_r = K.preserved_rate(params.theta2, params.v2, 0.0)
         assert theta_m == params.theta1 == 0.15
         assert theta_r == params.theta2 == 0.1
 
     def test_reference_point(self, params):
-        theta_m, _ = deterioration_rates(params, 167.8651, 0.0)
+        theta_m = K.preserved_rate(params.theta1, params.v1, 167.8651)
         assert theta_m == pytest.approx(3.3958377145909984e-05, rel=1e-12)
 
     def test_monotone_decreasing(self, params):
         xis = np.linspace(0, 400, 30)
-        rates = [deterioration_rates(params, x, 0.0)[0] for x in xis]
+        rates = [K.preserved_rate(params.theta1, params.v1, x) for x in xis]
         assert all(b < a for a, b in zip(rates, rates[1:]))
         assert rates[-1] > 0.0
 
     def test_negative_investment_rejected(self, params):
-        with pytest.raises(DomainError):
-            deterioration_rates(params, -1.0, 0.0)
+        error = _rejection(params, xi1=-1.0)
+        assert error.status == K.ERR_BAD_INVESTMENT
 
 
 class TestManufacturerSchedule:
     def test_reference_cycle_matches_ode_oracle(self, params):
-        T1, T2, Q_m = manufacturer_schedule(params, T0_REF, THETA_REF)
+        T1, T2, Q_m = _manufacturer_cycle(params, T0_REF, THETA_REF)
         assert T1 == pytest.approx(T1_REF, rel=1e-6)
         assert Q_m == pytest.approx(QM_REF, rel=1e-6)
         assert T2 == pytest.approx(T2_REF, rel=1e-6)
@@ -86,38 +124,38 @@ class TestManufacturerSchedule:
 
     def test_no_defectives_no_rework_phase(self, params):
         p = params.replace(f_d=0.0, beta1=0.0)
-        T1, T2, Q_m = manufacturer_schedule(p, 0.5, 0.1)
+        T1, T2, Q_m = _manufacturer_cycle(p, 0.5, 0.1)
         assert T1 == 0.5
 
     def test_zero_rate_limit(self, params):
-        T1a, T2a, Qa = manufacturer_schedule(params, 0.5, 1e-12)
-        P_e, P_de = effective_rates(params)
+        T1a, T2a, Qa = _manufacturer_cycle(params, 0.5, 1e-12)
+        P_e, P_de = _rates(params)
         assert T1a == pytest.approx(0.5 * (1 + P_de / params.P_r), rel=1e-12)
         assert Qa == pytest.approx(params.P * 0.5, rel=1e-12)
         assert T2a - T1a == pytest.approx(Qa / params.D_r, rel=1e-12)
         # continuity across the floor
-        T1b, T2b, Qb = manufacturer_schedule(params, 0.5, 2e-10)
+        T1b, T2b, Qb = _manufacturer_cycle(params, 0.5, 2e-10)
         assert T2b == pytest.approx(T2a, rel=1e-7)
 
     def test_bad_t0_rejected(self, params):
-        with pytest.raises(DomainError, match="production time"):
-            manufacturer_schedule(params, 0.0, 0.1)
+        error = _rejection(params, match="production time", T0=0.0)
+        assert error.status == K.ERR_BAD_T0
 
 
 class TestInventoryTrajectories:
     def test_initial_and_terminal_conditions(self, params):
-        T1, T2, Q_m = manufacturer_schedule(params, T0_REF, THETA_REF)
+        T1, T2, Q_m = _manufacturer_cycle(params, T0_REF, THETA_REF)
         scale = Q_m
-        assert model.manufacturer_inventory(0.0, params, T0_REF, THETA_REF) == 0.0
-        assert abs(model.manufacturer_inventory(T2, params, T0_REF, THETA_REF)) \
+        assert _manufacturer_stock(0.0, params, T0_REF, THETA_REF) == 0.0
+        assert abs(_manufacturer_stock(T2, params, T0_REF, THETA_REF)) \
             <= 1e-9 * scale
-        assert model.defective_inventory(0.0, params, T0_REF, THETA_REF) == 0.0
-        assert abs(model.defective_inventory(T1, params, T0_REF, THETA_REF)) \
+        assert _defective_stock(0.0, params, T0_REF, THETA_REF) == 0.0
+        assert abs(_defective_stock(T1, params, T0_REF, THETA_REF)) \
             <= 1e-9 * scale
 
     def test_branch_agreement_at_phase_changes(self, params):
-        P_e, P_de = effective_rates(params)
-        T1, T2, Q_m = manufacturer_schedule(params, T0_REF, THETA_REF)
+        P_e, P_de = _rates(params)
+        T1, T2, Q_m = _manufacturer_cycle(params, T0_REF, THETA_REF)
         b1 = K.manufacturer_stock(T0_REF, P_e, params.P_r, params.D_r, Q_m,
                                   THETA_REF, T0_REF, T1, T2)
         b2 = K.manufacturer_stock(T0_REF + 1e-15, P_e, params.P_r, params.D_r,
@@ -132,8 +170,8 @@ class TestInventoryTrajectories:
         assert c2 == pytest.approx(Q_m, rel=1e-9)
 
     def test_matches_rk4_on_reference_cycle(self, params):
-        P_e, P_de = effective_rates(params)
-        T1, T2, Q_m = manufacturer_schedule(params, T0_REF, THETA_REF)
+        P_e, P_de = _rates(params)
+        T1, T2, Q_m = _manufacturer_cycle(params, T0_REF, THETA_REF)
         segments = [
             (0.0, T0_REF, 0.0, lambda t, y: P_e - THETA_REF * y),
             (T0_REF, T1, I_T0_REF, lambda t, y: params.P_r - THETA_REF * y),
@@ -142,19 +180,15 @@ class TestInventoryTrajectories:
         for t_from, t_to, y0, rhs in segments:
             ts, ys = rk4_path(rhs, t_from, y0, t_to, 2000)
             closed = np.array([
-                model.manufacturer_inventory(float(t), params, T0_REF, THETA_REF)
+                _manufacturer_stock(float(t), params, T0_REF, THETA_REF)
                 for t in ts[::40]])
             scale = max(np.abs(ys).max(), 1.0)
             assert np.max(np.abs(closed - ys[::40, ...])) <= 1e-6 * scale
 
-    def test_out_of_domain_rejected(self, params):
-        with pytest.raises(ValueError, match="outside"):
-            model.manufacturer_inventory(100.0, params, T0_REF, THETA_REF)
-
 
 class TestRetailerSchedule:
     def test_reference_cycle(self, params):
-        s, T11, Q_r, T3, B1, B2 = retailer_schedule(
+        s, T11, Q_r, T3, B1, B2 = _retailer_cycle(
             params, 292.28, 0.8215, 7.523, 0.1)
         assert s == pytest.approx(S_REF, rel=1e-9)
         assert T11 == pytest.approx(T11_REF, rel=1e-9)
@@ -164,23 +198,22 @@ class TestRetailerSchedule:
         assert B2 == pytest.approx(params.D_r - (params.a - params.b * 292.28))
 
     def test_zero_demand_boundary(self, params):
-        with pytest.raises(DomainError) as info:
-            retailer_schedule(params, params.a / params.b, 0.8, 7.5, 0.1)
-        assert info.value.status == K.ERR_ZERO_DEMAND
+        error = _rejection(params, W_r=params.a / params.b)
+        assert error.status == K.ERR_ZERO_DEMAND
 
     def test_negative_demand_rejected(self, params):
-        with pytest.raises(DomainError, match="negative demand"):
-            retailer_schedule(params, params.a / params.b + 1.0, 0.8, 7.5, 0.1)
+        error = _rejection(params, match="negative demand",
+                           W_r=params.a / params.b + 1.0)
+        assert error.status == K.ERR_NEGATIVE_DEMAND
 
     def test_backlog_never_clears(self, params):
-        p = params.replace(D_r=31.0)
-        with pytest.raises(DomainError, match="backlog never clears"):
-            retailer_schedule(p, 80.0, 0.9, 7.5, 0.1)
+        error = _rejection(params.replace(D_r=31.0), match="backlog never clears",
+                           T0=0.9, xi1=0.0, xi2=0.0, G=1.0, W_r=80.0)
+        assert error.status == K.ERR_BACKLOG
 
     def test_small_eta_limit(self, params):
         p = params.replace(eta=1e-9)
-        fW = p.a - p.b * 292.28
-        s, T11, _, _, _, B2 = retailer_schedule(p, 292.28, 0.8215, 7.523, 0.1)
+        s, T11, _, _, _, B2 = _retailer_cycle(p, 292.28, 0.8215, 7.523, 0.1)
         assert T11 == pytest.approx(0.8215 - s / B2, rel=1e-6)
 
     def test_backlog_clearing_may_precede_replenishment(self, params):
@@ -190,7 +223,7 @@ class TestRetailerSchedule:
 
     def test_retailer_boundary_values(self, params):
         fW = params.a - params.b * 292.28
-        s, T11, Q_r, T3, B1, B2 = retailer_schedule(
+        s, T11, Q_r, T3, B1, B2 = _retailer_cycle(
             params, 292.28, 0.8215, 7.523, 0.1)
         # the backlog-recovery branch (anchored at I(T1) = s) crosses zero
         # at T11 even though T11 precedes T1; check the branch formula
@@ -231,7 +264,7 @@ class TestCosts:
         b = compute_breakdown(params, dec)
 
         def stock(ts):
-            return np.array([model.manufacturer_inventory(
+            return np.array([_manufacturer_stock(
                 float(t), params, dec.T0, schedule.theta_m) for t in ts])
 
         quad = (simpson(stock, 0.0, schedule.T1, 1500)
@@ -333,8 +366,8 @@ class TestMonotonicity:
         # with the preservation investment at fixed production time
         T2s = []
         for xi1 in (0.0, 50.0, 150.0, 400.0):
-            theta_m, _ = deterioration_rates(params, xi1, 0.0)
-            _, T2, _ = manufacturer_schedule(params, T0_REF, theta_m)
+            theta_m = K.preserved_rate(params.theta1, params.v1, xi1)
+            _, T2, _ = _manufacturer_cycle(params, T0_REF, theta_m)
             T2s.append(T2)
         assert all(b > a for a, b in zip(T2s, T2s[1:]))
 
@@ -352,8 +385,10 @@ def test_random_admissible_point_is_internally_consistent(seed):
     assert profits.phi_r == (1.0 - p.f_r) * profits.phi_r_raw
 
 
-@pytest.mark.parametrize("value", [True, "0.6626", None, 10**400],
-                         ids=["bool", "string", "null", "huge_int"])
+@pytest.mark.parametrize("value", [True, "0.6626", None, 10**400,
+                                   float("nan"), float("inf"), -np.inf],
+                         ids=["bool", "string", "null", "huge_int", "nan",
+                              "inf", "minus_inf"])
 def test_decision_from_dict_takes_only_real_numbers(value):
     doc = {"T0": T0_REF, "xi1": 0.0, "xi2": 0, "G": np.float64(1.0),
            "W_r": 292.28}
@@ -361,3 +396,9 @@ def test_decision_from_dict_takes_only_real_numbers(value):
         T0_REF, 0.0, 0.0, 1.0, 292.28]
     with pytest.raises(ParameterError, match="T0"):
         DecisionVector.from_dict({**doc, "T0": value})
+
+
+def test_decision_from_dict_names_every_missing_component():
+    with pytest.raises(ParameterError,
+                       match="^missing decision components: xi1, G$"):
+        DecisionVector.from_dict({"T0": T0_REF, "xi2": 0.0, "W_r": 292.28})
