@@ -22,6 +22,10 @@ Entries (one process, about 20 s on two cores):
   with a run that never does;
 - runs on an objective that rejects every row (no incumbent: ``x_best``
   falls back to the final population's first row, the history is -inf);
+- the NumPy batch twin itself on a seeded batch of finite rows: ordinary
+  rows, rows below THETA_FLOOR, refused rows and backlog rows, under each
+  policy with one parameter vector and with a per-row matrix (optimizer
+  runs may never reach the zero-deterioration limits);
 - ``run_sweep`` for all 14 parameters of the direction check;
 - one ``direction_report``;
 - the ``calibrate_missing_defaults`` triple;
@@ -132,6 +136,34 @@ def _optimizer_entries(gc) -> dict:
     return entries
 
 
+def _twin_entries(gc) -> dict:
+    from greenchain import kernels
+    from greenchain.policy import POLICY_IDS
+
+    params = gc.ModelParameters.from_dict(REFERENCE)
+    rng = np.random.default_rng(20)
+    n = 240
+    X = np.column_stack([rng.uniform(0.05, 2.0, n), rng.uniform(0.0, 500.0, n),
+                         rng.uniform(0.0, 500.0, n), rng.uniform(0.01, 50.0, n),
+                         rng.uniform(80.0, 300.0, n)])
+    kind = np.arange(n) % 8
+    X[kind == 1, 1] = rng.uniform(600.0, 2000.0, n // 8)    # theta_m below the floor
+    X[kind == 2, 0] = -0.5                                   # T0 <= 0
+    X[kind == 3, 2] = -1.0                                   # negative xi2
+    X[kind == 4, 3] = -0.0                                   # G = -0.0 is admitted
+    X[kind == 5, 4] = 330.0                                  # price past a/b
+    X[kind == 6, 0] = 30.0                                   # backlog never clears
+    X[kind == 6, 4] = rng.uniform(80.0, 100.0, n // 8)
+    vector = params.replace(v1=0.1).as_array()               # raised v1
+    per_row = vector[:, None] * rng.uniform(0.97, 1.03, (kernels.N_PARAMS, n))
+    entries = {}
+    for policy, pid in POLICY_IDS.items():
+        for layout, p in (("vector", vector), ("per_row", per_row)):
+            entries[f"twin/{policy}/{layout}"] = kernels.evaluate_policy_batch_numpy(
+                pid, X, p)
+    return entries
+
+
 def _sensitivity_entries(gc) -> dict:
     from greenchain.optimize import OptimizerConfig
     from greenchain.sensitivity import (EXPECTED_DECREASING, EXPECTED_INCREASING,
@@ -202,8 +234,8 @@ def record(src_dir: Path) -> dict:
         raise SystemExit(f"greenchain was imported from {origin}, not {src_dir}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        entries = {**_optimizer_entries(gc), **_sensitivity_entries(gc),
-                   **_cli_entries(gc)}
+        entries = {**_optimizer_entries(gc), **_twin_entries(gc),
+                   **_sensitivity_entries(gc), **_cli_entries(gc)}
     return {name: hexify(value) for name, value in entries.items()}
 
 

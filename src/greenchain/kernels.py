@@ -67,7 +67,7 @@ ERR_BACKLOG = 6
 STATUS_MESSAGES = {
     OK: "ok",
     ERR_BAD_T0: "nonpositive production time",
-    ERR_BAD_INVESTMENT: "negative preservation or green investment",
+    ERR_BAD_INVESTMENT: "negative or infinite preservation or green investment",
     ERR_NEGATIVE_DEMAND: "negative demand",
     ERR_ZERO_DEMAND: "zero demand (retailer cycle never ends)",
     ERR_NET_REPLENISHMENT: "nonpositive net replenishment rate",
@@ -251,7 +251,8 @@ def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
     """
     if not (T0 > 0.0):
         return ERR_BAD_T0
-    if not (xi1 >= 0.0 and xi2 >= 0.0 and G >= 0.0):
+    if not (0.0 <= xi1 < math.inf and 0.0 <= xi2 < math.inf
+            and 0.0 <= G < math.inf):
         return ERR_BAD_INVESTMENT
 
     P = p[P_P]
@@ -452,19 +453,18 @@ def policy_value_from_terms(policy_id, G, p, terms):
 
 
 def _np_phi1(x):
+    """phi1 elementwise; the caller holds the errstate scope."""
     small = np.abs(x) < 1e-4
-    xs = np.where(small, 0.0, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(small, 1.0, np.expm1(xs) / np.where(small, 1.0, xs))
+    xs = np.where(small, 1.0, x)
     series = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
-    return np.where(small, series, direct)
+    return np.where(small, series, np.expm1(xs) / xs)
 
 
 def _np_phi2(x):
+    """phi2 elementwise; the caller holds the errstate scope."""
     small = np.abs(x) < 1e-3
     xs = np.where(small, 1.0, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (np.expm1(xs) - xs) / (xs * xs)
+    direct = (np.expm1(xs) - xs) / (xs * xs)
     series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
     return np.where(small, series, direct)
 
@@ -475,6 +475,13 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
     Returns (values, violations, valid); invalid rows carry NaN.  `p` is one
     parameter vector, or an (N_PARAMS, n) matrix with one column per row.
     Written independently of the scalar kernels, which it is tested against.
+
+    At optimizer sizes (50-250 rows) the cost is the number of NumPy calls,
+    not the rows, so the body makes as few as it can: one errstate scope,
+    the phi2 arguments stacked into two calls, the zero-deterioration
+    limits only when some row is below THETA_FLOOR, and only the emission
+    reductions the policy reads.  Every expression keeps its association,
+    and each row's result does not depend on the other rows of the batch.
     """
     X = np.asarray(X, dtype=np.float64)
     T0 = X[:, 0]
@@ -490,118 +497,121 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
      C_s, f_r, E_p, E_t, E_h1, E_h2, E_hr, E_d1, E_d2, E_dr, d1_km, l1, l2,
      l3, l4, kappa1, kappa2, omega, U1, U2, C_Tax, C_CT) = p
 
-    fW = a - b * W_r
-    valid = (T0 > 0.0) & (xi1 >= 0.0) & (xi2 >= 0.0) & (G >= 0.0) & (fW > 0.0)
-
-    # Placeholders keep the arithmetic finite on rows already known invalid.
-    T0s = np.where(valid, T0, 1.0)
-    fWs = np.where(valid, fW, 1.0)
-
-    P_e = (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1
-    P_de = (1.0 - f_d) * P * beta1 + f_d * P - f_d * P * beta2
-    theta_m = theta1 * np.exp(-v1 * np.where(valid, xi1, 0.0))
-    theta_r = theta2 * np.exp(-v2 * np.where(valid, xi2, 0.0))
-
-    small = theta_m < THETA_FLOOR
-    th = np.where(small, 1.0, theta_m)
+    # Placeholders keep invalid rows away from the domain edges; one scope
+    # silences what is left of their NaN and division noise.
     with np.errstate(divide="ignore", invalid="ignore"):
+        fW = a - b * W_r
+        # Each investment in [0, inf): NaN propagates through np.minimum
+        # and np.maximum and fails both tests.
+        valid = (T0 > 0.0) & (fW > 0.0) \
+            & (np.minimum(np.minimum(xi1, xi2), G) >= 0.0) \
+            & (np.maximum(np.maximum(xi1, xi2), G) < np.inf)
+        T0s = np.where(valid, T0, 1.0)
+        fWs = np.where(valid, fW, 1.0)
+
+        P_e = (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1
+        P_de = (1.0 - f_d) * P * beta1 + f_d * P - f_d * P * beta2
+        theta_m = theta1 * np.exp(-v1 * np.where(valid, xi1, 0.0))
+        theta_r = theta2 * np.exp(-v2 * np.where(valid, xi2, 0.0))
+
+        small = theta_m < THETA_FLOOR
+        limits = small.any()
+        th = np.where(small, 1.0, theta_m) if limits else theta_m
         u = -np.expm1(-th * T0s)
-        T1_g = T0s + np.log1p(P_de * u / P_r) / th
-        Qm_g = P * P_r * u / (th * (P_de * u + P_r))
-        T2_g = T1_g + np.log1p(Qm_g * th / D_r) / th
-    T1_l = T0s * (1.0 + P_de / P_r)
-    Qm_l = P * T0s
-    T2_l = T1_l + Qm_l / D_r
-    T1 = np.where(small, T1_l, T1_g)
-    Q_m = np.where(small, Qm_l, Qm_g)
-    T2 = np.where(small, T2_l, T2_g)
+        T1 = T0s + np.log1p(P_de * u / P_r) / th
+        Q_m = P * P_r * u / (th * (P_de * u + P_r))
+        T2 = T1 + np.log1p(Q_m * th / D_r) / th
+        if limits:
+            T1_l = T0s * (1.0 + P_de / P_r)
+            Qm_l = P * T0s
+            T2 = np.where(small, T1_l + Qm_l / D_r, T2)
+            T1 = np.where(small, T1_l, T1)
+            Q_m = np.where(small, Qm_l, Q_m)
 
-    dm1 = T1 - T0s
-    dm2 = T2 - T1
-    x0 = theta_m * T0s
-    x1 = theta_m * dm1
-    x2 = theta_m * dm2
-    int_I_g = P_e * T0s * T0s * _np_phi2(-x0) \
-        + Q_m * dm1 * _np_phi1(x1) - P_r * dm1 * dm1 * _np_phi2(x1) \
-        + D_r * dm2 * dm2 * _np_phi2(x2)
-    int_Id_g = P_de * T0s * T0s * _np_phi2(-x0) + P_r * dm1 * dm1 * _np_phi2(x1)
-    int_I_l = 0.5 * P_e * T0s * T0s + P_e * T0s * dm1 + 0.5 * P_r * dm1 * dm1 \
-        + 0.5 * D_r * dm2 * dm2
-    int_Id_l = 0.5 * P_de * T0s * T0s + 0.5 * P_r * dm1 * dm1
-    int_I = np.where(small, int_I_l, int_I_g)
-    int_Id = np.where(small, int_Id_l, int_Id_g)
+        dm1 = T1 - T0s
+        dm2 = T2 - T1
+        # theta_m * (-T0, dm1, dm2): the phi arguments -x0, x1 and x2.
+        x = theta_m * np.stack((-T0s, dm1, dm2))
+        phi2_0, phi2_1, phi2_2 = _np_phi2(x)
+        rework = P_r * dm1 * dm1 * phi2_1
+        int_I = P_e * T0s * T0s * phi2_0 + Q_m * dm1 * _np_phi1(x[1]) - rework \
+            + D_r * dm2 * dm2 * phi2_2
+        int_Id = P_de * T0s * T0s * phi2_0 + rework
+        if limits:
+            int_I = np.where(small, 0.5 * P_e * T0s * T0s + P_e * T0s * dm1
+                             + 0.5 * P_r * dm1 * dm1 + 0.5 * D_r * dm2 * dm2, int_I)
+            int_Id = np.where(small, 0.5 * P_de * T0s * T0s
+                              + 0.5 * P_r * dm1 * dm1, int_Id)
 
-    B1 = eta + theta_r
-    B2 = D_r - fWs
-    s = fWs * T1
-    valid &= (B2 > 0.0) & (B2 - s * eta > 0.0)
-    B2s = np.where(valid, B2, 1.0)
-    ss = np.where(valid, s, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        B1 = eta + theta_r
+        B2 = D_r - fWs
+        s = fWs * T1
+        valid &= (B2 > 0.0) & (B2 - s * eta > 0.0)
+        B2s = np.where(valid, B2, 1.0)
+        ss = np.where(valid, s, 0.0)
         T11 = T1 + np.log1p(-ss * eta / B2s) / eta
         Q_r = -(B2s / B1) * np.expm1(B1 * (T11 - T2))
         T3 = T2 + np.log1p(B1 * Q_r / fWs) / B1
-    dA = T2 - T11
-    dB = T3 - T2
-    d0 = T11 - T1
-    q = -np.expm1(-eta * d0) / eta
-    piece1 = B2s * d0 * d0 * _np_phi2(-eta * d0) + ss * q
-    piece2 = B2s * dA * dA * _np_phi2(-B1 * dA)
-    piece3 = fWs * dB * dB * _np_phi2(B1 * dB)
-    int_r = piece2 + piece3
-    int_r_sr = piece1 + piece2 + piece3
+        dA = T2 - T11
+        dB = T3 - T2
+        d0 = T11 - T1
+        y = np.stack((-eta * d0, -B1 * dA, B1 * dB))
+        q = -np.expm1(y[0]) / eta
+        phi2_0, phi2_1, phi2_2 = _np_phi2(y)
+        piece1 = B2s * d0 * d0 * phi2_0 + ss * q
+        piece2 = B2s * dA * dA * phi2_1
+        piece3 = fWs * dB * dB * phi2_2
+        int_r = piece2 + piece3
+        int_r_sr = piece1 + piece2 + piece3
 
-    SR_m = W_m * D_r * dm2
-    PC_m = C_p * P * T0s
-    StC_m = C_op + C_or
-    PeC_m = C_g * f_d * P * beta2 * T0s
-    RC_m = C_r * P_r * dm1
-    PreC_m = xi1 * T2
-    ScC_m = i_c * P * T0s
-    HC_m1 = h_p * int_I
-    HC_m2 = h_d * int_Id
-    DC_m1 = d_cp * theta1 * int_I
-    DC_m2 = d_cd * theta1 * int_Id
-    CarC_m = Q_m * E_p + E_h1 * int_I + E_h2 * int_Id \
-        + E_d1 * theta1 * int_I + E_d2 * theta1 * int_Id \
-        + d1_km * E_t * D_r * dm2
+        # The manufacturer's sales are the retailer's purchases.
+        shipped = W_m * D_r * dm2
+        PC_m = C_p * P * T0s
+        StC_m = C_op + C_or
+        PeC_m = C_g * f_d * P * beta2 * T0s
+        RC_m = C_r * P_r * dm1
+        PreC_m = xi1 * T2
+        ScC_m = i_c * P * T0s
+        HC_m1 = h_p * int_I
+        HC_m2 = h_d * int_Id
+        DC_m1 = d_cp * theta1 * int_I
+        DC_m2 = d_cd * theta1 * int_Id
+        CarC_m = Q_m * E_p + E_h1 * int_I + E_h2 * int_Id \
+            + E_d1 * theta1 * int_I + E_d2 * theta1 * int_Id \
+            + d1_km * E_t * D_r * dm2
 
-    SR_r = W_r * (fWs * (T3 - T1) + eta * int_r_sr)
-    HC_r = h_r * int_r
-    DC_r = d_cr * theta2 * int_r
-    PC_r = W_m * D_r * dm2
-    PreC_r = xi2 * T2
-    SC_r = 0.5 * ss * T1 * C_s
-    CarC_r = (E_hr + E_dr * theta2) * int_r
+        SR_r = W_r * (fWs * (T3 - T1) + eta * int_r_sr)
+        HC_r = h_r * int_r
+        DC_r = d_cr * theta2 * int_r
+        PreC_r = xi2 * T2
+        SC_r = 0.5 * ss * T1 * C_s
+        CarC_r = (E_hr + E_dr * theta2) * int_r
 
-    phi_m = (SR_m - (PC_m + StC_m + PeC_m + RC_m + PreC_m + ScC_m
-                     + HC_m1 + HC_m2 + DC_m1 + DC_m2)) / T2
-    phi_r_raw = (SR_r - (HC_r + DC_r + PC_r + O_r + PreC_r + SC_r)) / T3
-    phi_r = (1.0 - f_r) * phi_r_raw
+        phi_m = (shipped - (PC_m + StC_m + PeC_m + RC_m + PreC_m + ScC_m
+                            + HC_m1 + HC_m2 + DC_m1 + DC_m2)) / T2
+        phi_r_raw = (SR_r - (HC_r + DC_r + shipped + O_r + PreC_r + SC_r)) / T3
 
-    gm = omega * G
-    gr = (1.0 - omega) * G
-    with np.errstate(invalid="ignore"):
-        rho_m = gm * l1 - l2 * np.where(G >= 0.0, gm, 0.0) ** kappa1
-        rho_r = gr * l1 - l2 * np.where(G >= 0.0, gr, 0.0) ** kappa1
-        rho_G = G * l3 - l4 * np.where(G >= 0.0, G, 0.0) ** kappa2
-
-    if policy_id == POLICY_LIMITED:
-        values = phi_m + phi_r - G
-        violations = np.maximum(CarC_m + CarC_r - rho_G - U2, 0.0)
-    else:
-        if policy_id == POLICY_TAX:
-            charge_m = C_Tax * (CarC_m - rho_m)
-            charge_r = C_Tax * (CarC_r - rho_r)
+        # A valid row has G >= 0, so the powers below need no guard: rows
+        # with G < 0 are overwritten with NaN at the end.
+        if policy_id == POLICY_LIMITED:
+            rho_G = G * l3 - l4 * G ** kappa2
+            values = phi_m + (1.0 - f_r) * phi_r_raw - G
+            excess = np.maximum(CarC_m + CarC_r - rho_G - U2, 0.0)
+            violations = np.where(valid, excess, np.nan)
         else:
-            charge_m = C_CT * (CarC_m - rho_m - U1)
-            charge_r = C_CT * (CarC_r - rho_r - U1)
-        phi_m_pol = phi_m - (charge_m + omega * G * T2) / T2
-        phi_r_pol = (1.0 - f_r) * (phi_r_raw
-                                   - (charge_r + (1.0 - omega) * G * (T3 - T11)) / T3)
-        values = phi_m_pol + phi_r_pol
-        violations = np.zeros_like(values)
+            gm = omega * G
+            gr = (1.0 - omega) * G
+            rho_m = gm * l1 - l2 * gm ** kappa1
+            rho_r = gr * l1 - l2 * gr ** kappa1
+            if policy_id == POLICY_TAX:
+                charge_m = C_Tax * (CarC_m - rho_m)
+                charge_r = C_Tax * (CarC_r - rho_r)
+            else:
+                charge_m = C_CT * (CarC_m - rho_m - U1)
+                charge_r = C_CT * (CarC_r - rho_r - U1)
+            phi_m_pol = phi_m - (charge_m + gm * T2) / T2
+            phi_r_pol = (1.0 - f_r) * (phi_r_raw - (charge_r + gr * (T3 - T11)) / T3)
+            values = phi_m_pol + phi_r_pol
+            violations = np.where(valid, 0.0, np.nan)
 
-    values = np.where(valid, values, np.nan)
-    violations = np.where(valid, violations, np.nan)
-    return values, violations, valid
+    return np.where(valid, values, np.nan), violations, valid

@@ -22,9 +22,12 @@ Determinism: each run has its own PCG64 generator seeded from its
 ``config.seed``; draws happen in a fixed order per generation (DE: mutation
 indices row by row, then the per-individual blend factor R, then the
 crossover mask and forced column; PSO: the two acceleration factors, per
-particle and dimension).  Fitness evaluation is vectorised, so results do
-not depend on evaluation scheduling or on which runs share a lockstep
-call.  Multi-seed helpers use seeds ``seed, seed+1, ...``.
+particle and dimension).  DE's mutation indices are drawn ahead in one
+array call and the generator is then replayed to the number of draws the
+row-by-row rejection loop consumes, so the stream is the loop's: the same
+indices and the same later draws.  Fitness evaluation is vectorised, so
+results do not depend on evaluation scheduling or on which runs share a
+lockstep call.  Multi-seed helpers use seeds ``seed, seed+1, ...``.
 """
 
 from __future__ import annotations
@@ -220,18 +223,32 @@ def penalize(values, violations, valid, coeff):
 def _mutation_indices(rng: np.random.Generator, NP: int, n_aux: int) -> np.ndarray:
     """Distinct partner indices per member, none equal to the member itself.
 
-    Drawn row by row with rejection; this loop fixes DE's draw sequence.
+    The draw sequence is a rejection loop, row by row: each partner is the
+    next ``rng.integers(NP)``, drawn again while it repeats the member or
+    an earlier partner (``tests/oracles.py`` keeps that loop as the
+    reference).  The draws are taken ahead in bulk and then replayed, so
+    the indices and the generator's final state are the loop's.
     """
-    idx = np.empty((NP, n_aux), dtype=np.int64)
+    state = rng.bit_generator.state
+    draws = rng.integers(NP, size=NP * (n_aux + 1)).tolist()
+    idx = []
+    used = 0
     for i in range(NP):
-        chosen = {i}
-        for k in range(n_aux):
-            j = int(rng.integers(NP))
-            while j in chosen:
-                j = int(rng.integers(NP))
-            chosen.add(j)
-            idx[i, k] = j
-    return idx
+        chosen = [i]
+        while len(chosen) <= n_aux:
+            if used == len(draws):
+                draws += rng.integers(NP, size=NP).tolist()
+            j = draws[used]
+            used += 1
+            if j not in chosen:
+                chosen.append(j)
+        idx.append(chosen[1:])
+    # An array draw is the same stream as that many scalar draws: rewind and
+    # redraw exactly the `used` values, leaving the generator where the
+    # scalar loop would.
+    rng.bit_generator.state = state
+    rng.integers(NP, size=used)
+    return np.array(idx, dtype=np.int64)
 
 
 class _Runs:

@@ -13,6 +13,7 @@ the configuration surface:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ class PolicyObjective:
 
 
 def green_reduction(G: float, params: ModelParameters) -> GreenReduction:
-    if not G >= 0.0:  # the kernel's test: NaN is refused too
+    if not 0.0 <= G < math.inf:  # the kernel's test: NaN is refused too
         raise DomainError(K.ERR_BAD_INVESTMENT)
     rho_m, rho_r, rho_G = K.green_reduction_terms(
         G, params.omega, params.l1, params.l2, params.kappa1,

@@ -6,9 +6,10 @@ integration of the inventory ODEs, composite Simpson quadrature, bisection
 root finding, and direct vectorised evaluations of the printed trajectory
 branches.  The tests compare the package against these.  The exceptions
 are `evaluate_policy_batch`, a row-by-row loop over the package's scalar
-kernels that the vectorised NumPy twin is checked against, and
+kernels that the vectorised NumPy twin is checked against,
 `surface_csv_reference`, the `csv.writer` loop the surface writer must
-match byte for byte.
+match byte for byte, and `mutation_indices_reference`, the draw-by-draw
+loop whose stream DE's bulk draw must replay.
 """
 
 from __future__ import annotations
@@ -136,6 +137,25 @@ def incumbent_reference(generations, coeff: float, every: int):
         history.append(max([fitness(value, violation)] + history[-1:]))
         history_feasible.append(feasible)
     return x, value, violation, feasible, history, history_feasible
+
+
+def mutation_indices_reference(rng: np.random.Generator, NP: int, n_aux: int
+                               ) -> np.ndarray:
+    """Distinct partner indices per member, none equal to the member itself.
+
+    Drawn row by row with rejection, one scalar ``rng.integers`` call per
+    draw; this loop fixes DE's draw sequence.
+    """
+    idx = np.empty((NP, n_aux), dtype=np.int64)
+    for i in range(NP):
+        chosen = {i}
+        for k in range(n_aux):
+            j = int(rng.integers(NP))
+            while j in chosen:
+                j = int(rng.integers(NP))
+            chosen.add(j)
+            idx[i, k] = j
+    return idx
 
 
 def evaluate_policy_batch(policy_id, X, p):

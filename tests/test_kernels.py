@@ -59,6 +59,50 @@ def test_batch_matches_rich_evaluation(policy):
                                               rel=1e-9, abs=1e-12)
 
 
+def _mixed_batch(rng, n):
+    """n rows at the reference point: ordinary ones, ones below THETA_FLOOR
+    (large xi1), and ones refused for a negative T0 or xi2, a price past a/b
+    or a backlog that never clears; every kind appears once n >= 6."""
+    X = np.column_stack([
+        rng.uniform(0.05, 2.0, n), rng.uniform(0.0, 500.0, n),
+        rng.uniform(0.0, 500.0, n), rng.uniform(0.01, 50.0, n),
+        rng.uniform(80.0, 300.0, n)])
+    kind = rng.permutation(np.arange(n) % 6)
+    X[kind == 1, 1] = rng.uniform(1e3, 2e3, (kind == 1).sum())
+    X[kind == 2, 0] = -0.5
+    X[kind == 3, 2] = -1.0
+    X[kind == 4, 4] = 400.0
+    X[kind == 5, 0] = 30.0
+    X[kind == 5, 4] = rng.uniform(80.0, 100.0, (kind == 5).sum())
+    return X, kind
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_IDS))
+@pytest.mark.parametrize("layout", ["vector", "per_row"])
+@pytest.mark.parametrize("n", [1, 7, 50, 250])
+def test_twin_rows_do_not_depend_on_their_batch(n, layout, policy):
+    """Each row of a batch call equals a one-row call on that row, bit for
+    bit, although the batch skips the zero-deterioration limits unless some
+    row needs them."""
+    rng = np.random.default_rng(n)
+    params = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
+    X, kind = _mixed_batch(rng, n)
+    p = params.as_array()
+    if layout == "per_row":
+        p = p[:, None] * rng.uniform(0.95, 1.05, (K.N_PARAMS, n))
+    pid = POLICY_IDS[policy]
+    values, violations, valid = K.evaluate_policy_batch_numpy(pid, X, p)
+    if n >= 6:
+        assert valid[kind == 0].all() and valid[kind == 1].all()
+        assert not valid[kind >= 2].any()
+    for i in range(n):
+        row_p = p[:, i:i + 1] if layout == "per_row" else p
+        one = K.evaluate_policy_batch_numpy(pid, X[i:i + 1], row_p)
+        assert one[2][0] == valid[i]
+        assert one[0].view(np.int64)[0] == values[i:i + 1].view(np.int64)[0]
+        assert one[1].view(np.int64)[0] == violations[i:i + 1].view(np.int64)[0]
+
+
 def test_status_codes():
     params = ModelParameters(v1=0.05, v2=0.05, C_Tax=1.0)
     p = params.as_array()
@@ -68,6 +112,11 @@ def test_status_codes():
         == K.ERR_BAD_T0
     assert K.evaluate_terms(0.5, -1.0, 1.0, 1.0, 200.0, p, out) \
         == K.ERR_BAD_INVESTMENT
+    # An infinite investment buys nothing finite: refused, not valued -inf.
+    for xi1, xi2, G in ((math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+                        (1.0, 1.0, math.inf)):
+        assert K.evaluate_terms(0.5, xi1, xi2, G, 200.0, p, out) \
+            == K.ERR_BAD_INVESTMENT
     assert K.evaluate_terms(0.5, 1.0, 1.0, 1.0, 301.0, p, out) \
         == K.ERR_NEGATIVE_DEMAND
     assert K.evaluate_terms(0.5, 1.0, 1.0, 1.0, 300.0, p, out) \
@@ -174,14 +223,10 @@ def parameters_and_decisions(draw):
 def test_scalar_kernel_matches_twin_over_whole_table(case):
     params, X = case
     p = params.as_array()
-    # Both kernels admit an infinite investment; its value is not a number
-    # to compare, so values are compared on the finite rows only.
-    finite = np.isfinite(X).all(axis=1)
     for pid in POLICY_IDS.values():
         values, violations, ok = evaluate_policy_batch(pid, X, p)
         twin_values, twin_violations, twin_ok = K.evaluate_policy_batch_numpy(pid, X, p)
         assert np.array_equal(ok, twin_ok)
-        ok &= finite
         np.testing.assert_allclose(values[ok], twin_values[ok], rtol=1e-9)
         np.testing.assert_allclose(violations[ok], twin_violations[ok], rtol=1e-9)
     # The model layer refuses exactly the rows the scalar kernel does, with

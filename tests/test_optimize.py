@@ -12,7 +12,8 @@ from greenchain.optimize import (OptimizerConfig, RunResult, SearchSpace,
                                  de_mutate_rand_to_best, default_search_space,
                                  multi_seed_run, multi_seed_stats, pso_update,
                                  run, run_many)
-from oracles import incumbent_reference
+from greenchain.optimize import _mutation_indices
+from oracles import incumbent_reference, mutation_indices_reference
 
 
 def sphere_objective(X):
@@ -57,6 +58,44 @@ class TestMutation:
         v = de_mutate_current_to_rand([1, 1], [3, 3], [9, 9], [2, 2],
                                       F=0.0, R=0.5)
         np.testing.assert_allclose(v, [2, 2])
+
+
+class _CountingRng:
+    """Forwards `integers` to a generator and counts the calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 63 - 1), NP=st.integers(5, 80),
+       n_aux=st.sampled_from([2, 3]), calls=st.integers(1, 4))
+def test_mutation_indices_replay_the_scalar_stream(seed, NP, n_aux, calls):
+    bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(calls):
+        np.testing.assert_array_equal(_mutation_indices(bulk, NP, n_aux),
+                                      mutation_indices_reference(scalar, NP, n_aux))
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+def test_mutation_indices_top_up_keeps_the_stream():
+    # NP = 5 with three partners rejects often: this seed needs 32 draws,
+    # past the 20 drawn ahead and three top-ups of 5.
+    counting = _CountingRng(np.random.default_rng(8))
+    expected = mutation_indices_reference(counting, 5, 3)
+    assert counting.calls > 5 * (3 + 1) + 2 * 5
+    rng = np.random.default_rng(8)
+    np.testing.assert_array_equal(_mutation_indices(rng, 5, 3), expected)
+    assert rng.bit_generator.state == counting.rng.bit_generator.state
+    # The replay rests on this: one array draw is the scalar draws' stream.
+    bulk, scalar = np.random.default_rng(8), np.random.default_rng(8)
+    assert bulk.integers(5, size=40).tolist() == [int(scalar.integers(5))
+                                                   for _ in range(40)]
+    assert bulk.bit_generator.state == scalar.bit_generator.state
 
 
 class TestCrossover:

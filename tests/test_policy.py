@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from greenchain import kernels as K
 from greenchain import (DecisionVector, ModelParameters, base_profits,
                         green_reduction)
 from greenchain.model import DomainError
@@ -44,6 +45,12 @@ class TestGreenReduction:
     def test_negative_investment_rejected(self, params):
         with pytest.raises(DomainError):
             green_reduction(-1.0, params)
+
+    @pytest.mark.parametrize("G", [float("inf"), float("nan")])
+    def test_nonfinite_investment_rejected(self, params, G):
+        with pytest.raises(DomainError) as info:
+            green_reduction(G, params)
+        assert info.value.status == K.ERR_BAD_INVESTMENT
 
 
 class TestCarbonTax:
