@@ -57,18 +57,17 @@ class UsageError(ValueError):
     pass
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _atomic_csv(path: Path, writer_fn) -> None:
+def _atomic_write(path: Path, content) -> None:
+    """Write `content`, a str or a function of the open file, to a
+    temporary sibling and rename it over `path`.  Line ends are written
+    as given."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
-        writer_fn(fh)
+        if callable(content):
+            content(fh)
+        else:
+            fh.write(content)
     os.replace(tmp, path)
 
 
@@ -251,9 +250,9 @@ def cmd_optimize(args, config) -> int:
                           json.dumps(doc, indent=2, sort_keys=True))
             history = [(i, fit, int(feas)) for i, (fit, feas) in enumerate(
                 zip(result.history, result.history_feasible))]
-            _atomic_csv(out / f"history_{stem}.csv",
-                        lambda fh: _write_rows(
-                            fh, ["iteration", "best_fitness", "feasible"], history))
+            _atomic_write(out / f"history_{stem}.csv",
+                          lambda fh: _write_rows(
+                              fh, ["iteration", "best_fitness", "feasible"], history))
     if n_seeds > 1:
         best, mean, std = multi_seed_stats(results)
         print(f"summary: max={best:.6f} mean={mean:.6f} std={std:.6e}")
@@ -304,9 +303,9 @@ def cmd_sensitivity(args, config) -> int:
             print(f"{parameter} {row.level:+6.1f}%  infeasible")
     out = _out_dir(args, config)
     if out:
-        _atomic_csv(out / f"sweep_{parameter}.csv",
-                    lambda fh: _write_rows(fh, SWEEP_CSV_COLUMNS,
-                                           sweep_table(parameter, rows)))
+        _atomic_write(out / f"sweep_{parameter}.csv",
+                      lambda fh: _write_rows(fh, SWEEP_CSV_COLUMNS,
+                                             sweep_table(parameter, rows)))
     return EXIT_OK
 
 
@@ -343,12 +342,12 @@ def cmd_anfis(args, config) -> int:
     out = _out_dir(args, config)
     if out:
         _atomic_write(out / f"anfis_{variable}.json", model.to_json())
-        _atomic_csv(out / f"anfis_{variable}_predictions.csv",
-                    lambda fh: _write_rows(fh, ["x", "y_true", "y_pred"],
-                                           zip(x, y, y_pred)))
-        _atomic_csv(out / f"anfis_{variable}_rmse.csv",
-                    lambda fh: _write_rows(fh, ["epoch", "rmse"],
-                                           enumerate(history)))
+        _atomic_write(out / f"anfis_{variable}_predictions.csv",
+                      lambda fh: _write_rows(fh, ["x", "y_true", "y_pred"],
+                                             zip(x, y, y_pred)))
+        _atomic_write(out / f"anfis_{variable}_rmse.csv",
+                      lambda fh: _write_rows(fh, ["epoch", "rmse"],
+                                             enumerate(history)))
     return EXIT_OK
 
 
@@ -407,7 +406,7 @@ def cmd_surface(args, config) -> int:
                                                     valid[row].tolist())]))
 
     if target:
-        _atomic_csv(target, write)
+        _atomic_write(target, write)
         print(f"wrote {target}")
     else:
         write(sys.stdout)

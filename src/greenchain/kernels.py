@@ -66,7 +66,7 @@ ERR_BACKLOG = 6
 
 STATUS_MESSAGES = {
     OK: "ok",
-    ERR_BAD_T0: "nonpositive production time",
+    ERR_BAD_T0: "nonpositive or infinite production time",
     ERR_BAD_INVESTMENT: "negative or infinite preservation or green investment",
     ERR_NEGATIVE_DEMAND: "negative demand",
     ERR_ZERO_DEMAND: "zero demand (retailer cycle never ends)",
@@ -249,7 +249,7 @@ def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
     Returns a status code; on a nonzero status `out` is left untrusted.
     Positive-form guards are used so NaN inputs fail the checks.
     """
-    if not (T0 > 0.0):
+    if not (0.0 < T0 < math.inf):
         return ERR_BAD_T0
     if not (0.0 <= xi1 < math.inf and 0.0 <= xi2 < math.inf
             and 0.0 <= G < math.inf):

@@ -13,15 +13,15 @@ with its per-player and joint profits under the tax policy.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels as K
 from .kernels import PARAM_ORDER
-from .model import DecisionVector, DomainError
+from .model import DECISION_NAMES, DecisionVector, DomainError
 # `run` is not called here; it stays importable from this module for
 # callers that wrap it by attribute.
 from .optimize import (OptimizerConfig, default_search_space, run,  # noqa: F401
@@ -238,44 +238,58 @@ class CalibrationResult:
         return json.dumps(self.report(), indent=indent, sort_keys=True)
 
 
-def _target_errors(params: ModelParameters, target: CalibrationTarget) -> dict:
-    outcome = evaluate_policy(params, target.decisions, "tax")
-    return {
-        "Z_m": (outcome.phi_m - target.Z_m) / abs(target.Z_m),
-        "Z_r": (outcome.phi_r - target.Z_r) / abs(target.Z_r),
-        "phi_T": (outcome.value - target.phi_T) / abs(target.phi_T),
-    }
-
-
 #: Weight of the stationarity anchors in the calibration loss.
 STATIONARITY_WEIGHT = 0.01
 
 
-def _stationarity_residuals(params: ModelParameters,
-                            target: CalibrationTarget) -> list[float]:
-    """Scaled profit gradients at the target decisions.
+def calibration_residuals(target: CalibrationTarget):
+    """``residuals(p) -> (r0, s)``: at the v1 and v2 of the packed
+    parameter list `p`, the calibration residuals are ``r0 + C_Tax * s``.
 
-    A target row records a re-optimized decision vector, so the joint
-    profit is stationary there in every interior coordinate.  That is the
-    only information in the row that separates the preservation
-    efficiencies from the carbon price (the three profit values alone
-    admit a one-dimensional family of exact fits), so the scaled gradients
-    in xi1, xi2 and G join the loss as soft anchors.  Coordinates at the
-    domain boundary (near-zero investments) are skipped: they need not be
-    stationary.
+    They are the relative errors of (Z_m, Z_r, phi_T) at the target
+    decisions, then stationarity anchors; the loss is their sum of
+    squares.  A target row records a re-optimized decision vector, so the
+    joint profit is stationary there in every interior coordinate.  That
+    is the only information in the row that separates the preservation
+    efficiencies from the carbon price (the three profits alone admit a
+    one-dimensional family of exact fits), so the scaled central
+    differences in xi1, xi2 and G are the anchors.  Near-zero investments
+    lie on the domain boundary, need not be stationary and are skipped.
+
+    The kernel's terms do not depend on the carbon price and the tax
+    charges are linear in it, so one kernel call per decision row and two
+    policy compositions (C_Tax = 0 and 1, written into `p`) give r0 and s.
+    On Python floats the scalar kernel runs about three times faster than
+    on NumPy scalars, and raises ArithmeticError where NumPy would warn.
+    Raises DomainError when the kernel rejects a row.
     """
-    d = target.decisions
-    scale = abs(target.phi_T)
-    residuals = []
-    for name, value in (("xi1", d.xi1), ("xi2", d.xi2), ("G", d.G)):
-        if value <= 1e-3:
+    d = target.decisions.as_array().tolist()
+    rows, weights = [d], []
+    for k in (DECISION_NAMES.index(name) for name in ("xi1", "xi2", "G")):
+        if d[k] <= 1e-3:
             continue
-        h = max(1e-4 * value, 1e-5)
-        lo = evaluate_policy(params, dataclasses.replace(d, **{name: value - h}),
-                             "tax").value
-        hi = evaluate_policy(params, dataclasses.replace(d, **{name: value + h}),
-                             "tax").value
-        residuals.append((hi - lo) / (2.0 * h) * value / scale)
+        h = max(1e-4 * d[k], 1e-5)
+        rows += [d[:k] + [d[k] + step] + d[k + 1:] for step in (-h, h)]
+        weights.append(math.sqrt(STATIONARITY_WEIGHT) * d[k]
+                       / (2.0 * h * abs(target.phi_T)))
+    goal = np.array([target.Z_m, target.Z_r, target.phi_T])
+    terms = [0.0] * K.N_TERMS
+
+    def residuals(p: list) -> tuple[np.ndarray, np.ndarray]:
+        # values[c, i] = (joint, manufacturer, retailer) profit of row i at C_Tax = c
+        values = np.empty((2, len(rows), 3))
+        for i, row in enumerate(rows):
+            status = K.evaluate_terms(*row, p, terms)
+            if status != K.OK:
+                raise DomainError(status)
+            for c in (0, 1):
+                p[K.P_C_TAX] = c
+                values[c, i] = K.policy_value_from_terms(
+                    K.POLICY_TAX, row[3], p, terms)[:3]
+        r = np.column_stack(((values[:, 0, [1, 2, 0]] - goal) / np.abs(goal),
+                             (values[:, 2::2, 0] - values[:, 1::2, 0]) * weights))
+        return r[0], r[1] - r[0]
+
     return residuals
 
 
@@ -284,13 +298,16 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
                                tolerance: float = 0.01) -> CalibrationResult:
     """Fit (v1, v2, C_Tax) to a reference operating point.
 
-    Grid search over plausible magnitudes followed by a Nelder-Mead polish.
     The loss is the summed squared relative error of (Z_m, Z_r, phi_T) at
     the fixed target decisions plus lightly weighted stationarity anchors
-    (see _stationarity_residuals).  Never silently succeeds: the result
-    carries the residual (profit errors only), a pass/fail verdict at
-    `tolerance`, and per-coordinate identifiability flags.  A zero or
-    non-finite target profit has no relative error and is refused.
+    (see `calibration_residuals`).  Every residual is affine in C_Tax, so
+    at each (v1, v2) the best C_Tax is a clipped least-squares step
+    (variable projection, Golub & Pereyra 1973) and only (log v1, log v2)
+    is searched: a 28 x 28 grid, then a Nelder-Mead polish.  Never silently
+    succeeds: the result carries the residual (profit errors only), a
+    pass/fail verdict at `tolerance`, and per-coordinate identifiability
+    flags.  A zero or non-finite target profit has no relative error and
+    is refused.
     """
     unusable = [name for name in ("Z_m", "Z_r", "phi_T")
                 if not 0.0 < abs(getattr(target, name)) < math.inf]
@@ -304,92 +321,67 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     base = dict(TABLE_DEFAULTS)
     if base_values:
         base.update(base_values)
-    base.pop("v1", None)
-    base.pop("v2", None)
-    base.pop("C_Tax", None)
+    unknown = sorted(set(base) - set(PARAM_ORDER))
+    if unknown:
+        raise ParameterError(f"unknown parameter keys: {', '.join(unknown)}")
+    for name in ("v1", "v2", "C_Tax"):
+        base.pop(name, None)
+    # Validated once; the search writes only the v1, v2 and C_Tax slots,
+    # inside the box v1, v2 in (1e-6, 10), C_Tax in [0, 1e3].
+    start = ModelParameters(v1=1.0, v2=1.0, C_Tax=0.0, **base)
+    p = start.as_array().tolist()
+    residuals = calibration_residuals(target)
 
-    def build(v1, v2, c_tax):
-        return ModelParameters(v1=v1, v2=v2, C_Tax=c_tax, **base)
+    def project(lv):
+        """(residuals, C_Tax, <s, s>) at the best C_Tax for (log v1, log v2)."""
+        p[K.P_V1], p[K.P_V2] = math.exp(lv[0]), math.exp(lv[1])
+        r0, s = residuals(p)
+        ss = float(s @ s)
+        c_tax = min(max(-float(r0 @ s) / ss, 0.0), 1e3) if ss > 0.0 else 0.0
+        return r0 + c_tax * s, c_tax, ss
 
-    def profit_sse(x) -> float:
-        lv1, lv2, c_tax = x
-        v1, v2 = math.exp(lv1), math.exp(lv2)
-        if not (1e-6 < v1 < 10.0 and 1e-6 < v2 < 10.0 and -1e-9 <= c_tax < 1e3):
+    def loss(lv) -> float:
+        # 1e6 outside the box, outside the model's domain and where the
+        # profits are not finite
+        if not all(1e-6 < math.exp(x) < 10.0 for x in lv):
             return 1e6
         try:
-            errors = _target_errors(build(v1, v2, max(c_tax, 0.0)), target)
-        except (DomainError, ParameterError):
+            r = project(lv)[0]
+        except (DomainError, ArithmeticError):
             return 1e6
-        return sum(e * e for e in errors.values())
+        f = float(r @ r)
+        return f if f < 1e6 else 1e6
 
-    def objective(x) -> float:
-        sse = profit_sse(x)
-        if sse >= 1e6:
-            return sse
-        v1, v2 = math.exp(x[0]), math.exp(x[1])
-        try:
-            anchors = _stationarity_residuals(
-                build(v1, v2, max(float(x[2]), 0.0)), target)
-        except (DomainError, ParameterError):
-            return 1e6
-        return sse + STATIONARITY_WEIGHT * sum(g * g for g in anchors)
-
-    # Coarse grid on the profit errors alone.
-    v_grid = np.log(np.geomspace(2e-3, 0.5, 14))
-    c_grid = np.linspace(0.0, 8.0, 9)
-    best_x, best_f = None, math.inf
-    for lv1 in v_grid:
-        for lv2 in v_grid:
-            for c in c_grid:
-                f = profit_sse((lv1, lv2, c))
-                if f < best_f:
-                    best_f, best_x = f, (lv1, lv2, c)
-
-    # The profit errors admit a flat valley (several triples reproduce the
-    # three values exactly), so profile it: for each v2 candidate fit
-    # (v1, C_Tax) to the profits, then let the stationarity anchors pick
-    # the point along the valley.  Warm-starting each profile fit from the
-    # previous one follows the valley smoothly.
-    warm = np.array([best_x[0], best_x[2]])
-    profiled = []
-    for lv2 in np.log(np.geomspace(2e-3, 0.5, 28)):
-        fit = sciopt.minimize(
-            lambda y: profit_sse((y[0], lv2, y[1])), warm,
-            method="Nelder-Mead",
-            options={"xatol": 1e-11, "fatol": 1e-24,
-                     "maxiter": 1500, "maxfev": 3000})
-        warm = fit.x
-        profiled.append((objective((fit.x[0], lv2, fit.x[1])),
-                         np.array([fit.x[0], lv2, fit.x[1]])))
-    start = min(profiled, key=lambda t: t[0])[1]
-    if objective(np.array(best_x)) < objective(start):
-        start = np.array(best_x)
-
-    polish = sciopt.minimize(objective, start, method="Nelder-Mead",
-                             options={"xatol": 1e-10, "fatol": 1e-20,
-                                      "maxiter": 4000, "maxfev": 8000})
-    x = polish.x if polish.fun <= objective(start) else start
-    v1, v2, c_tax = math.exp(x[0]), math.exp(x[1]), max(float(x[2]), 0.0)
-
-    fitted = build(v1, v2, c_tax)
-    errors = _target_errors(fitted, target)
+    grid = np.log(np.geomspace(2e-3, 0.5, 28))
+    best = min(((lv1, lv2) for lv1 in grid for lv2 in grid), key=loss)
+    lv = sciopt.minimize(loss, np.array(best), method="Nelder-Mead",
+                         options={"xatol": 1e-10, "fatol": math.inf}).x
+    if loss(lv) >= 1e6:
+        raise ValueError("calibration target: the model rejects its decisions, "
+                         "or their profits are not finite, at every v1, v2 tried")
+    r, c_tax, ss = project(lv)
+    v1, v2 = math.exp(lv[0]), math.exp(lv[1])
+    errors = dict(zip(("Z_m", "Z_r", "phi_T"), r[:3].tolist()))
     residual = max(abs(e) for e in errors.values())
 
-    f0 = objective(x)
+    f0 = float(r @ r)
     identifiable = {}
-    for name, k, step in (("v1", 0, 0.05), ("v2", 1, 0.05), ("C_Tax", 2, None)):
-        delta = step if step is not None else max(0.1 * abs(x[2]), 0.05)
+    for name, k in (("v1", 0), ("v2", 1)):
         moved = 0.0
-        for probe in (x + delta * np.eye(3)[k], x - delta * np.eye(3)[k]):
-            f_probe = objective(probe)
-            if f_probe < 1e5:  # skip probes rejected by the bound guard
+        for step in (0.05, -0.05):
+            probe = lv.copy()
+            probe[k] += step
+            f_probe = loss(probe)
+            if f_probe < 1e6:
                 moved = max(moved, abs(f_probe - f0))
         identifiable[name] = bool(moved > 1e-12 * (1.0 + abs(f0)))
+    identifiable["C_Tax"] = ss > 0.0
 
     return CalibrationResult(
         v1=v1, v2=v2, C_Tax=c_tax, residual=residual,
         ok=bool(residual <= tolerance), tolerance=tolerance,
-        errors=errors, identifiable=identifiable, params=fitted)
+        errors=errors, identifiable=identifiable,
+        params=start.replace(v1=v1, v2=v2, C_Tax=c_tax))
 
 
 def calibrated_parameters(base_values: dict | None = None,

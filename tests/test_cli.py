@@ -485,6 +485,11 @@ class TestConfigValidation:
                                                   "Z_m": math.nan}}}),
         (["calibrate"], {"calibrate": {"target": {**CALIBRATION_TARGET,
                                                   "Z_m": math.inf}}}),
+        (["calibrate"], {"calibrate": {"target": {
+            **CALIBRATION_TARGET, "decisions": {**DECISIONS, "G": 1e300}}}}),
+        (["calibrate"], {"calibrate": {"target": {
+            **CALIBRATION_TARGET, "decisions": {**DECISIONS, "T0": -1.0}}}}),
+        (["calibrate"], {"parameters": {**PARAMS, "bogus": 1.0}}),
         (["evaluate"], {"policy": ""}),
     ], ids=["seed_float", "seed_bool", "n1_float", "n1_bool", "epochs_float",
             "n_points_null", "decisions_list", "optimizer_list",
@@ -496,7 +501,8 @@ class TestConfigValidation:
             "learning_rate_bool", "range1_infinite", "range1_both_infinite",
             "levels_flag_nan", "learning_rate_negative", "learning_rate_zero",
             "G_flag_inf", "xi1_flag_inf", "target_zero",
-            "target_nan", "target_inf", "policy_empty"])
+            "target_nan", "target_inf", "target_overflow",
+            "target_inadmissible", "calibrate_unknown_key", "policy_empty"])
     def test_malformed_config_value_is_usage_error(self, capsys, tmp_path,
                                                    command, change):
         path = tmp_path / "c.json"

@@ -110,6 +110,8 @@ def test_status_codes():
     assert K.evaluate_terms(0.0, 1.0, 1.0, 1.0, 200.0, p, out) == K.ERR_BAD_T0
     assert K.evaluate_terms(float("nan"), 1.0, 1.0, 1.0, 200.0, p, out) \
         == K.ERR_BAD_T0
+    assert K.evaluate_terms(math.inf, 1.0, 1.0, 1.0, 200.0, p, out) \
+        == K.ERR_BAD_T0
     assert K.evaluate_terms(0.5, -1.0, 1.0, 1.0, 200.0, p, out) \
         == K.ERR_BAD_INVESTMENT
     # An infinite investment buys nothing finite: refused, not valued -inf.

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greenchain import DecisionVector, ModelParameters
-from greenchain.optimize import OptimizerConfig, default_search_space, run
+from greenchain.optimize import (OptimizerConfig, default_search_space, run,
+                                 run_many)
 from greenchain.policy import evaluate_policy, make_batch_objective
-from greenchain.sensitivity import (CalibrationTarget, SweepSpec,
-                                    calibrate_missing_defaults,
-                                    run_sweep, sweep_slope)
+from greenchain.sensitivity import (DEFAULT_CALIBRATION_TARGET,
+                                    STATIONARITY_WEIGHT, CalibrationTarget,
+                                    SweepSpec, calibrate_missing_defaults,
+                                    calibration_residuals, run_sweep,
+                                    sweep_slope)
 
 QUICK_PSO = OptimizerConfig(algorithm="pso", seed=17, pop_size=30, max_iter=120)
 
@@ -115,3 +120,63 @@ class TestCalibration:
         assert set(doc) >= {"fitted", "residual", "ok", "relative_errors",
                             "identifiable"}
         assert doc["ok"] is True
+
+    def test_drawn_targets_recovered(self):
+        # Triples drawn around the reference constants; each target is the
+        # best of four PSO seeds under its triple, so its decisions are
+        # re-optimized like a published row.
+        reference = np.array([0.0386, 0.0549, 2.108])
+        triples = np.concatenate([
+            reference * np.random.default_rng(seed).uniform(0.8, 1.25, (3, 3))
+            for seed in (1, 2)])
+        sets = [ModelParameters(v1=v1, v2=v2, C_Tax=c_tax)
+                for v1, v2, c_tax in triples]
+        runs = [p for p in sets for _ in range(4)]
+        results = run_many(
+            [default_search_space(p) for p in runs],
+            [OptimizerConfig(algorithm="pso", seed=seed)
+             for _ in sets for seed in range(4)],
+            make_batch_objective(runs, "tax"))
+        for k, (p, truth) in enumerate(zip(sets, triples)):
+            best = max(results[4 * k:4 * k + 4], key=lambda r: r.best_fitness)
+            outcome = evaluate_policy(p, best.decisions, "tax")
+            fit = calibrate_missing_defaults(CalibrationTarget(
+                decisions=best.decisions, Z_m=outcome.phi_m,
+                Z_r=outcome.phi_r, phi_T=outcome.value))
+            assert fit.ok and all(fit.identifiable.values())
+            np.testing.assert_allclose([fit.v1, fit.v2, fit.C_Tax], truth,
+                                       rtol=1e-5)
+
+
+def direct_residuals(target: CalibrationTarget, params: ModelParameters):
+    """The calibration residuals from evaluate_policy, one decision at a time."""
+    d = target.decisions
+    outcome = evaluate_policy(params, d, "tax")
+    r = [(outcome.phi_m - target.Z_m) / abs(target.Z_m),
+         (outcome.phi_r - target.Z_r) / abs(target.Z_r),
+         (outcome.value - target.phi_T) / abs(target.phi_T)]
+    for name in ("xi1", "xi2", "G"):
+        value = getattr(d, name)
+        if value <= 1e-3:
+            continue
+        h = max(1e-4 * value, 1e-5)
+        lo, hi = (evaluate_policy(params, dataclasses.replace(d, **{name: x}),
+                                  "tax").value for x in (value - h, value + h))
+        r.append(math.sqrt(STATIONARITY_WEIGHT) * (hi - lo) / (2.0 * h)
+                 * value / abs(target.phi_T))
+    return np.array(r)
+
+
+LOG_V = st.floats(math.log(2e-3), math.log(0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lv1=LOG_V, lv2=LOG_V, c_tax=st.floats(0.0, 1e3))
+def test_residuals_are_affine_in_the_tax_price(lv1, lv2, c_tax):
+    # The premise of projecting C_Tax out of the calibration loss.
+    target = DEFAULT_CALIBRATION_TARGET
+    v1, v2 = math.exp(lv1), math.exp(lv2)
+    r0, s = calibration_residuals(target)(
+        ModelParameters(v1=v1, v2=v2, C_Tax=0.0).as_array().tolist())
+    r = direct_residuals(target, ModelParameters(v1=v1, v2=v2, C_Tax=c_tax))
+    assert np.abs(r0 + c_tax * s - r).max() <= 1e-9 * np.linalg.norm(r)
