@@ -29,6 +29,10 @@ Entries (one process, about 20 s on two cores):
 - ``run_sweep`` for all 14 parameters of the direction check;
 - one ``direction_report``;
 - the ``calibrate_missing_defaults`` triple;
+- ``train_hybrid`` (history, model JSON, predictions) at four operating
+  points drawn as perfbench's ``inspect`` draws them: constants around
+  the reference triple, decisions at their DE-1 tax optimum, 61 points of
+  ``T0`` over [0.05, 1.5];
 - the ``evaluate``, ``optimize --seeds 3``, ``sensitivity``, ``anfis`` and
   ``surface`` CLI outputs (stdout and every file written, line ends
   included), with ``meta`` removed from JSON.
@@ -183,6 +187,33 @@ def _sensitivity_entries(gc) -> dict:
     return entries
 
 
+def _anfis_entries(gc) -> dict:
+    from greenchain.anfis import generate_dataset, grid_partition, train_hybrid
+    from greenchain.optimize import OptimizerConfig, default_search_space, run
+
+    rng = np.random.default_rng(401)
+    entries = {}
+    for k in range(4):
+        v1, v2, c_tax = (REFERENCE[name] * rng.uniform(0.8, 1.25)
+                         for name in ("v1", "v2", "C_Tax"))
+        params = gc.ModelParameters.from_dict(
+            {"v1": v1, "v2": v2, "C_Tax": c_tax, "C_CT": c_tax})
+        optimum = max((run(default_search_space(params),
+                           OptimizerConfig(algorithm="de1", seed=int(seed)),
+                           gc.make_batch_objective(params, "tax"))
+                       for seed in rng.choice(2 ** 31, size=2, replace=False)),
+                      key=lambda result: result.best_value)
+        x, y, _ = generate_dataset(params, optimum.decisions, "T0", 61,
+                                   (0.05, 1.5))
+        model, history = train_hybrid(
+            grid_partition(float(x.min()), float(x.max()), 5, input_name="T0"),
+            x, y)
+        entries[f"anfis/point{k}"] = {"history": history,
+                                      "model": json.loads(model.to_json()),
+                                      "predictions": model.forward(x)}
+    return entries
+
+
 def _strip_meta(text: str):
     doc = json.loads(text)
     if isinstance(doc, dict):
@@ -235,7 +266,8 @@ def record(src_dir: Path) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         entries = {**_optimizer_entries(gc), **_twin_entries(gc),
-                   **_sensitivity_entries(gc), **_cli_entries(gc)}
+                   **_sensitivity_entries(gc), **_anfis_entries(gc),
+                   **_cli_entries(gc)}
     return {name: hexify(value) for name, value in entries.items()}
 
 

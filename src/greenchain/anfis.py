@@ -2,11 +2,16 @@
 
 Five trapezoidal membership functions (very low .. very high) feed five
 rules with linear consequents; the output is the firing-strength weighted
-average.  Training alternates a linear least-squares solve of the
-consequents with one normalised gradient-descent step on the trapezoid
-corners, accepting the step only when it lowers the RMSE (otherwise the
-step is reverted and the learning rate halves), so the recorded RMSE
-history never increases.
+average.  The premises are one (n_rules, 4) array of trapezoid corners
+a <= b <= c <= d, evaluated for all rules at once.  Training alternates a
+linear least-squares solve of the consequents with one normalised
+gradient-descent step on the corners, accepting the step only when it
+lowers the RMSE (otherwise the step is dropped and the learning rate
+halves), so the recorded RMSE history never increases.
+
+An input is inside the fuzzy support when its total firing strength
+exceeds SUPPORT_FLOOR; training and `forward` refuse any other input with
+FuzzySupportError.
 
 The architecture is audited structurally: with five rules the network has
 24 nodes (input, 5 fuzzifiers, 5 firing strengths, 5 normalisers, 5
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,76 +32,91 @@ from .params import ModelParameters
 from .policy import evaluate_policy
 
 LABELS = ("very low", "low", "medium", "high", "very high")
+#: Total firing strength at or below which an input is outside the support.
+SUPPORT_FLOOR = 1e-12
 
 
 class FuzzySupportError(ValueError):
     """An input fell outside the support of every membership function."""
 
 
-@dataclass
-class TrapezoidMF:
-    """Trapezoid with corners a <= b <= c <= d; plateau value 1 on [b, c]."""
+def memberships(corners, x) -> np.ndarray:
+    """Trapezoid memberships, shape (n_rules, n); value 1 on [b, c]."""
+    x = np.asarray(x, dtype=np.float64)
+    a, b, c, d = (corners[:, k, None] for k in range(4))
+    mu = np.minimum((x - a) / np.maximum(b - a, 1e-300),
+                    (d - x) / np.maximum(d - c, 1e-300))
+    return np.where((x >= b) & (x <= c), 1.0, np.clip(mu, 0.0, 1.0))
 
-    a: float
-    b: float
-    c: float
-    d: float
-    label: str = ""
 
-    def __post_init__(self):
-        if not self.a <= self.b <= self.c <= self.d:
-            raise ValueError(f"corner ordering violated: {self.corners()}")
+def corner_gradients(corners, x) -> np.ndarray:
+    """d(membership)/d(corner), shape (n_rules, 4, n); zero off the edges."""
+    x = np.asarray(x, dtype=np.float64)
+    a, b, c, d = (corners[:, k, None] for k in range(4))
+    # Squared as Python floats, i.e. by libm's pow: NumPy's square differs
+    # from it in the last bit for about one value in 1,200.
+    rise2, fall2 = (np.array([v ** 2 for v in width.ravel().tolist()])[:, None]
+                    for width in (b - a, d - c))
+    g = np.zeros((len(corners), 4, x.size))
+    on = (x > a) & (x < b)
+    np.divide(x - b, rise2, out=g[:, 0], where=on)
+    np.divide(-(x - a), rise2, out=g[:, 1], where=on)
+    on = (x > c) & (x < d)
+    np.divide(d - x, fall2, out=g[:, 2], where=on)
+    np.divide(x - c, fall2, out=g[:, 3], where=on)
+    return g
 
-    def corners(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d], dtype=np.float64)
 
-    def membership(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        rise = np.maximum(self.b - self.a, 1e-300)
-        fall = np.maximum(self.d - self.c, 1e-300)
-        mu = np.minimum((x - self.a) / rise, (self.d - x) / fall)
-        mu = np.clip(mu, 0.0, 1.0)
-        return np.where((x >= self.b) & (x <= self.c), 1.0, mu)
+def _solve(corners, x, y, pq=None):
+    """(p, q, y_hat) at `corners` from one membership evaluation.
 
-    def corner_gradients(self, x) -> np.ndarray:
-        """d(membership)/d(corner) stacked as (4, n); zero off the edges."""
-        x = np.asarray(x, dtype=np.float64)
-        g = np.zeros((4, x.size))
-        rise = self.b - self.a
-        if rise > 0:
-            on = (x > self.a) & (x < self.b)
-            g[0, on] = (x[on] - self.b) / rise ** 2
-            g[1, on] = -(x[on] - self.a) / rise ** 2
-        fall = self.d - self.c
-        if fall > 0:
-            on = (x > self.c) & (x < self.d)
-            g[2, on] = (self.d - x[on]) / fall ** 2
-            g[3, on] = (x[on] - self.c) / fall ** 2
-        return g
+    The consequents (p, q) are the least-squares fit to `y` (ridge 1e-8 when
+    the design matrix loses rank) unless `pq` gives them.
+    """
+    w = memberships(corners, x)
+    total = w.sum(axis=0)
+    if np.any(total <= SUPPORT_FLOOR):
+        raise FuzzySupportError("input outside fuzzy support")
+    if pq is None:
+        wn = w / total
+        A = np.concatenate([wn * x[None, :], wn]).T   # columns: p_i x, then q_i
+        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+        n = len(corners)
+        if rank < 2 * n:
+            beta = np.linalg.solve(A.T @ A + 1e-8 * np.eye(2 * n), A.T @ y)
+        pq = beta[:n], beta[n:]
+    p, q = pq
+    y_hat = (w * (p[:, None] * x[None, :] + q[:, None])).sum(axis=0) / total
+    return p, q, y_hat
 
 
 @dataclass
 class AnfisModel:
-    """Five fuzzy rules over one input, each with a linear consequent."""
+    """Fuzzy rules over one input, each with a linear consequent p x + q.
+
+    Row k of `corners` is rule k's trapezoid (a, b, c, d), labelled
+    `labels[k]`.
+    """
 
     input_name: str
     domain: tuple
-    mfs: list[TrapezoidMF]
-    p: np.ndarray = field(default=None)
-    q: np.ndarray = field(default=None)
+    corners: np.ndarray
+    labels: tuple
+    p: np.ndarray = None
+    q: np.ndarray = None
 
     def __post_init__(self):
-        n = len(self.mfs)
-        if self.p is None:
-            self.p = np.zeros(n)
-        if self.q is None:
-            self.q = np.zeros(n)
-        self.p = np.asarray(self.p, dtype=np.float64)
-        self.q = np.asarray(self.q, dtype=np.float64)
+        self.corners = np.array(self.corners, dtype=np.float64)
+        if (self.corners.shape[1:] != (4,)
+                or not np.all(self.corners[:, :-1] <= self.corners[:, 1:])):
+            raise ValueError(f"corner ordering violated: {self.corners.tolist()}")
+        n = self.n_rules
+        self.p = np.zeros(n) if self.p is None else np.asarray(self.p, dtype=np.float64)
+        self.q = np.zeros(n) if self.q is None else np.asarray(self.q, dtype=np.float64)
 
     @property
     def n_rules(self) -> int:
-        return len(self.mfs)
+        return len(self.corners)
 
     def architecture(self) -> dict:
         n = self.n_rules
@@ -107,28 +127,18 @@ class AnfisModel:
             "nonlinear_parameters": 4 * n,
         }
 
-    def firing_strengths(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return np.stack([mf.membership(x) for mf in self.mfs])
-
     def forward(self, x):
         """Weighted-average output; scalar in, scalar out."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        w = self.firing_strengths(x)
-        total = w.sum(axis=0)
-        if np.any(total <= 0.0):
-            raise FuzzySupportError("input outside fuzzy support")
         xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        rule_out = self.p[:, None] * xv[None, :] + self.q[:, None]
-        y = (w * rule_out).sum(axis=0) / total
-        return float(y[0]) if scalar else y
+        y = _solve(self.corners, xv, None, (self.p, self.q))[2]
+        return float(y[0]) if np.ndim(x) == 0 else y
 
     def to_json(self, indent: int = 2) -> str:
         doc = {
             "input": self.input_name,
             "domain": list(self.domain),
-            "mfs": [{"label": mf.label, "corners": mf.corners().tolist()}
-                    for mf in self.mfs],
+            "mfs": [{"label": label, "corners": row}
+                    for label, row in zip(self.labels, self.corners.tolist())],
             "consequents": [[float(pi), float(qi)]
                             for pi, qi in zip(self.p, self.q)],
         }
@@ -137,11 +147,11 @@ class AnfisModel:
     @classmethod
     def from_json(cls, text: str) -> "AnfisModel":
         doc = json.loads(text)
-        mfs = [TrapezoidMF(*entry["corners"], label=entry["label"])
-               for entry in doc["mfs"]]
         cons = np.asarray(doc["consequents"], dtype=np.float64)
         return cls(input_name=doc["input"], domain=tuple(doc["domain"]),
-                   mfs=mfs, p=cons[:, 0], q=cons[:, 1])
+                   corners=[mf["corners"] for mf in doc["mfs"]],
+                   labels=tuple(mf["label"] for mf in doc["mfs"]),
+                   p=cons[:, 0], q=cons[:, 1])
 
 
 def grid_partition(lo: float, hi: float, n: int = 5,
@@ -156,68 +166,46 @@ def grid_partition(lo: float, hi: float, n: int = 5,
     if n < 2:
         raise ValueError("need at least two membership functions")
     h = (hi - lo) / (n - 1)
-    mfs = []
+    centers = lo + np.arange(n) * h
+    corners = centers[:, None] + h * np.array([-0.75, -0.25, 0.25, 0.75])
     labels = LABELS if n == len(LABELS) else tuple(f"mf{i}" for i in range(n))
-    for k in range(n):
-        center = lo + k * h
-        mfs.append(TrapezoidMF(center - 0.75 * h, center - 0.25 * h,
-                               center + 0.25 * h, center + 0.75 * h,
-                               label=labels[k]))
-    return AnfisModel(input_name=input_name, domain=(lo, hi), mfs=mfs)
+    return AnfisModel(input_name=input_name, domain=(lo, hi), corners=corners,
+                      labels=labels)
 
 
-def _normalized_strengths(model: AnfisModel, x: np.ndarray):
-    w = model.firing_strengths(x)
-    total = w.sum(axis=0)
-    if np.any(total <= 1e-12):
-        return None, None
-    return w / total, w
-
-
-def fit_consequents(model: AnfisModel, x: np.ndarray, y: np.ndarray,
-                    ridge: float = 1e-8) -> None:
+def fit_consequents(model: AnfisModel, x: np.ndarray, y: np.ndarray) -> None:
     """Least-squares solve of (p, q) at fixed premises, ridge on rank loss."""
-    wn, _ = _normalized_strengths(model, x)
-    if wn is None:
-        raise FuzzySupportError("training grid leaves fuzzy support holes")
-    A = np.concatenate([wn * x[None, :], wn]).T   # columns: p_i x, then q_i
-    beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < A.shape[1]:
-        n = A.shape[1]
-        beta = np.linalg.solve(A.T @ A + ridge * np.eye(n), A.T @ y)
-    n = model.n_rules
-    model.p = beta[:n]
-    model.q = beta[n:]
+    model.p, model.q, _ = _solve(model.corners, x, y)
 
 
-def _rmse(model: AnfisModel, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((model.forward(x) - y) ** 2)))
+def _rmse(y_hat: np.ndarray, y: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((y_hat - y) ** 2)))
 
 
 def _premise_gradients(model: AnfisModel, x: np.ndarray, y: np.ndarray
                        ) -> np.ndarray:
     """Analytic d(SSE)/d(corner), shape (n_rules, 4)."""
-    w = model.firing_strengths(x)
+    w = memberships(model.corners, x)
     total = w.sum(axis=0)
     rule_out = model.p[:, None] * x[None, :] + model.q[:, None]
     y_hat = (w * rule_out).sum(axis=0) / total
-    r = y_hat - y
-    grads = np.zeros((model.n_rules, 4))
-    for k, mf in enumerate(model.mfs):
-        dy_dwk = (rule_out[k] - y_hat) / total
-        common = 2.0 * r * dy_dwk
-        grads[k] = mf.corner_gradients(x) @ common
-    return grads
+    common = 2.0 * (y_hat - y) * ((rule_out - y_hat) / total)
+    g = corner_gradients(model.corners, x)
+    # one matrix-vector product per rule: a batched matmul may sum in
+    # another order
+    return np.array([g[k] @ common[k] for k in range(model.n_rules)])
 
 
 def train_hybrid(model: AnfisModel, x, y, epochs: int = 100,
                  learning_rate: float = 0.01):
     """Hybrid least-squares / gradient-descent training.
 
-    Per epoch the consequents are re-solved exactly, then the corners take
-    one step of length ``learning_rate * domain_width`` along the negative
-    unit gradient.  A step that raises the RMSE (or tears a hole in the
-    fuzzy cover) is reverted and the learning rate halves.  Returns the
+    Per epoch the corners take one trial step of length
+    ``learning_rate * domain_width`` along the negative unit gradient,
+    sorted back into order, and the consequents are re-solved exactly at
+    the trial corners.  A step that raises the RMSE (or leaves an input
+    outside the fuzzy support) is dropped and the learning rate halves;
+    the gradient is recomputed only after an accepted step.  Returns the
     model and the nonincreasing RMSE history (one entry per epoch, after
     the least-squares solve).
     """
@@ -230,33 +218,26 @@ def train_hybrid(model: AnfisModel, x, y, epochs: int = 100,
     width = model.domain[1] - model.domain[0]
     lr = learning_rate
 
-    fit_consequents(model, x, y)
-    rmse = _rmse(model, x, y)
-    history = [rmse]
-
+    model.p, model.q, y_hat = _solve(model.corners, x, y)
+    history = [_rmse(y_hat, y)]
+    grads = None
     for _ in range(max(epochs - 1, 0)):
-        saved = [mf.corners() for mf in model.mfs]
-        saved_pq = (model.p.copy(), model.q.copy())
-        grads = _premise_gradients(model, x, y)
-        norm = float(np.linalg.norm(grads))
+        if grads is None:
+            grads = _premise_gradients(model, x, y)
+            norm = float(np.linalg.norm(grads))
+        rmse = history[-1]
         if norm > 0.0:
-            step = -lr * width * grads / norm
-            for mf, corners, delta in zip(model.mfs, saved, step):
-                a, b, c, d = np.sort(corners + delta)  # projection repair
-                mf.a, mf.b, mf.c, mf.d = float(a), float(b), float(c), float(d)
-        wn, _ = _normalized_strengths(model, x)
-        if wn is None:
-            new_rmse = np.inf
-        else:
-            fit_consequents(model, x, y)
-            new_rmse = _rmse(model, x, y)
-        if new_rmse > rmse:
-            for mf, corners in zip(model.mfs, saved):
-                mf.a, mf.b, mf.c, mf.d = (float(v) for v in corners)
-            model.p, model.q = saved_pq
-            lr *= 0.5
-        else:
-            rmse = new_rmse
+            trial = np.sort(model.corners - lr * width * grads / norm, axis=1)
+            try:
+                p, q, y_hat = _solve(trial, x, y)
+                trial_rmse = _rmse(y_hat, y)
+            except FuzzySupportError:
+                trial_rmse = np.inf
+            if trial_rmse > rmse:
+                lr *= 0.5
+            else:
+                model.corners, model.p, model.q = trial, p, q
+                rmse, grads = trial_rmse, None
         history.append(rmse)
     return model, history
 

@@ -2,7 +2,8 @@
 
 One JSON configuration file feeds every subcommand (shared sections:
 ``parameters``/``parameters_file``, ``policy``, ``seed``, ``out_dir``,
-``optimizer``; one exclusive section per subcommand).  Flags override the
+``decisions``, ``optimizer``; at most one exclusive section, holding only
+its subcommand's keys).  An unknown key exits 2.  Flags override the
 file.  The default config path comes from the ``GREENCHAIN_CONFIG``
 environment variable.
 
@@ -46,7 +47,16 @@ EXIT_INVALID = 2
 EXIT_CALIBRATION = 3
 
 CONFIG_ENV = "GREENCHAIN_CONFIG"
-EXCLUSIVE_SECTIONS = ("evaluate", "sensitivity", "anfis", "surface", "calibrate")
+# The keys of each subcommand's own section; a config holds at most one.
+SECTION_KEYS = {
+    "evaluate": ("decisions",),
+    "sensitivity": ("parameter", "levels", "reoptimize", "decisions"),
+    "anfis": ("variable", "n_points", "range", "epochs", "learning_rate",
+              "decisions"),
+    "surface": ("variables", "range1", "range2", "n1", "n2", "decisions"),
+    "calibrate": ("target",),
+}
+EXCLUSIVE_SECTIONS = tuple(SECTION_KEYS)
 # The JSON type each shared key and section must have; null counts as absent.
 CONFIG_TYPES = {"parameters": dict, "parameters_file": str, "policy": str,
                 "out_dir": str, "optimizer": dict, "decisions": dict,
@@ -99,6 +109,11 @@ def load_config(path: str | None) -> dict:
              if doc.get(key) is not None and not isinstance(doc[key], kind)]
     if wrong:
         raise UsageError("; ".join(wrong))
+    unknown = sorted(set(doc) - set(CONFIG_TYPES) - {"seed"}) + [
+        f"{name}.{key}" for name in present
+        for key in sorted(set(doc[name] or {}) - set(SECTION_KEYS[name]))]
+    if unknown:
+        raise UsageError("unknown config keys: " + ", ".join(unknown))
     return doc
 
 

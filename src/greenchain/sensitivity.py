@@ -318,14 +318,13 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     # needs it, and it is most of the start-up time.
     from scipy import optimize as sciopt
 
-    base = dict(TABLE_DEFAULTS)
-    if base_values:
-        base.update(base_values)
-    unknown = sorted(set(base) - set(PARAM_ORDER))
+    base_values = base_values or {}
+    unknown = sorted(set(base_values) - set(PARAM_ORDER))
     if unknown:
         raise ParameterError(f"unknown parameter keys: {', '.join(unknown)}")
-    for name in ("v1", "v2", "C_Tax"):
-        base.pop(name, None)
+    # v1, v2 and C_Tax are fitted; null counts as absent, as in from_dict
+    base = {**TABLE_DEFAULTS, **{k: v for k, v in base_values.items()
+                                 if v is not None and k not in ("v1", "v2", "C_Tax")}}
     # Validated once; the search writes only the v1, v2 and C_Tax slots,
     # inside the box v1, v2 in (1e-6, 10), C_Tax in [0, 1e3].
     start = ModelParameters(v1=1.0, v2=1.0, C_Tax=0.0, **base)
@@ -333,12 +332,15 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     residuals = calibration_residuals(target)
 
     def project(lv):
-        """(residuals, C_Tax, <s, s>) at the best C_Tax for (log v1, log v2)."""
+        """(residuals, loss, C_Tax, <s, s>) at the best C_Tax for (log v1, log v2);
+        profits too large to square give a non-finite loss, not a NumPy warning."""
         p[K.P_V1], p[K.P_V2] = math.exp(lv[0]), math.exp(lv[1])
         r0, s = residuals(p)
-        ss = float(s @ s)
-        c_tax = min(max(-float(r0 @ s) / ss, 0.0), 1e3) if ss > 0.0 else 0.0
-        return r0 + c_tax * s, c_tax, ss
+        with np.errstate(over="ignore", invalid="ignore"):
+            ss = float(s @ s)
+            c_tax = min(max(-float(r0 @ s) / ss, 0.0), 1e3) if ss > 0.0 else 0.0
+            r = r0 + c_tax * s
+            return r, float(r @ r), c_tax, ss
 
     def loss(lv) -> float:
         # 1e6 outside the box, outside the model's domain and where the
@@ -346,10 +348,9 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
         if not all(1e-6 < math.exp(x) < 10.0 for x in lv):
             return 1e6
         try:
-            r = project(lv)[0]
+            f = project(lv)[1]
         except (DomainError, ArithmeticError):
             return 1e6
-        f = float(r @ r)
         return f if f < 1e6 else 1e6
 
     grid = np.log(np.geomspace(2e-3, 0.5, 28))
@@ -359,12 +360,11 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     if loss(lv) >= 1e6:
         raise ValueError("calibration target: the model rejects its decisions, "
                          "or their profits are not finite, at every v1, v2 tried")
-    r, c_tax, ss = project(lv)
+    r, f0, c_tax, ss = project(lv)
     v1, v2 = math.exp(lv[0]), math.exp(lv[1])
     errors = dict(zip(("Z_m", "Z_r", "phi_T"), r[:3].tolist()))
     residual = max(abs(e) for e in errors.values())
 
-    f0 = float(r @ r)
     identifiable = {}
     for name, k in (("v1", 0), ("v2", 1)):
         moved = 0.0

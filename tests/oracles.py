@@ -8,8 +8,10 @@ branches.  The tests compare the package against these.  The exceptions
 are `evaluate_policy_batch`, a row-by-row loop over the package's scalar
 kernels that the vectorised NumPy twin is checked against,
 `surface_csv_reference`, the `csv.writer` loop the surface writer must
-match byte for byte, and `mutation_indices_reference`, the draw-by-draw
-loop whose stream DE's bulk draw must replay.
+match byte for byte, `mutation_indices_reference`, the draw-by-draw
+loop whose stream DE's bulk draw must replay, and
+`anfis_training_reference`, the rule-by-rule training loop that ANFIS
+training on the corner array must match bit for bit.
 """
 
 from __future__ import annotations
@@ -191,3 +193,106 @@ def surface_csv_reference(v1, v2, xs, ys, values, valid) -> str:
         writer.writerow([repr(float(xv)), repr(float(yv)),
                          repr(float(val)) if ok else ""])
     return fh.getvalue()
+
+
+class _Trapezoid:
+    """One membership function with Python-float corners a <= b <= c <= d."""
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def membership(self, x):
+        rise = np.maximum(self.b - self.a, 1e-300)
+        fall = np.maximum(self.d - self.c, 1e-300)
+        mu = np.minimum((x - self.a) / rise, (self.d - x) / fall)
+        mu = np.clip(mu, 0.0, 1.0)
+        return np.where((x >= self.b) & (x <= self.c), 1.0, mu)
+
+    def corner_gradients(self, x):
+        g = np.zeros((4, x.size))
+        rise = self.b - self.a
+        if rise > 0:
+            on = (x > self.a) & (x < self.b)
+            g[0, on] = (x[on] - self.b) / rise ** 2
+            g[1, on] = -(x[on] - self.a) / rise ** 2
+        fall = self.d - self.c
+        if fall > 0:
+            on = (x > self.c) & (x < self.d)
+            g[2, on] = (self.d - x[on]) / fall ** 2
+            g[3, on] = (x[on] - self.c) / fall ** 2
+        return g
+
+
+def anfis_training_reference(lo, hi, x, y, epochs=100, learning_rate=0.01,
+                             n=5):
+    """Hybrid ANFIS training with one trapezoid object per rule.
+
+    Starts from the equal-width grid partition of [lo, hi] and runs the
+    training loop rule by rule: per epoch a least-squares solve of the
+    consequents (ridge 1e-8 on rank loss), then one gradient step of length
+    ``learning_rate * (hi - lo)`` on the corners, sorted back into order,
+    kept only if it does not raise the RMSE (else the learning rate
+    halves).  Returns (history, corners (n, 4), p, q).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    h = (hi - lo) / (n - 1)
+    mfs = [_Trapezoid(lo + k * h - 0.75 * h, lo + k * h - 0.25 * h,
+                      lo + k * h + 0.25 * h, lo + k * h + 0.75 * h)
+           for k in range(n)]
+
+    def strengths():
+        w = np.stack([mf.membership(x) for mf in mfs])
+        return w, w.sum(axis=0)
+
+    def fit():
+        w, total = strengths()
+        if np.any(total <= 1e-12):
+            return None
+        wn = w / total
+        A = np.concatenate([wn * x[None, :], wn]).T
+        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+        if rank < A.shape[1]:
+            beta = np.linalg.solve(A.T @ A + 1e-8 * np.eye(2 * n), A.T @ y)
+        return beta[:n], beta[n:]
+
+    def outputs(p, q):
+        w, total = strengths()
+        rule_out = p[:, None] * x[None, :] + q[:, None]
+        return w, total, rule_out, (w * rule_out).sum(axis=0) / total
+
+    def rmse(p, q):
+        return float(np.sqrt(np.mean((outputs(p, q)[3] - y) ** 2)))
+
+    def gradients(p, q):
+        _, total, rule_out, y_hat = outputs(p, q)
+        r = y_hat - y
+        grads = np.zeros((n, 4))
+        for k, mf in enumerate(mfs):
+            common = 2.0 * r * ((rule_out[k] - y_hat) / total)
+            grads[k] = mf.corner_gradients(x) @ common
+        return grads
+
+    lr = learning_rate
+    p, q = fit()
+    history = [rmse(p, q)]
+    for _ in range(max(epochs - 1, 0)):
+        saved = [(mf.a, mf.b, mf.c, mf.d) for mf in mfs]
+        grads = gradients(p, q)
+        norm = float(np.linalg.norm(grads))
+        if norm > 0.0:
+            step = -lr * (hi - lo) * grads / norm
+            for mf, corners, delta in zip(mfs, saved, step):
+                mf.a, mf.b, mf.c, mf.d = (
+                    float(v) for v in np.sort(np.array(corners) + delta))
+        fitted = fit()
+        new_rmse = np.inf if fitted is None else rmse(*fitted)
+        if new_rmse > history[-1]:
+            for mf, corners in zip(mfs, saved):
+                mf.a, mf.b, mf.c, mf.d = corners
+            lr *= 0.5
+            history.append(history[-1])
+        else:
+            p, q = fitted
+            history.append(new_rmse)
+    return history, np.array([[mf.a, mf.b, mf.c, mf.d] for mf in mfs]), p, q

@@ -326,14 +326,14 @@ def test_a8_surrogate_quality(calibration):
     analytic = _premise_gradients(gm, xs, ys)
     h = 1e-6
     grad_ok = True
-    for k, mf in enumerate(gm.mfs):
-        for j, name in enumerate("abcd"):
-            saved = getattr(mf, name)
-            setattr(mf, name, saved + h)
+    for k in range(gm.n_rules):
+        for j in range(4):
+            saved = gm.corners[k, j]
+            gm.corners[k, j] = saved + h
             up = float(np.sum((gm.forward(xs) - ys) ** 2))
-            setattr(mf, name, saved - h)
+            gm.corners[k, j] = saved - h
             down = float(np.sum((gm.forward(xs) - ys) ** 2))
-            setattr(mf, name, saved)
+            gm.corners[k, j] = saved
             fd = (up - down) / (2 * h)
             ref = max(abs(fd), 1e-7)
             if abs(analytic[k, j] - fd) / ref > 1e-4:

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from greenchain import DecisionVector, ModelParameters, evaluate_policy
-from greenchain.anfis import (AnfisModel, FuzzySupportError, TrapezoidMF,
-                              fit_consequents, generate_dataset,
-                              grid_partition, train_hybrid)
+from greenchain.anfis import (AnfisModel, FuzzySupportError,
+                              corner_gradients, fit_consequents,
+                              generate_dataset, grid_partition, memberships,
+                              train_hybrid)
+
+from oracles import anfis_training_reference
+
+REFERENCE = {"v1": 0.0386, "v2": 0.0549, "C_Tax": 2.108, "C_CT": 2.108}
+REFERENCE_DECISIONS = DecisionVector(T0=0.6626, xi1=167.8651, xi2=93.6741,
+                                     G=7.7565, W_r=292.28)
 
 
 @pytest.fixture
@@ -15,27 +22,29 @@ def model():
 class TestTrapezoid:
     def test_corner_ordering_enforced(self):
         with pytest.raises(ValueError):
-            TrapezoidMF(1.0, 0.5, 2.0, 3.0)
+            AnfisModel("x", (0.0, 3.0), [[1.0, 0.5, 2.0, 3.0]], ("m",))
+        with pytest.raises(ValueError):
+            AnfisModel("x", (0.0, 3.0), [[0.0, np.nan, 2.0, 3.0]], ("m",))
 
     def test_membership_shape(self):
-        mf = TrapezoidMF(0.0, 1.0, 2.0, 3.0)
+        corners = np.array([[0.0, 1.0, 2.0, 3.0]])
         x = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
-        mu = mf.membership(x)
+        mu = memberships(corners, x)[0]
         np.testing.assert_allclose(mu, [0, 0, 0.5, 1, 1, 1, 0.5, 0, 0])
         assert np.all((mu >= 0) & (mu <= 1))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        mf = TrapezoidMF(0.1, 0.4, 0.6, 0.95)
+        corners = np.array([[0.1, 0.4, 0.6, 0.95]])
         x = rng.uniform(0.12, 0.93, 40)
         x = x[(np.abs(x - 0.4) > 1e-3) & (np.abs(x - 0.6) > 1e-3)]
-        analytic = mf.corner_gradients(x)
+        analytic = corner_gradients(corners, x)[0]
         h = 1e-7
-        for k, name in enumerate("abcd"):
-            plus = TrapezoidMF(**{**mf.__dict__, name: getattr(mf, name) + h,
-                                  "label": ""}).membership(x)
-            minus = TrapezoidMF(**{**mf.__dict__, name: getattr(mf, name) - h,
-                                   "label": ""}).membership(x)
+        for k in range(4):
+            step = np.zeros_like(corners)
+            step[0, k] = h
+            plus = memberships(corners + step, x)[0]
+            minus = memberships(corners - step, x)[0]
             fd = (plus - minus) / (2 * h)
             np.testing.assert_allclose(analytic[k], fd, rtol=1e-4, atol=1e-6)
 
@@ -48,11 +57,11 @@ class TestArchitecture:
 
     def test_grid_partition_covers_domain(self, model):
         x = np.linspace(0.0, 1.0, 501)
-        total = model.firing_strengths(x).sum(axis=0)
+        total = memberships(model.corners, x).sum(axis=0)
         assert np.all(total > 0.0)
 
     def test_labels(self, model):
-        assert [mf.label for mf in model.mfs] == [
+        assert list(model.labels) == [
             "very low", "low", "medium", "high", "very high"]
 
 
@@ -61,12 +70,13 @@ class TestForward:
         model.p = np.arange(1.0, 6.0)
         model.q = np.arange(10.0, 15.0)
         # the leftmost plateau is covered by rule 0 alone
-        x = model.mfs[0].b
+        x = model.corners[0, 1]
         assert model.forward(x) == pytest.approx(model.p[0] * x + model.q[0])
 
     def test_equal_weights_average_consequents(self):
-        mfs = [TrapezoidMF(0.0, 0.0, 1.0, 1.0, label=f"m{i}") for i in range(5)]
-        m = AnfisModel(input_name="x", domain=(0.0, 1.0), mfs=mfs,
+        m = AnfisModel(input_name="x", domain=(0.0, 1.0),
+                       corners=[[0.0, 0.0, 1.0, 1.0]] * 5,
+                       labels=tuple(f"m{i}" for i in range(5)),
                        p=np.zeros(5), q=np.arange(5.0))
         assert m.forward(0.5) == pytest.approx(np.arange(5.0).mean())
 
@@ -80,12 +90,18 @@ class TestForward:
         with pytest.raises(FuzzySupportError):
             model.forward(55.0)
 
+    def test_strength_at_the_support_floor_raises(self):
+        # total strength 1e-13: positive, but not above SUPPORT_FLOOR
+        m = AnfisModel("x", (0.0, 3.0), [[0.0, 1.0, 2.0, 3.0]], ("m",))
+        with pytest.raises(FuzzySupportError):
+            m.forward(3.0 - 1e-13)
+
     def test_output_is_convex_combination_of_rule_outputs(self, model):
         rng = np.random.default_rng(8)
         model.p = rng.normal(size=5)
         model.q = rng.normal(size=5)
         for x in rng.uniform(0.0, 1.0, 200):
-            w = model.firing_strengths(x)[:, 0]
+            w = memberships(model.corners, x)[:, 0]
             outs = model.p * x + model.q
             active = outs[w > 0]
             y = model.forward(float(x))
@@ -135,14 +151,14 @@ class TestTraining:
             return float(np.sum((model.forward(x) - y) ** 2))
 
         h = 1e-6
-        for k, mf in enumerate(m.mfs):
-            for j, name in enumerate("abcd"):
-                saved = getattr(mf, name)
-                setattr(mf, name, saved + h)
+        for k in range(m.n_rules):
+            for j in range(4):
+                saved = m.corners[k, j]
+                m.corners[k, j] = saved + h
                 up = sse(m)
-                setattr(mf, name, saved - h)
+                m.corners[k, j] = saved - h
                 down = sse(m)
-                setattr(mf, name, saved)
+                m.corners[k, j] = saved
                 fd = (up - down) / (2 * h)
                 assert analytic[k, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
@@ -154,6 +170,41 @@ class TestTraining:
         fit_consequents(m, x, y)
         assert np.all(np.isfinite(m.p)) and np.all(np.isfinite(m.q))
         assert m.forward(0.5) == pytest.approx(2.0, rel=1e-6)
+
+
+def _training_cases():
+    params = ModelParameters.from_dict(REFERENCE)
+    x, y, _ = generate_dataset(params, REFERENCE_DECISIONS, "T0", 61, (0.05, 1.5))
+    yield "reference", x, y, 100
+    rng = np.random.default_rng(62)
+    x = np.sort(rng.uniform(0.0, 2.0, 50))
+    yield "drawn", x, np.sin(2.5 * x) + 0.1 * rng.normal(size=x.size), 60
+    x = np.linspace(0.0, 2.0, 41)
+    yield "linear", x, 3.0 * x + 1.0, 20
+    yield "zero_gradient", x, np.zeros_like(x), 10
+    x = np.repeat(np.linspace(0.0, 1.0, 4), 3)
+    yield "duplicate_x", x, x ** 2, 15
+
+
+@pytest.mark.parametrize("case", ["reference", "drawn", "linear",
+                                  "zero_gradient", "duplicate_x"])
+def test_training_matches_rule_by_rule_reference(case):
+    """The corner-array training reproduces the rule-by-rule loop bit for bit.
+
+    The reference dataset has steps that are dropped (the RMSE repeats);
+    on the drawn one, squaring the trapezoid widths with NumPy instead of
+    libm's pow changes the result; the zero target has a zero gradient;
+    duplicate x takes the ridge fallback of the least-squares solve.
+    """
+    _, x, y, epochs = next(c for c in _training_cases() if c[0] == case)
+    lo, hi = float(x.min()), float(x.max())
+    model, history = train_hybrid(grid_partition(lo, hi, 5), x, y, epochs=epochs)
+    ref_history, corners, p, q = anfis_training_reference(lo, hi, x, y, epochs)
+    assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+    assert model.corners.tobytes() == corners.tobytes()
+    assert model.p.tobytes() == p.tobytes() and model.q.tobytes() == q.tobytes()
+    if case == "reference":
+        assert sum(b == a for a, b in zip(history, history[1:])) == 13
 
 
 class TestDataset:
@@ -193,4 +244,4 @@ def test_json_round_trip(model):
     clone = AnfisModel.from_json(model.to_json())
     x = np.linspace(0.0, 1.0, 50)
     np.testing.assert_array_equal(clone.forward(x), model.forward(x))
-    assert [mf.label for mf in clone.mfs] == [mf.label for mf in model.mfs]
+    assert list(clone.labels) == list(model.labels)

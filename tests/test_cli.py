@@ -399,6 +399,16 @@ class TestCalibrate:
         assert code == 3
         assert json.loads(out)["ok"] is False
 
+    def test_null_parameter_counts_as_absent(self, capsys, tmp_path):
+        reports = []
+        for parameters in ({"P": None}, {}):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"parameters": parameters}))
+            code, out, _ = run_cli(capsys, "--config", str(path), "calibrate")
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1]
+
 
 class TestConfigValidation:
     def test_two_exclusive_sections_rejected(self, capsys, tmp_path):
@@ -491,6 +501,11 @@ class TestConfigValidation:
             **CALIBRATION_TARGET, "decisions": {**DECISIONS, "T0": -1.0}}}}),
         (["calibrate"], {"parameters": {**PARAMS, "bogus": 1.0}}),
         (["evaluate"], {"policy": ""}),
+        (["evaluate"], {"polcy": "limited"}),
+        (["anfis"], {"anfis": {**ANFIS, "epoch": 3}}),
+        (["surface"], {"surface": {**SURFACE, "n_1": 3}}),
+        (["calibrate"], {"calibrate": {"target": {
+            **CALIBRATION_TARGET, "decisions": {**DECISIONS, "G": 1e200}}}}),
     ], ids=["seed_float", "seed_bool", "n1_float", "n1_bool", "epochs_float",
             "n_points_null", "decisions_list", "optimizer_list",
             "sensitivity_list", "policy_list", "parameters_list",
@@ -502,7 +517,9 @@ class TestConfigValidation:
             "levels_flag_nan", "learning_rate_negative", "learning_rate_zero",
             "G_flag_inf", "xi1_flag_inf", "target_zero",
             "target_nan", "target_inf", "target_overflow",
-            "target_inadmissible", "calibrate_unknown_key", "policy_empty"])
+            "target_inadmissible", "calibrate_unknown_key", "policy_empty",
+            "unknown_top_level_key", "unknown_anfis_key", "unknown_surface_key",
+            "target_overflow_warning"])
     def test_malformed_config_value_is_usage_error(self, capsys, tmp_path,
                                                    command, change):
         path = tmp_path / "c.json"
