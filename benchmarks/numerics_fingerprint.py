@@ -16,10 +16,11 @@ Entries (one process, about 20 s on two cores):
 
 - ``run``: de1/de2/pso x tax/cap_trade/limited x seeds 0-4;
 - ``multi_seed_run`` with five seeds for the same nine pairs;
-- lockstep runs whose penalty coefficient doubles (``limited`` with no cap,
-  three runs per algorithm with different doubling schedules);
+- runs whose penalty coefficient doubles (``limited`` with no cap, three
+  runs per algorithm with different doubling schedules, each on its own:
+  the runs of one lockstep call share their schedule);
 - one lockstep call per algorithm that mixes runs which become feasible
-  with a run that never does;
+  with a run that never does, under one shared doubling schedule;
 - runs on an objective that rejects every row (no incumbent: ``x_best``
   falls back to the final population's first row, the history is -inf);
 - the NumPy batch twin itself on a seeded batch of finite rows: ordinary
@@ -112,12 +113,12 @@ def _optimizer_entries(gc) -> dict:
         tight = params.replace(U2=0.0, l3=l3)
         objective = gc.make_batch_objective(tight, "limited")
         for algo in ALGORITHMS:
-            configs = [OptimizerConfig(algorithm=algo, seed=seed, max_iter=60,
-                                       penalty_coefficient=1e-3,
-                                       penalty_double_every=every)
-                       for seed, every in ((1, 3), (2, 5), (3, 7))]
-            entries[f"doubling/{algo}/l3={l3}"] = run_many(
-                [default_search_space(tight)] * 3, configs, objective)
+            entries[f"doubling/{algo}/l3={l3}"] = [
+                run(default_search_space(tight),
+                    OptimizerConfig(algorithm=algo, seed=seed, max_iter=60,
+                                    penalty_coefficient=1e-3,
+                                    penalty_double_every=every), objective)
+                for seed, every in ((1, 3), (2, 5), (3, 7))]
 
     # Runs 0 and 2 become feasible, run 1 (as above at l3 = 1.5) never does.
     mixed = [params, params.replace(U2=0.0, l3=1.5), params]
@@ -125,8 +126,8 @@ def _optimizer_entries(gc) -> dict:
     for algo in ALGORITHMS:
         configs = [OptimizerConfig(algorithm=algo, seed=seed, max_iter=60,
                                    penalty_coefficient=1e-3,
-                                   penalty_double_every=every)
-                   for seed, every in ((4, 1), (5, 3), (6, 50))]
+                                   penalty_double_every=3)
+                   for seed in (4, 5, 6)]
         entries[f"mixed_feasibility/{algo}"] = run_many(
             [default_search_space(p) for p in mixed], configs, objective)
 

@@ -31,14 +31,14 @@ import numpy as np
 
 from .anfis import generate_dataset, grid_partition, train_hybrid
 from .model import (DECISION_NAMES, DecisionVector, DomainError, base_profits,
-                    compute_breakdown, compute_schedule)
+                    compute_breakdown, compute_schedule, refusing_overflow)
 from .optimize import (ALGORITHMS, OptimizerConfig, default_search_space,
                        multi_seed_run, multi_seed_stats)
 from .params import ModelParameters, ParameterError, to_real
 from .policy import POLICY_IDS, evaluate_policy, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
                           DEFAULT_LEVELS, SWEEP_CSV_COLUMNS, SweepSpec,
-                          calibrate_missing_defaults, direction_report,
+                          calibrated_parameters, direction_report,
                           run_sweep, sweep_table)
 
 EXIT_OK = 0
@@ -117,19 +117,25 @@ def load_config(path: str | None) -> dict:
     return doc
 
 
+def _parameter_document(config: dict) -> dict | None:
+    """The config's parameter document: `parameters`, else the JSON object
+    in `parameters_file`, else None."""
+    doc, path = config.get("parameters"), config.get("parameters_file")
+    if doc is not None or path is None:
+        return doc
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise UsageError(f"cannot read parameters_file {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"parameters_file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"parameters_file {path} must hold a JSON object")
+    return doc
+
+
 def _load_parameters(config: dict, policy: str | None) -> ModelParameters:
-    doc = config.get("parameters")
-    if doc is None and "parameters_file" in config:
-        path = config["parameters_file"]
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise UsageError(f"cannot read parameters_file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"parameters_file {path} is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise UsageError(f"parameters_file {path} must hold a JSON object")
+    doc = _parameter_document(config)
     if doc is None:
         raise UsageError("config must provide 'parameters' or 'parameters_file'")
     return ModelParameters.from_dict(doc, policy=policy)
@@ -239,7 +245,11 @@ def cmd_optimize(args, config) -> int:
     objective = make_batch_objective(params, policy)
     space = default_search_space(params)
     n_seeds = args.seeds if args.seeds is not None else 1
-    results = multi_seed_run(space, cfg, objective, n_seeds)
+    with refusing_overflow():
+        results = multi_seed_run(space, cfg, objective, n_seeds)
+    if not all(np.isfinite(result.best_value) for result in results):
+        raise ValueError("the model rejects every candidate the optimizer tried; "
+                         "there is no best point to report")
 
     out = _out_dir(args, config)
     for result in results:
@@ -306,7 +316,8 @@ def cmd_sensitivity(args, config) -> int:
         decisions = _decisions(config, section)
     spec = SweepSpec(parameter=parameter, levels=tuple(levels), policy=policy,
                      optimizer=cfg, reoptimize=reoptimize, decisions=decisions)
-    rows = run_sweep(spec, params)
+    with refusing_overflow():
+        rows = run_sweep(spec, params)
     for row in rows:
         if row.feasible:
             d = row.decisions
@@ -347,10 +358,11 @@ def cmd_anfis(args, config) -> int:
             f"{2 * rules} linear consequent parameters of {rules} rules")
     model = grid_partition(float(x.min()), float(x.max()), rules,
                            input_name=variable)
-    model, history = train_hybrid(model, x, y, epochs=epochs,
-                                  learning_rate=lr)
-    y_pred = model.forward(x)
-    rng = float(y.max() - y.min())
+    with refusing_overflow():
+        model, history = train_hybrid(model, x, y, epochs=epochs,
+                                      learning_rate=lr)
+        y_pred = model.forward(x)
+        rng = float(y.max() - y.min())
     print(f"anfis {variable}: {x.size} points (skipped {skipped}), "
           f"final RMSE {history[-1]:.4f} ({100 * history[-1] / rng:.3f}% of range)")
     print(f"architecture: {model.architecture()}")
@@ -440,14 +452,12 @@ def cmd_calibrate(args, config) -> int:
             decisions=DecisionVector.from_dict(doc["decisions"]),
             **{k: to_real(doc.get(k), f"calibrate target {k}")
                for k in ("Z_m", "Z_r", "phi_T")})
-    base_values = config.get("parameters")
-    result = calibrate_missing_defaults(target, base_values=base_values)
+    result = calibrated_parameters(_parameter_document(config), target)
     report = result.report()
     if args.check_directions:
         seed = _seed(args, config, required=True)
         cfg = _optimizer_config(args, config, seed)
-        params = result.params.replace(C_CT=result.C_Tax)
-        report["sign_checks"] = direction_report(params, cfg)
+        report["sign_checks"] = direction_report(result.params, cfg)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     out = _out_dir(args, config)

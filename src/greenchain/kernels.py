@@ -63,6 +63,7 @@ ERR_NEGATIVE_DEMAND = 3
 ERR_ZERO_DEMAND = 4
 ERR_NET_REPLENISHMENT = 5
 ERR_BACKLOG = 6
+ERR_OVERFLOW = 7    # not from evaluate_terms: the model layer's, on overflow
 
 STATUS_MESSAGES = {
     OK: "ok",
@@ -72,6 +73,7 @@ STATUS_MESSAGES = {
     ERR_ZERO_DEMAND: "zero demand (retailer cycle never ends)",
     ERR_NET_REPLENISHMENT: "nonpositive net replenishment rate",
     ERR_BACKLOG: "backlog never clears",
+    ERR_OVERFLOW: "floating-point overflow: the inputs are too extreme",
 }
 
 # The term vector filled by evaluate_terms, in slot order.  This table is the
@@ -498,8 +500,9 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
      l3, l4, kappa1, kappa2, omega, U1, U2, C_Tax, C_CT) = p
 
     # Placeholders keep invalid rows away from the domain edges; one scope
-    # silences what is left of their NaN and division noise.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # silences what is left of their NaN and division noise, and the
+    # overflow of extreme inputs, whose rows are refused at the end.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fW = a - b * W_r
         # Each investment in [0, inf): NaN propagates through np.minimum
         # and np.maximum and fails both tests.
@@ -596,8 +599,7 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
         if policy_id == POLICY_LIMITED:
             rho_G = G * l3 - l4 * G ** kappa2
             values = phi_m + (1.0 - f_r) * phi_r_raw - G
-            excess = np.maximum(CarC_m + CarC_r - rho_G - U2, 0.0)
-            violations = np.where(valid, excess, np.nan)
+            violations = np.maximum(CarC_m + CarC_r - rho_G - U2, 0.0)
         else:
             gm = omega * G
             gr = (1.0 - omega) * G
@@ -612,6 +614,8 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
             phi_m_pol = phi_m - (charge_m + gm * T2) / T2
             phi_r_pol = (1.0 - f_r) * (phi_r_raw - (charge_r + gr * (T3 - T11)) / T3)
             values = phi_m_pol + phi_r_pol
-            violations = np.where(valid, 0.0, np.nan)
+            violations = 0.0
 
-    return np.where(valid, values, np.nan), violations, valid
+    # inf or NaN is no answer: refused, as the model layer refuses it.
+    valid &= np.isfinite(values) & np.isfinite(violations)
+    return np.where(valid, values, np.nan), np.where(valid, violations, np.nan), valid

@@ -3,13 +3,15 @@
 This is the readable layer over :mod:`greenchain.kernels`: it reads
 decision vectors, raises a typed error with the kernel's status for every
 input that ``kernels.evaluate_terms`` rejects (the only statement of the
-model's domain), and views the term vector as the schedule, cost
-breakdown and base profits that the CLI and reports expose.  The per-step
-formulas live in the kernels; optimizer inner loops call the batch twin.
+model's domain) or whose arithmetic overflows, and views the term vector
+as the schedule, cost breakdown and base profits that the CLI and reports
+expose.  The per-step formulas live in the kernels; optimizer inner loops
+call the batch twin.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
@@ -89,11 +91,24 @@ ProfitResult = _term_dataclass(
     K.TERM_NAMES[K.T_PHI_M:K.T_PHI_T + 1])
 
 
+@contextmanager
+def refusing_overflow():
+    """Scope in which a floating-point overflow raises
+    DomainError(ERR_OVERFLOW): extreme but admissible inputs are refused,
+    not answered with inf or NaN."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):     # NumPy's, or math's
+        raise DomainError(K.ERR_OVERFLOW) from None
+
+
 def _terms_or_raise(p: np.ndarray, decisions: DecisionVector) -> np.ndarray:
     """Term vector for a packed parameter vector `p`; DomainError if rejected."""
     terms = np.empty(K.N_TERMS, dtype=np.float64)
-    status = K.evaluate_terms(decisions.T0, decisions.xi1, decisions.xi2,
-                              decisions.G, decisions.W_r, p, terms)
+    with refusing_overflow():
+        status = K.evaluate_terms(decisions.T0, decisions.xi1, decisions.xi2,
+                                  decisions.G, decisions.W_r, p, terms)
     if status != K.OK:
         raise DomainError(status)
     return terms

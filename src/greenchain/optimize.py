@@ -13,10 +13,12 @@ the larger value wins, among infeasible ones the larger fitness under the
 current coefficient; ties keep the incumbent, then the earlier row.  The
 history is the running maximum of the incumbent fitness.
 
-Lockstep: ``run_many`` advances K independent runs together and makes one
-objective call per generation on their stacked (K*NP, d) populations;
-``run`` is ``run_many`` with one entry.  Per-run state (incumbent,
-coefficient, feasibility, history) is kept in (K, ...) arrays.
+Lockstep: ``run_many`` advances K runs together and makes one objective
+call per generation on their stacked (K*NP, d) populations; ``run`` is
+``run_many`` with one entry.  The runs of one call share one optimizer
+config apart from the seed.  Each keeps its own generator, search box,
+parameter set, penalty coefficient, incumbent and history, the per-run
+state held in (K, ...) arrays.
 
 Determinism: each run has its own PCG64 generator seeded from its
 ``config.seed``; draws happen in a fixed order per generation (DE: mutation
@@ -67,6 +69,8 @@ class SearchSpace:
             raise ValueError("bounds must be 1-D arrays of equal length")
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be below its upper bound")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+            raise ValueError("search box bounds must be finite")
 
     @property
     def dim(self) -> int:
@@ -261,30 +265,28 @@ class _Runs:
     ``feasible`` flag and penalized fitness ``fit`` under ``coeff[k]``.
     """
 
-    def __init__(self, spaces, configs, algorithms: tuple):
+    def __init__(self, spaces, configs):
         spaces, configs = list(spaces), list(configs)
         if not configs or len(spaces) != len(configs):
             raise ValueError("need one search space per config and at least one run")
-        for config in configs:
-            config.validate()
         first = configs[0]
-        shape = (first.algorithm, first.pop_size, first.resolved_iters())
-        if any((c.algorithm, c.pop_size, c.resolved_iters()) != shape for c in configs):
-            raise ValueError("runs in one lockstep call must share algorithm, "
-                             "pop_size and iterations")
-        if first.algorithm not in algorithms:
-            raise ValueError(f"expected algorithm in {algorithms}, got {first.algorithm!r}")
+        first.validate()
+        if any(dataclasses.replace(c, seed=first.seed) != first for c in configs):
+            raise ValueError("runs in one lockstep call must share one optimizer "
+                             "config apart from the seed")
+        if any(c.seed is None for c in configs):
+            raise ValueError("seed is mandatory for optimizer runs")
         if any(s.dim != spaces[0].dim for s in spaces):
             raise ValueError("runs in one lockstep call must share the dimension")
-        self.configs = configs
+        self.config = first
+        self.seeds = [c.seed for c in configs]
         self.algorithm = first.algorithm
         self.K, self.NP, self.d = len(configs), first.pop_size, spaces[0].dim
         self.iters = first.resolved_iters()
         self.lower = np.stack([s.lower for s in spaces])[:, None, :]
         self.upper = np.stack([s.upper for s in spaces])[:, None, :]
-        self.rngs = [np.random.default_rng(c.seed) for c in configs]
-        self.coeff = np.array([c.penalty_coefficient for c in configs], dtype=np.float64)
-        self.every = np.array([c.penalty_double_every for c in configs])
+        self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
+        self.coeff = np.full(self.K, first.penalty_coefficient, dtype=np.float64)
         self.rows = np.arange(self.K)
         self.x = np.zeros((self.K, self.d))
         self.has_x = np.zeros(self.K, dtype=bool)
@@ -295,11 +297,6 @@ class _Runs:
         self.history, self.history_feasible = [], []   # one (K,) entry per call
         self.evals = 0
         self.start = time.perf_counter()
-
-    def column(self, name: str) -> np.ndarray:
-        """Config field `name` per run, shaped (K, 1, 1)."""
-        return np.array([getattr(c, name) for c in self.configs],
-                        dtype=np.float64)[:, None, None]
 
     def initial_population(self, objective):
         """Uniform draws in each box, evaluated: X and `evaluate`'s arrays."""
@@ -350,13 +347,11 @@ class _Runs:
                                   self.coeff[runs])
 
     def double_penalties(self, gen: int, values, violations, valid, fitness):
-        """Double the coefficient of each run due this generation and still
+        """On a doubling generation, double the coefficient of each run still
         infeasible, and return `fitness` with those runs' rows re-penalized."""
-        if self.feasible.all():
+        if gen % self.config.penalty_double_every or self.feasible.all():
             return fitness
-        due = (gen % self.every == 0) & ~self.feasible
-        if not due.any():
-            return fitness
+        due = ~self.feasible
         self.coeff = np.where(due, 2.0 * self.coeff, self.coeff)
         self._rescore(due)
         return np.where(due[:, None],
@@ -368,20 +363,20 @@ class _Runs:
         history_feasible = np.array(self.history_feasible).T.copy()
         x_best = np.where(self.has_x[:, None], self.x, X[:, 0])
         wall_time = time.perf_counter() - self.start
-        return [RunResult(algorithm=self.algorithm, seed=config.seed, x_best=x_best[k],
+        return [RunResult(algorithm=self.algorithm, seed=seed, x_best=x_best[k],
                           best_value=float(self.value[k]), best_fitness=float(self.fit[k]),
                           best_violation=float(self.violation[k]),
                           feasible=bool(self.feasible[k]), history=history[k],
                           history_feasible=history_feasible[k],
                           evaluations=self.evals, wall_time_s=wall_time)
-                for k, config in enumerate(self.configs)]
+                for k, seed in enumerate(self.seeds)]
 
 
-def de_run(spaces, configs, objective) -> list[RunResult]:
+def _de_run(spaces, configs, objective) -> list[RunResult]:
     """Differential evolution with greedy one-to-one selection, K runs in lockstep."""
-    runs = _Runs(spaces, configs, ("de1", "de2"))
+    runs = _Runs(spaces, configs)
     K, NP, rows = runs.K, runs.NP, runs.rows
-    F = runs.column("F")
+    F, Pc = runs.config.F, runs.config.Pc
 
     X, values, violations, valid, fitness = runs.initial_population(objective)
 
@@ -402,8 +397,8 @@ def de_run(spaces, configs, objective) -> list[RunResult]:
         else:
             donors = de_mutate_current_to_rand(X, picks[:, :, 0], picks[:, :, 1],
                                                picks[:, :, 2], F, R)
-        crossed = np.stack([binomial_crossover(X[k], donors[k], runs.configs[k].Pc,
-                                               runs.rngs[k]) for k in range(K)])
+        crossed = np.stack([binomial_crossover(X[k], donors[k], Pc, runs.rngs[k])
+                            for k in range(K)])
         trials = _reflect(crossed, runs.lower, runs.upper)
 
         t_values, t_violations, t_valid, t_fitness = runs.evaluate(objective, trials)
@@ -417,11 +412,11 @@ def de_run(spaces, configs, objective) -> list[RunResult]:
     return runs.results(X)
 
 
-def pso_run(spaces, configs, objective) -> list[RunResult]:
+def _pso_run(spaces, configs, objective) -> list[RunResult]:
     """Particle swarm with clamp-to-bound and velocity zeroing, K runs in lockstep."""
-    runs = _Runs(spaces, configs, ("pso",))
+    runs = _Runs(spaces, configs)
     K, NP, d, rows = runs.K, runs.NP, runs.d, runs.rows
-    w, c1, c2 = runs.column("m0"), runs.column("c1"), runs.column("c2")
+    w, c1, c2 = runs.config.m0, runs.config.c1, runs.config.c2
 
     X, values, violations, valid, fitness = runs.initial_population(objective)
     V = np.zeros((K, NP, d))
@@ -457,15 +452,15 @@ def pso_run(spaces, configs, objective) -> list[RunResult]:
 def run_many(spaces, configs, objective) -> list[RunResult]:
     """Advance K independent runs in lockstep, one objective call per generation.
 
-    Run k searches `spaces[k]` under `configs[k]`; the configs must share
-    algorithm, pop_size and iterations.  The objective receives the K
-    populations stacked as (K*NP, d) rows, run k in block k, and must
-    evaluate each row on its own.  Every run keeps its own generator,
-    penalty coefficient, doubling schedule and incumbent, so its result
-    does not depend on which runs share the call.
+    Run k searches `spaces[k]` under `configs[k]`; the configs must be
+    equal apart from the seed.  The objective receives the K populations
+    stacked as (K*NP, d) rows, run k in block k, and must evaluate each
+    row on its own.  Every run keeps its own generator, box, penalty
+    coefficient and incumbent, so its result does not depend on which
+    runs share the call.
     """
     configs = list(configs)
-    body = pso_run if configs and configs[0].algorithm == "pso" else de_run
+    body = _pso_run if configs and configs[0].algorithm == "pso" else _de_run
     return body(spaces, configs, objective)
 
 

@@ -1,16 +1,18 @@
-"""Exogenous model parameters: defaults, validation and JSON round-trips.
+"""Exogenous model parameters: defaults, validation and the parameter document.
 
-Four constants carry no published default and must always be supplied:
-``v1`` and ``v2`` (preservation efficiencies) everywhere, plus the active
-policy's carbon price (``C_Tax`` for the tax policy, ``C_CT`` for cap &
-trade).  ``calibrate_missing_defaults`` in :mod:`greenchain.sensitivity`
-fits them to a reference operating point.
+A parameter document is a JSON object of parameter values;
+``ModelParameters.from_dict`` is the one way it becomes parameters, for
+every command and for calibration.  Four constants carry no published
+default and must always be supplied: ``v1`` and ``v2`` (preservation
+efficiencies) everywhere, plus the active policy's carbon price
+(``C_Tax`` for the tax policy, ``C_CT`` for cap & trade).
+``calibrate_missing_defaults`` in :mod:`greenchain.sensitivity` fits them
+to a reference operating point.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 import warnings
@@ -140,27 +142,16 @@ class _ParameterSet:
 
     @classmethod
     def from_dict(cls, doc: dict, policy: str | None = None) -> "ModelParameters":
-        """Build from a plain mapping with strict key checking.
+        """Build from a parameter document: the one way a document becomes
+        parameters.
 
-        Unknown keys are rejected.  Keys absent from the document fall back
-        to the published defaults; the keys with no published value (v1, v2
-        and the active policy's carbon price) must be present and are all
-        reported together when missing.  Warns once when eta exceeds 1.
+        Unknown keys are rejected, and a null value counts as absent.  Keys
+        absent from the document fall back to the published defaults; the
+        keys with no published value (v1, v2 and the active policy's carbon
+        price) must be present and are all reported together when missing.
+        Warns once, naming the caller, when eta exceeds 1.
         """
-        return cls._load(doc, policy)
-
-    @classmethod
-    def from_json(cls, text: str, policy: str | None = None) -> "ModelParameters":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ParameterError("parameter document must be a JSON object")
-        return cls._load(doc, policy)
-
-    @classmethod
-    def _load(cls, doc: dict, policy: str | None) -> "ModelParameters":
-        # Called from from_dict and from_json only: stacklevel=3 is their caller.
-        known = set(PARAM_ORDER)
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc) - set(PARAM_ORDER))
         if unknown:
             raise ParameterError(f"unknown parameter keys: {', '.join(unknown)}")
         missing = [k for k in MANDATORY_FIELDS if doc.get(k) is None]
@@ -176,11 +167,8 @@ class _ParameterSet:
             warnings.warn(
                 f"stock-consumption parameter eta={params.eta} exceeds 1; "
                 "accepted, but outside the stated (0, 1] modelling range",
-                stacklevel=3)
+                stacklevel=2)
         return params
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def _field(name: str):

@@ -20,23 +20,16 @@ import numpy as np
 
 from . import kernels as K
 from .model import (CostBreakdown, DecisionVector, DomainError,
-                    _breakdown_from_terms, _terms_or_raise)
+                    _breakdown_from_terms, _terms_or_raise, refusing_overflow)
 from .params import ModelParameters
 
+# Kernel policy codes.  Indexed only after `require_policy_price`, which
+# refuses any other name.
 POLICY_IDS = {
     "tax": K.POLICY_TAX,
     "cap_trade": K.POLICY_CAP_TRADE,
     "limited": K.POLICY_LIMITED,
 }
-
-
-def policy_id(policy: str) -> int:
-    try:
-        return POLICY_IDS[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {policy!r}; expected one of {sorted(POLICY_IDS)}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ class PolicyObjective:
 
     @property
     def feasible(self) -> bool:
-        return self.constraint_violation <= 0.0
+        return bool(self.constraint_violation <= 0.0)   # not a NumPy bool
 
 
 def green_reduction(G: float, params: ModelParameters) -> GreenReduction:
@@ -79,8 +72,9 @@ def evaluate_policy(params: ModelParameters, decisions: DecisionVector,
     params.require_policy_price(policy)
     p = params.as_array()
     terms = _terms_or_raise(p, decisions)
-    value, phi_m, phi_r, violation = K.policy_value_from_terms(
-        policy_id(policy), decisions.G, p, terms)
+    with refusing_overflow():
+        value, phi_m, phi_r, violation = K.policy_value_from_terms(
+            POLICY_IDS[policy], decisions.G, p, terms)
     return PolicyObjective(kind=policy, value=value, phi_m=phi_m,
                            phi_r=phi_r, constraint_violation=violation,
                            diagnostics=_breakdown_from_terms(terms))
@@ -102,7 +96,7 @@ def make_batch_objective(params, policy: str):
         raise ValueError("need at least one parameter set")
     for p_set in sets:
         p_set.require_policy_price(policy)
-    pid = policy_id(policy)
+    pid = POLICY_IDS[policy]
     vectors = [p_set.as_array() for p_set in sets]
 
     if len(vectors) == 1:

@@ -13,7 +13,6 @@ with its per-player and joint profits under the tax policy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ from .model import DECISION_NAMES, DecisionVector, DomainError
 # callers that wrap it by attribute.
 from .optimize import (OptimizerConfig, default_search_space, run,  # noqa: F401
                        run_many)
-from .params import ModelParameters, ParameterError, TABLE_DEFAULTS
+from .params import ModelParameters, ParameterError
 from .policy import evaluate_policy, make_batch_objective
 
 #: Slope directions the sweeps are expected to exhibit (joint profit).
@@ -122,7 +121,7 @@ def _sweep_row(spec: SweepSpec, level: float, level_params, result) -> SweepRow:
 def _run_sweeps(specs: list[SweepSpec], params: ModelParameters) -> list[list[SweepRow]]:
     """Rows of each sweep; every re-optimized level of every sweep shares
     one ``run_many`` call, so the specs must share the policy and the
-    optimizer's algorithm, population and iterations."""
+    optimizer config apart from the seed."""
     if len({spec.policy for spec in specs}) > 1:
         raise ValueError("sweeps run together must share the policy")
     plans = [_sweep_levels(spec, params) for spec in specs]
@@ -209,6 +208,9 @@ DEFAULT_CALIBRATION_TARGET = CalibrationTarget(
                              G=7.7565, W_r=292.28),
     Z_m=6493.11, Z_r=60302.21, phi_T=66795.32)
 
+#: Largest relative profit error a successful calibration leaves.
+CALIBRATION_TOLERANCE = 0.01
+
 
 @dataclass
 class CalibrationResult:
@@ -218,8 +220,7 @@ class CalibrationResult:
     v2: float
     C_Tax: float
     residual: float               # max |relative error| over the 3 targets
-    ok: bool                      # residual <= tolerance
-    tolerance: float
+    ok: bool                      # residual <= CALIBRATION_TOLERANCE
     errors: dict                  # per-target relative errors
     identifiable: dict            # per-coordinate sensitivity flags
     params: ModelParameters       # base parameters with the fit applied
@@ -229,13 +230,10 @@ class CalibrationResult:
             "fitted": {"v1": self.v1, "v2": self.v2, "C_Tax": self.C_Tax},
             "residual": self.residual,
             "ok": self.ok,
-            "tolerance": self.tolerance,
+            "tolerance": CALIBRATION_TOLERANCE,
             "relative_errors": self.errors,
             "identifiable": self.identifiable,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.report(), indent=indent, sort_keys=True)
 
 
 #: Weight of the stationarity anchors in the calibration loss.
@@ -294,8 +292,7 @@ def calibration_residuals(target: CalibrationTarget):
 
 
 def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_TARGET,
-                               base_values: dict | None = None,
-                               tolerance: float = 0.01) -> CalibrationResult:
+                               base_values: dict | None = None) -> CalibrationResult:
     """Fit (v1, v2, C_Tax) to a reference operating point.
 
     The loss is the summed squared relative error of (Z_m, Z_r, phi_T) at
@@ -305,9 +302,10 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     (variable projection, Golub & Pereyra 1973) and only (log v1, log v2)
     is searched: a 28 x 28 grid, then a Nelder-Mead polish.  Never silently
     succeeds: the result carries the residual (profit errors only), a
-    pass/fail verdict at `tolerance`, and per-coordinate identifiability
-    flags.  A zero or non-finite target profit has no relative error and
-    is refused.
+    pass/fail verdict at CALIBRATION_TOLERANCE, and per-coordinate
+    identifiability flags.  A zero or non-finite target profit has no
+    relative error and is refused.  `base_values` is a parameter document
+    (``ModelParameters.from_dict``); its v1, v2 and C_Tax are not read.
     """
     unusable = [name for name in ("Z_m", "Z_r", "phi_T")
                 if not 0.0 < abs(getattr(target, name)) < math.inf]
@@ -318,25 +316,19 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     # needs it, and it is most of the start-up time.
     from scipy import optimize as sciopt
 
-    base_values = base_values or {}
-    unknown = sorted(set(base_values) - set(PARAM_ORDER))
-    if unknown:
-        raise ParameterError(f"unknown parameter keys: {', '.join(unknown)}")
-    # v1, v2 and C_Tax are fitted; null counts as absent, as in from_dict
-    base = {**TABLE_DEFAULTS, **{k: v for k, v in base_values.items()
-                                 if v is not None and k not in ("v1", "v2", "C_Tax")}}
     # Validated once; the search writes only the v1, v2 and C_Tax slots,
     # inside the box v1, v2 in (1e-6, 10), C_Tax in [0, 1e3].
-    start = ModelParameters(v1=1.0, v2=1.0, C_Tax=0.0, **base)
+    start = ModelParameters.from_dict(
+        {**(base_values or {}), "v1": 1.0, "v2": 1.0, "C_Tax": 0.0})
     p = start.as_array().tolist()
     residuals = calibration_residuals(target)
 
     def project(lv):
         """(residuals, loss, C_Tax, <s, s>) at the best C_Tax for (log v1, log v2);
-        profits too large to square give a non-finite loss, not a NumPy warning."""
+        profits that overflow give a non-finite loss, not a NumPy warning."""
         p[K.P_V1], p[K.P_V2] = math.exp(lv[0]), math.exp(lv[1])
-        r0, s = residuals(p)
         with np.errstate(over="ignore", invalid="ignore"):
+            r0, s = residuals(p)
             ss = float(s @ s)
             c_tax = min(max(-float(r0 @ s) / ss, 0.0), 1e3) if ss > 0.0 else 0.0
             r = r0 + c_tax * s
@@ -379,9 +371,8 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
 
     return CalibrationResult(
         v1=v1, v2=v2, C_Tax=c_tax, residual=residual,
-        ok=bool(residual <= tolerance), tolerance=tolerance,
-        errors=errors, identifiable=identifiable,
-        params=start.replace(v1=v1, v2=v2, C_Tax=c_tax))
+        ok=bool(residual <= CALIBRATION_TOLERANCE), errors=errors,
+        identifiable=identifiable, params=start.replace(v1=v1, v2=v2, C_Tax=c_tax))
 
 
 def calibrated_parameters(base_values: dict | None = None,

@@ -10,6 +10,7 @@ A7  limited-emission feasibility and the swarm-vs-DE ordering
 A8  neuro-fuzzy surrogate architecture and training quality
 """
 
+import json
 import time
 
 import numpy as np
@@ -204,7 +205,7 @@ def test_a4_reference_point_reproduction(calibration):
     report = calibration.report()
     if not calibration.ok:
         print("[WARN] A4: calibration failed; discrepancy report follows")
-        print(calibration.to_json())
+        print(json.dumps(report, indent=2, sort_keys=True))
         pytest.skip("A4 is best-effort: calibration residual above tolerance")
     outcome = evaluate_policy(calibration.params, REFERENCE_DECISIONS, "tax")
     target = DEFAULT_CALIBRATION_TARGET

@@ -61,6 +61,14 @@ class TestEvaluate:
         for key in ("SR_m", "PC_m", "HC_m1", "e_m6", "SR_r", "OC_r", "CarC_r"):
             assert key in doc["costs_and_emissions"]
 
+    def test_infeasible_limited_point_reports_json_bool(self, capsys, config_path):
+        # The reference point breaks the cap; its violation is a NumPy float.
+        code, out, _ = run_cli(capsys, "--config", config_path,
+                               "--policy", "limited", "evaluate")
+        assert code == 0
+        result = json.loads(out)["policy_result"]
+        assert result["feasible"] is False and result["constraint_violation"] > 0
+
     def test_byte_identical_reruns(self, capsys, config_path):
         _, out1, _ = run_cli(capsys, "--config", config_path, "evaluate")
         _, out2, _ = run_cli(capsys, "--config", config_path, "evaluate")
@@ -409,6 +417,20 @@ class TestCalibrate:
             reports.append(json.loads(out))
         assert reports[0] == reports[1]
 
+    def test_parameters_file_fits_like_inline(self, capsys, tmp_path):
+        params_path = tmp_path / "p.json"
+        params_path.write_text(json.dumps({"P": 9000}))
+        fits = []
+        for doc in ({"parameters_file": str(params_path)},
+                    {"parameters": {"P": 9000}}):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run_cli(capsys, "--config", str(path), "calibrate")
+            assert code == 0
+            fits.append(json.loads(out)["fitted"])
+        assert fits[0] == fits[1]
+        assert fits[0]["v1"] == pytest.approx(0.140019, rel=1e-5)
+
 
 class TestConfigValidation:
     def test_two_exclusive_sections_rejected(self, capsys, tmp_path):
@@ -500,6 +522,7 @@ class TestConfigValidation:
         (["calibrate"], {"calibrate": {"target": {
             **CALIBRATION_TARGET, "decisions": {**DECISIONS, "T0": -1.0}}}}),
         (["calibrate"], {"parameters": {**PARAMS, "bogus": 1.0}}),
+        (["evaluate"], {"parameters": None, "parameters_file": None}),
         (["evaluate"], {"policy": ""}),
         (["evaluate"], {"polcy": "limited"}),
         (["anfis"], {"anfis": {**ANFIS, "epoch": 3}}),
@@ -517,7 +540,8 @@ class TestConfigValidation:
             "levels_flag_nan", "learning_rate_negative", "learning_rate_zero",
             "G_flag_inf", "xi1_flag_inf", "target_zero",
             "target_nan", "target_inf", "target_overflow",
-            "target_inadmissible", "calibrate_unknown_key", "policy_empty",
+            "target_inadmissible", "calibrate_unknown_key", "parameters_null",
+            "policy_empty",
             "unknown_top_level_key", "unknown_anfis_key", "unknown_surface_key",
             "target_overflow_warning"])
     def test_malformed_config_value_is_usage_error(self, capsys, tmp_path,

@@ -133,6 +133,27 @@ def test_backlog_status():
     assert status == K.ERR_BACKLOG
 
 
+@pytest.mark.parametrize("policy, extreme", [
+    *((policy, {"C_p": 1e308}) for policy in sorted(POLICY_IDS)),
+    *((policy, {"P": 1e308}) for policy in sorted(POLICY_IDS)),
+    ("tax", {"C_Tax": 1e308}), ("cap_trade", {"C_CT": 1e308}),
+    ("limited", {"E_p": 1e308})])
+def test_overflow_is_refused_not_answered(policy, extreme):
+    """Finite but extreme parameters whose arithmetic leaves the float
+    range: the model layer raises ERR_OVERFLOW and the twin refuses the
+    row; neither answers inf or NaN."""
+    params = ModelParameters(**{"v1": 0.05, "v2": 0.05, "C_Tax": 1.0, "C_CT": 1.0,
+                                **extreme})
+    decisions = DecisionVector(T0=0.6626, xi1=167.8651, xi2=93.6741, G=7.7565,
+                               W_r=292.28)
+    with pytest.raises(DomainError, match="floating-point overflow") as info:
+        evaluate_policy(params, decisions, policy)
+    assert info.value.status == K.ERR_OVERFLOW
+    values, violations, valid = K.evaluate_policy_batch_numpy(
+        POLICY_IDS[policy], decisions.as_array()[None, :], params.as_array())
+    assert not valid[0] and np.isnan(values[0]) and np.isnan(violations[0])
+
+
 def test_series_helpers_continuous_at_switch():
     for x in (9.9e-4, 1.01e-3, -9.9e-4, -1.01e-3):
         direct = (np.expm1(x) - x) / (x * x)

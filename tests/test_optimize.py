@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -209,6 +210,12 @@ class TestRuns:
             run(cube, OptimizerConfig(algorithm="de1", seed=1, **bad),
                 sphere_objective)
 
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)])
+    def test_search_box_must_be_finite(self, lower, upper):
+        with pytest.raises(ValueError, match="bound"):
+            SearchSpace(lower=np.array([lower]), upper=np.array([upper]))
+
     def test_invalid_candidates_never_abort(self):
         # objective invalid on half the box: treated as fitness -inf
         def patchy(X):
@@ -304,13 +311,18 @@ RUN_FIELDS = ("x_best", "best_value", "best_fitness", "best_violation",
               "feasible", "history", "history_feasible", "evaluations")
 
 
+#: The doubling schedule the runs of `lockstep_entries` share.
+LOCKSTEP_DOUBLE_EVERY = 3
+
+
 def lockstep_entries():
-    """Four runs mixing seeds, parameter sets, spaces and penalty schedules.
+    """Four runs mixing seeds, parameter sets and spaces.
 
     Entry 2 has no emission allowance and little room for green investment,
-    so under `limited` it starts infeasible and its coefficient doubles at
-    generation 1.  Entry 3 searches prices past a/b, where every row is
-    inadmissible, so its coefficient doubles every third generation.
+    so under `limited` it starts infeasible and its coefficient doubles
+    until it finds a feasible point.  Entry 3 searches prices past a/b,
+    where every row is inadmissible, so its coefficient doubles every
+    LOCKSTEP_DOUBLE_EVERY generations to the end.
     """
     a = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
     b = ModelParameters(v1=0.05, v2=0.03, C_Tax=1.5, C_CT=2.5, U2=90.0)
@@ -323,8 +335,8 @@ def lockstep_entries():
     return [
         (a, base, {"seed": 1}),
         (b, default_search_space(b), {"seed": 2}),
-        (capped, low_green, {"seed": 3, "penalty_double_every": 1}),
-        (b, no_demand, {"seed": 4, "penalty_double_every": 3}),
+        (capped, low_green, {"seed": 3}),
+        (b, no_demand, {"seed": 4}),
     ]
 
 
@@ -333,7 +345,8 @@ class TestLockstep:
     @pytest.mark.parametrize("algo", ["de1", "de2", "pso"])
     def test_equals_separate_runs(self, algo, policy):
         entries = lockstep_entries()
-        configs = [OptimizerConfig(algorithm=algo, max_iter=40, **extra)
+        configs = [OptimizerConfig(algorithm=algo, max_iter=40,
+                                   penalty_double_every=LOCKSTEP_DOUBLE_EVERY, **extra)
                    for _, _, extra in entries]
         together = run_many([space for _, space, _ in entries], configs,
                             make_batch_objective([p for p, _, _ in entries], policy))
@@ -349,7 +362,9 @@ class TestLockstep:
             assert together[2].feasible
 
     @pytest.mark.parametrize("change", [{"algorithm": "de2"}, {"pop_size": 40},
-                                        {"max_iter": 11}])
+                                        {"max_iter": 11}, {"F": 0.5},
+                                        {"penalty_double_every": 3},
+                                        {"penalty_coefficient": 1.0}])
     def test_configs_must_share_shape(self, cube, change):
         first = OptimizerConfig(algorithm="de1", seed=1, max_iter=10)
         other = OptimizerConfig(**{"algorithm": "de1", "seed": 2, "max_iter": 10,
@@ -382,18 +397,19 @@ class TestLockstep:
 
 @st.composite
 def scripted_lockstep(draw):
-    """K runs of one algorithm over scripted objective streams.
+    """K runs of one config, seeds apart, over scripted objective streams.
 
     Values are small integers, so ties are common; violations are either
     feasible (-0.5 or 0) or positive, and invalid rows carry NaN.
     """
     K = draw(st.integers(1, 4))
-    algorithm = draw(st.sampled_from(["de1", "de2", "pso"]))
     iters = draw(st.integers(0, 8))
-    configs = [OptimizerConfig(
-        algorithm=algorithm, seed=k, pop_size=5, max_iter=iters,
+    config = OptimizerConfig(
+        algorithm=draw(st.sampled_from(["de1", "de2", "pso"])), pop_size=5,
+        max_iter=iters,
         penalty_coefficient=draw(st.sampled_from([1e-3, 1.0, 1e3])),
-        penalty_double_every=draw(st.integers(1, 4))) for k in range(K)]
+        penalty_double_every=draw(st.integers(1, 4)))
+    configs = [dataclasses.replace(config, seed=k) for k in range(K)]
     p_valid = draw(st.sampled_from([0.0, 0.6, 1.0]))
     p_feasible = draw(st.sampled_from([0.0, 0.04, 0.3]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

@@ -57,7 +57,7 @@ def test_non_numeric_values_all_named():
 
 def test_json_round_trip():
     p = ModelParameters(v1=0.05, v2=0.06, C_Tax=2.1, C_CT=2.1, P=8000.0)
-    q = ModelParameters.from_json(p.to_json())
+    q = ModelParameters.from_dict(json.loads(json.dumps(p.to_dict())))
     assert q == p
 
 
@@ -113,12 +113,12 @@ def test_eta_above_one_warns():
         ModelParameters.from_dict({"v1": 0.05, "v2": 0.05, "eta": 1.6})
     assert len(record) == 1 and record[0].filename == __file__
     with pytest.warns(UserWarning, match="eta") as record:
-        ModelParameters.from_json('{"v1": 0.05, "v2": 0.05}')
+        ModelParameters.from_dict(json.loads('{"v1": 0.05, "v2": 0.05}'))
     assert len(record) == 1 and record[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ModelParameters.from_dict({"v1": 0.05, "v2": 0.05, "eta": 0.9})
-        ModelParameters.from_json('{"v1": 0.05, "v2": 0.05, "eta": 0.9}')
+        ModelParameters.from_dict(json.loads('{"v1": 0.05, "v2": 0.05, "eta": 0.9}'))
         ModelParameters(v1=0.05, v2=0.05, eta=1.6).replace(eta=1.7)
 
 

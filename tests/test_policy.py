@@ -9,7 +9,7 @@ from greenchain import (DecisionVector, ModelParameters, base_profits,
 from greenchain.model import DomainError
 from greenchain.optimize import penalize
 from greenchain.params import ParameterError
-from greenchain.policy import evaluate_policy, policy_id
+from greenchain.policy import POLICY_IDS, evaluate_policy
 
 
 @pytest.fixture
@@ -159,12 +159,10 @@ class TestPenalize:
                 value + gap, math.sqrt(gap / coeff) + 1e-6, True, coeff)
 
 
-def test_policy_id_mapping():
-    assert policy_id("tax") == 0
-    assert policy_id("cap_trade") == 1
-    assert policy_id("limited") == 2
-    with pytest.raises(ValueError, match="unknown policy"):
-        policy_id("subsidy")
+def test_policy_id_mapping(params, decisions):
+    assert POLICY_IDS == {"tax": 0, "cap_trade": 1, "limited": 2}
+    with pytest.raises(ParameterError, match="unknown policy"):
+        evaluate_policy(params, decisions, "subsidy")
 
 
 def test_evaluate_policy_dispatch(params, decisions):

@@ -116,7 +116,7 @@ class TestCalibration:
         assert report["ok"] is False and "relative_errors" in report
 
     def test_report_is_json_serialisable(self, calibration):
-        doc = json.loads(calibration.to_json())
+        doc = json.loads(json.dumps(calibration.report()))
         assert set(doc) >= {"fitted", "residual", "ok", "relative_errors",
                             "identifiable"}
         assert doc["ok"] is True
