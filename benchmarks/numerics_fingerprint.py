@@ -27,6 +27,8 @@ Entries (one process, about 20 s on two cores):
   rows, rows below THETA_FLOOR, refused rows and backlog rows, under each
   policy with one parameter vector and with a per-row matrix (optimizer
   runs may never reach the zero-deterioration limits);
+- ``make_batch_objective`` over five parameter sets that differ in one
+  slot, as a sweep's levels do, on the same batch under each policy;
 - ``run_sweep`` for all 14 parameters of the direction check;
 - one ``direction_report``;
 - the ``calibrate_missing_defaults`` triple;
@@ -161,11 +163,16 @@ def _twin_entries(gc) -> dict:
     X[kind == 6, 4] = rng.uniform(80.0, 100.0, n // 8)
     vector = params.replace(v1=0.1).as_array()               # raised v1
     per_row = vector[:, None] * rng.uniform(0.97, 1.03, (kernels.N_PARAMS, n))
+    # Five levels of P_r, 48 rows each.
+    sweep_sets = [params.replace(v1=0.1, P_r=2500.0 * level)
+                  for level in (0.6, 0.8, 1.0, 1.2, 1.4)]
     entries = {}
     for policy, pid in POLICY_IDS.items():
         for layout, p in (("vector", vector), ("per_row", per_row)):
             entries[f"twin/{policy}/{layout}"] = kernels.evaluate_policy_batch_numpy(
                 pid, X, p)
+        entries[f"objective/{policy}/sweep_sets"] = gc.make_batch_objective(
+            sweep_sets, policy)(X)
     return entries
 
 

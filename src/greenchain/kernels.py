@@ -454,19 +454,20 @@ def policy_value_from_terms(policy_id, G, p, terms):
     return phi_m + phi_r, phi_m, phi_r, 0.0
 
 
-def _np_phi1(x):
-    """phi1 elementwise; the caller holds the errstate scope."""
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
+def _np_phi1(x, e):
+    """phi1 elementwise from e = expm1(x); the caller holds the errstate
+    scope (the direct form divides by zero where the series is taken)."""
     series = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
-    return np.where(small, series, np.expm1(xs) / xs)
+    return np.where(np.abs(x) < 1e-4, series, e / x)
 
 
-def _np_phi2(x):
-    """phi2 elementwise; the caller holds the errstate scope."""
+def _np_phi2(x, e):
+    """phi2 elementwise from e = expm1(x); the caller holds the errstate
+    scope.  The series is computed only when some element needs it."""
+    direct = (e - x) / (x * x)
     small = np.abs(x) < 1e-3
-    xs = np.where(small, 1.0, x)
-    direct = (np.expm1(xs) - xs) / (xs * xs)
+    if not small.any():
+        return direct
     series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
     return np.where(small, series, direct)
 
@@ -474,16 +475,26 @@ def _np_phi2(x):
 def evaluate_policy_batch_numpy(policy_id, X, p):
     """Evaluate a population X (n, 5) under one policy, vectorised.
 
-    Returns (values, violations, valid); invalid rows carry NaN.  `p` is one
-    parameter vector, or an (N_PARAMS, n) matrix with one column per row.
-    Written independently of the scalar kernels, which it is tested against.
+    Returns (values, violations, valid); invalid rows carry NaN.  `p` holds
+    the N_PARAMS parameters in slot order, each a float64 scalar shared by
+    every row or an (n,) array with one value per row: one parameter
+    vector, an (N_PARAMS, n) matrix, or a sequence that mixes the two
+    kinds (``policy.make_batch_objective`` passes the slots its parameter
+    sets share as scalars).  Written independently of the scalar kernels,
+    which it is tested against.
 
     At optimizer sizes (50-250 rows) the cost is the number of NumPy calls,
     not the rows, so the body makes as few as it can: one errstate scope,
-    the phi2 arguments stacked into two calls, the zero-deterioration
-    limits only when some row is below THETA_FLOOR, and only the emission
-    reductions the policy reads.  Every expression keeps its association,
-    and each row's result does not depend on the other rows of the batch.
+    each echelon's three phi arguments in one (3, n) array whose expm1
+    serves both phi1 and phi2 (the series only when some argument needs
+    it), the placeholders for inadmissible rows only when some row is
+    inadmissible, the zero-deterioration limits only when some row is
+    below THETA_FLOOR, and only the emission reductions the policy reads.
+    Parameter-only products are scalar arithmetic where the slots are
+    scalars.  At surface sizes (10^5 rows) memory counts instead: the
+    retailer's phi arguments reuse the manufacturer's (3, n) arrays.
+    Every expression keeps its association, and each row's result does not
+    depend on the other rows of the batch.
     """
     X = np.asarray(X, dtype=np.float64)
     T0 = X[:, 0]
@@ -509,18 +520,25 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
         valid = (T0 > 0.0) & (fW > 0.0) \
             & (np.minimum(np.minimum(xi1, xi2), G) >= 0.0) \
             & (np.maximum(np.maximum(xi1, xi2), G) < np.inf)
-        T0s = np.where(valid, T0, 1.0)
-        fWs = np.where(valid, fW, 1.0)
+        admissible = valid.all()   # then no row needs a placeholder
+        T0s = T0 if admissible else np.where(valid, T0, 1.0)
+        fWs = fW if admissible else np.where(valid, fW, 1.0)
 
         P_e = (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1
         P_de = (1.0 - f_d) * P * beta1 + f_d * P - f_d * P * beta2
-        theta_m = theta1 * np.exp(-v1 * np.where(valid, xi1, 0.0))
-        theta_r = theta2 * np.exp(-v2 * np.where(valid, xi2, 0.0))
+        theta_m = theta1 * np.exp(-v1 * (xi1 if admissible else np.where(valid, xi1, 0.0)))
+        theta_r = theta2 * np.exp(-v2 * (xi2 if admissible else np.where(valid, xi2, 0.0)))
 
         small = theta_m < THETA_FLOOR
         limits = small.any()
         th = np.where(small, 1.0, theta_m) if limits else theta_m
-        u = -np.expm1(-th * T0s)
+        # th * (-T0, dm1, dm2): the phi arguments -x0, x1 and x2, with one
+        # expm1 each.  Rows below the floor take the limits instead.
+        x = np.empty((3, len(T0s)))
+        e = np.empty_like(x)
+        np.multiply(th, -T0s, out=x[0])
+        np.expm1(x[0], out=e[0])
+        u = -e[0]
         T1 = T0s + np.log1p(P_de * u / P_r) / th
         Q_m = P * P_r * u / (th * (P_de * u + P_r))
         T2 = T1 + np.log1p(Q_m * th / D_r) / th
@@ -533,11 +551,12 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
 
         dm1 = T1 - T0s
         dm2 = T2 - T1
-        # theta_m * (-T0, dm1, dm2): the phi arguments -x0, x1 and x2.
-        x = theta_m * np.stack((-T0s, dm1, dm2))
-        phi2_0, phi2_1, phi2_2 = _np_phi2(x)
+        np.multiply(th, dm1, out=x[1])
+        np.multiply(th, dm2, out=x[2])
+        np.expm1(x[1:], out=e[1:])
+        phi2_0, phi2_1, phi2_2 = _np_phi2(x, e)
         rework = P_r * dm1 * dm1 * phi2_1
-        int_I = P_e * T0s * T0s * phi2_0 + Q_m * dm1 * _np_phi1(x[1]) - rework \
+        int_I = P_e * T0s * T0s * phi2_0 + Q_m * dm1 * _np_phi1(x[1], e[1]) - rework \
             + D_r * dm2 * dm2 * phi2_2
         int_Id = P_de * T0s * T0s * phi2_0 + rework
         if limits:
@@ -550,17 +569,25 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
         B2 = D_r - fWs
         s = fWs * T1
         valid &= (B2 > 0.0) & (B2 - s * eta > 0.0)
-        B2s = np.where(valid, B2, 1.0)
-        ss = np.where(valid, s, 0.0)
+        admissible = valid.all()
+        B2s = B2 if admissible else np.where(valid, B2, 1.0)
+        ss = s if admissible else np.where(valid, s, 0.0)
         T11 = T1 + np.log1p(-ss * eta / B2s) / eta
-        Q_r = -(B2s / B1) * np.expm1(B1 * (T11 - T2))
-        T3 = T2 + np.log1p(B1 * Q_r / fWs) / B1
-        dA = T2 - T11
-        dB = T3 - T2
         d0 = T11 - T1
-        y = np.stack((-eta * d0, -B1 * dA, B1 * dB))
-        q = -np.expm1(y[0]) / eta
-        phi2_0, phi2_1, phi2_2 = _np_phi2(y)
+        dA = T2 - T11
+        # (-eta d0, -B1 dA, B1 dB), with -B1 dA = B1 (T11 - T2), and their
+        # expm1: written over the manufacturer's spent x and e.
+        y = x
+        np.multiply(-eta, d0, out=y[0])
+        np.multiply(-B1, dA, out=y[1])
+        np.expm1(y[:2], out=e[:2])
+        Q_r = -(B2s / B1) * e[1]
+        T3 = T2 + np.log1p(B1 * Q_r / fWs) / B1
+        dB = T3 - T2
+        np.multiply(B1, dB, out=y[2])
+        np.expm1(y[2], out=e[2])
+        q = -e[0] / eta
+        phi2_0, phi2_1, phi2_2 = _np_phi2(y, e)
         piece1 = B2s * d0 * d0 * phi2_0 + ss * q
         piece2 = B2s * dA * dA * phi2_1
         piece3 = fWs * dB * dB * phi2_2

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -88,6 +89,15 @@ def default_search_space(params: ModelParameters) -> SearchSpace:
         upper=np.array([2.0, 500.0, 500.0, 50.0, params.a / params.b]))
 
 
+def _memory_bytes() -> int:
+    """This machine's physical memory; the address space where the OS
+    does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
 def _is_number(value, kind) -> bool:
     """A finite `kind` (numbers.Integral or numbers.Real) other than a bool."""
     return (isinstance(value, kind) and not isinstance(value, bool)
@@ -137,6 +147,15 @@ class OptimizerConfig:
             raise ValueError("population size must be at least 5")
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError("iterations must be nonnegative")
+        # A run holds float64 arrays of pop_size rows and of max_iter + 1
+        # history rows: refused before any is allocated when even one float
+        # per row does not fit, instead of a MemoryError partway.
+        memory = _memory_bytes()
+        for name in ("pop_size", "max_iter"):
+            count = getattr(self, name)
+            if count is not None and 8 * (count + 1) > memory:
+                raise ValueError(f"{name} {count} is too large: its arrays would not "
+                                 f"fit in this machine's {memory / 2 ** 30:.1f} GiB")
         if self.penalty_double_every < 1:
             raise ValueError("penalty_double_every must be at least 1")
         if not 0.0 <= self.Pc <= 1.0:
@@ -218,7 +237,7 @@ def penalize(values, violations, valid, coeff):
     Equals the value on feasible points; rows marked invalid get -inf.
     `coeff` may be an array broadcasting against the values (one per run).
     """
-    if not np.all(np.asarray(coeff) > 0):
+    if not (np.asarray(coeff) > 0).all():
         raise ValueError("penalty coefficient must be positive")
     with np.errstate(invalid="ignore"):
         return np.where(valid, values - coeff * violations ** 2, -math.inf)
@@ -258,9 +277,9 @@ def _mutation_indices(rng: np.random.Generator, NP: int, n_aux: int) -> np.ndarr
 class _Runs:
     """State of K lockstep runs: bounds, generators, penalties, incumbents.
 
-    Populations are (K, NP, d) arrays and bounds (K, 1, d); every per-run
-    quantity is a (K, ...) array that broadcasts against them, so each run
-    sees exactly the elementwise arithmetic it would see alone.  The
+    Populations and bounds are (K, NP, d) arrays; every per-run quantity
+    is a (K, ...) array that broadcasts against them, so each run sees
+    exactly the elementwise arithmetic it would see alone.  The
     incumbent of run k is ``x[k]``, with its raw ``value``, ``violation``,
     ``feasible`` flag and penalized fitness ``fit`` under ``coeff[k]``.
     """
@@ -283,8 +302,12 @@ class _Runs:
         self.algorithm = first.algorithm
         self.K, self.NP, self.d = len(configs), first.pop_size, spaces[0].dim
         self.iters = first.resolved_iters()
-        self.lower = np.stack([s.lower for s in spaces])[:, None, :]
-        self.upper = np.stack([s.upper for s in spaces])[:, None, :]
+        # Bounds repeated per member: against a (K, 1, d) box NumPy loops
+        # over rows of d = 5, which makes the clip and the reflection slow.
+        self.lower = np.repeat(np.stack([s.lower for s in spaces])[:, None, :],
+                               self.NP, axis=1)
+        self.upper = np.repeat(np.stack([s.upper for s in spaces])[:, None, :],
+                               self.NP, axis=1)
         self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
         self.coeff = np.full(self.K, first.penalty_coefficient, dtype=np.float64)
         self.rows = np.arange(self.K)
@@ -320,22 +343,29 @@ class _Runs:
 
     def _offer(self, X, values, violations, valid, fitness) -> None:
         """Apply the incumbent rule to one generation of every run."""
-        feas = valid & (violations <= 0.0)
-        best = np.where(feas, values, -math.inf)
-        # The value a feasible candidate must beat: -inf while infeasible.
-        found = best.max(axis=1) > np.where(self.feasible, self.value, -math.inf)
-        if self.feasible.all() and not found.any():
-            return
         rows = self.rows
-        j = fitness.argmax(axis=1)
-        fitter = ~(self.feasible | found) & (fitness[rows, j] > self.fit)
-        changed = found | fitter
-        # A candidate fitter than the incumbent has fitness > -inf: it is valid.
-        pick = np.where(found, best.argmax(axis=1), j)
-        self.x[changed] = X[rows, pick][changed]
+        best = np.where(valid & (violations <= 0.0), values, -math.inf)
+        top = best.argmax(axis=1)
+        settled = self.feasible.all()
+        # The value a feasible candidate must beat: -inf while infeasible.
+        found = best[rows, top] > (self.value if settled else
+                                   np.where(self.feasible, self.value, -math.inf))
+        if settled:
+            # Only a better feasible candidate can replace a feasible
+            # incumbent, and every feasible incumbent's violation is 0.
+            if not found.any():
+                return
+            changed, pick = found, top
+        else:
+            j = fitness.argmax(axis=1)
+            fitter = ~(self.feasible | found) & (fitness[rows, j] > self.fit)
+            changed = found | fitter
+            # A candidate fitter than the incumbent has fitness > -inf: it is valid.
+            pick = np.where(found, top, j)
+            self.violation = np.where(found, 0.0, np.where(fitter, violations[rows, pick],
+                                                           self.violation))
+        np.copyto(self.x, X[rows, pick], where=changed[:, None])
         self.value = np.where(changed, values[rows, pick], self.value)
-        self.violation = np.where(found, 0.0,
-                                  np.where(fitter, violations[rows, pick], self.violation))
         self.feasible |= found
         self.has_x |= changed
         self._rescore(changed)
@@ -378,7 +408,9 @@ def _de_run(spaces, configs, objective) -> list[RunResult]:
     K, NP, rows = runs.K, runs.NP, runs.rows
     F, Pc = runs.config.F, runs.config.Pc
 
-    X, values, violations, valid, fitness = runs.initial_population(objective)
+    # The population's columns are updated in place, so they own their arrays.
+    X, values, violations, valid, fitness = (
+        a.copy() for a in runs.initial_population(objective))
 
     n_aux = 2 if runs.algorithm == "de1" else 3
     for gen in range(1, runs.iters + 1):
@@ -403,11 +435,10 @@ def _de_run(spaces, configs, objective) -> list[RunResult]:
 
         t_values, t_violations, t_valid, t_fitness = runs.evaluate(objective, trials)
         improve = t_fitness >= fitness
-        X[improve] = trials[improve]
-        values = np.where(improve, t_values, values)
-        violations = np.where(improve, t_violations, violations)
-        valid = np.where(improve, t_valid, valid)
-        fitness = np.where(improve, t_fitness, fitness)
+        np.copyto(X, trials, where=improve[:, :, None])
+        for column, trial in ((values, t_values), (violations, t_violations),
+                              (valid, t_valid), (fitness, t_fitness)):
+            np.copyto(column, trial, where=improve)
 
     return runs.results(X)
 
@@ -421,30 +452,33 @@ def _pso_run(spaces, configs, objective) -> list[RunResult]:
     X, values, violations, valid, fitness = runs.initial_population(objective)
     V = np.zeros((K, NP, d))
     r = np.empty((K, 2, NP, d))
+    # r1 then r2 per run: one (2, NP, d) draw is the same stream.
+    draws = [(rng.random, r[k]) for k, rng in enumerate(runs.rngs)]
 
+    # The personal bests are updated in place, so they own their arrays.
     pbest_X, pbest_values, pbest_violations, pbest_valid, pbest_fit = (
-        X.copy(), values, violations, valid, fitness)
+        a.copy() for a in (X, values, violations, valid, fitness))
 
     for gen in range(1, runs.iters + 1):
         pbest_fit = runs.double_penalties(gen, pbest_values, pbest_violations,
                                           pbest_valid, pbest_fit)
 
-        gbest = pbest_X[rows, np.argmax(pbest_fit, axis=1)][:, None, :]
-        # r1 then r2 per run: one (2, NP, d) draw is the same stream.
-        for k, rng in enumerate(runs.rngs):
-            rng.random(out=r[k])
+        gbest = pbest_X[rows, pbest_fit.argmax(axis=1)][:, None, :]
+        for draw, out in draws:
+            draw(out=out)
         X_new, V = pso_update(X, V, pbest_X, gbest, w, c1, c2, r[:, 0], r[:, 1])
-        clipped = (X_new < runs.lower) | (X_new > runs.upper)
         X = np.clip(X_new, runs.lower, runs.upper)
-        V = np.where(clipped, 0.0, V)
+        # A clipped coordinate stops.  `!=` also stops a NaN coordinate,
+        # which the bound tests would not; its next velocity and position
+        # are NaN from the position alone, so nothing downstream differs.
+        np.copyto(V, 0.0, where=X != X_new)
 
         values, violations, valid, fitness = runs.evaluate(objective, X)
         improve = fitness > pbest_fit
-        pbest_X[improve] = X[improve]
-        pbest_values = np.where(improve, values, pbest_values)
-        pbest_violations = np.where(improve, violations, pbest_violations)
-        pbest_valid = np.where(improve, valid, pbest_valid)
-        pbest_fit = np.where(improve, fitness, pbest_fit)
+        np.copyto(pbest_X, X, where=improve[:, :, None])
+        for best, new in ((pbest_values, values), (pbest_violations, violations),
+                          (pbest_valid, valid), (pbest_fit, fitness)):
+            np.copyto(best, new, where=improve)
 
     return runs.results(X)
 

@@ -97,31 +97,29 @@ def make_batch_objective(params, policy: str):
     for p_set in sets:
         p_set.require_policy_price(policy)
     pid = POLICY_IDS[policy]
-    vectors = [p_set.as_array() for p_set in sets]
+    vectors = np.array([p_set.as_array() for p_set in sets])   # (K, N_PARAMS)
+    n_sets = len(sets)
+    # A slot whose bits are equal in every set is one float64 scalar that
+    # the twin broadcasts, so a parameter-only product costs no array call
+    # and one set holds no per-row copies (≈40 MB for a 320 × 320 surface
+    # as a matrix).  Compared by bits: NaN prices are shared, -0.0 and 0.0
+    # are not.  Kept as NumPy scalars, whose division by zero follows the
+    # errstate scope where a Python float's would raise.
+    bits = vectors.view(np.int64)
+    shared = (bits == bits[0]).all(axis=0)
+    layouts = {}
 
-    if len(vectors) == 1:
-        # One set stays a 1-D vector that the twin broadcasts: a per-row
-        # matrix holds N_PARAMS floats per row (≈40 MB for a 320 × 320 surface).
-        p = vectors[0]
-
-        def objective(X: np.ndarray):
-            return K.evaluate_policy_batch_numpy(pid, np.asarray(X), p)
-    else:
-        # (N_PARAMS, n) with column i holding row i's parameters; the twin
-        # broadcasts it elementwise, so each block gets the numbers a
-        # separate call would.  Built on first use and kept for that n.
-        stacked = np.stack(vectors, axis=1)
-        n_sets = len(vectors)
-        per_row = {}
-
-        def objective(X: np.ndarray):
-            X = np.asarray(X)
-            n = X.shape[0]
-            if n not in per_row:
-                if n % n_sets:
-                    raise ValueError(
-                        f"{n} rows do not split into {n_sets} equal blocks")
-                per_row[n] = np.repeat(stacked, n // n_sets, axis=1)
-            return K.evaluate_policy_batch_numpy(pid, X, per_row[n])
+    def objective(X: np.ndarray):
+        X = np.asarray(X)
+        n = X.shape[0]
+        if n not in layouts:
+            if n % n_sets:
+                raise ValueError(f"{n} rows do not split into {n_sets} equal blocks")
+            # Row i of block k gets set k's value in every other slot, so
+            # each block gets the numbers a separate call would.
+            layouts[n] = [vectors[0, slot] if shared[slot]
+                          else np.repeat(vectors[:, slot], n // n_sets)
+                          for slot in range(K.N_PARAMS)]
+        return K.evaluate_policy_batch_numpy(pid, X, layouts[n])
 
     return objective

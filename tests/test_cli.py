@@ -133,6 +133,16 @@ class TestOptimize:
         assert code == 2 and "error:" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--pop", "--iters"])
+    def test_count_too_large_to_allocate_is_usage_error(self, capsys, config_path,
+                                                        flag):
+        # Refused by OptimizerConfig.validate, before the runs allocate.
+        count = str(10 ** 15)
+        code, out, err = run_cli(capsys, "--config", config_path, "optimize",
+                                 "--algo", "pso", flag, count)
+        assert code == 2 and count in err and "too large" in err
+        assert out == ""
+
     @pytest.mark.parametrize("option", [
         {"pop_size": "50"}, {"pop_size": 7.5}, {"max_iter": "10"},
         {"max_iter": 2.5}, {"penalty_coefficient": "big"}, {"Pc": "0.5"},

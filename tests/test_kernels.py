@@ -59,15 +59,17 @@ def test_batch_matches_rich_evaluation(policy):
                                               rel=1e-9, abs=1e-12)
 
 
-def _mixed_batch(rng, n):
+def _mixed_batch(rng, n, kinds=6):
     """n rows at the reference point: ordinary ones, ones below THETA_FLOOR
     (large xi1), and ones refused for a negative T0 or xi2, a price past a/b
-    or a backlog that never clears; every kind appears once n >= 6."""
+    or a backlog that never clears; every kind appears once n >= 6.  With
+    kinds=2 only the first two appear, priced clear of a/b = 300 so that
+    every row stays admissible under parameters within 5 % of these."""
     X = np.column_stack([
         rng.uniform(0.05, 2.0, n), rng.uniform(0.0, 500.0, n),
         rng.uniform(0.0, 500.0, n), rng.uniform(0.01, 50.0, n),
-        rng.uniform(80.0, 300.0, n)])
-    kind = rng.permutation(np.arange(n) % 6)
+        rng.uniform(80.0, 300.0 if kinds > 2 else 280.0, n)])
+    kind = rng.permutation(np.arange(n) % kinds)
     X[kind == 1, 1] = rng.uniform(1e3, 2e3, (kind == 1).sum())
     X[kind == 2, 0] = -0.5
     X[kind == 3, 2] = -1.0
@@ -77,26 +79,44 @@ def _mixed_batch(rng, n):
     return X, kind
 
 
+#: Slots that hold one value per row in the "shared" layout; every other
+#: slot is one float64 scalar, as make_batch_objective passes the slots its
+#: parameter sets share.
+PER_ROW_SLOTS = (K.P_P_R, K.P_ETA, K.P_C_P, K.P_KAPPA1)
+
+
 @pytest.mark.parametrize("policy", sorted(POLICY_IDS))
-@pytest.mark.parametrize("layout", ["vector", "per_row"])
-@pytest.mark.parametrize("n", [1, 7, 50, 250])
-def test_twin_rows_do_not_depend_on_their_batch(n, layout, policy):
+@pytest.mark.parametrize("layout", ["vector", "per_row", "shared"])
+@pytest.mark.parametrize("n, kinds", [(1, 6), (7, 6), (50, 6), (250, 6), (50, 2)],
+                         ids=["1", "7", "50", "250", "50_admissible"])
+def test_twin_rows_do_not_depend_on_their_batch(n, kinds, layout, policy):
     """Each row of a batch call equals a one-row call on that row, bit for
     bit, although the batch skips the zero-deterioration limits unless some
-    row needs them."""
+    row needs them and the placeholders for refused rows unless some row is
+    refused (kinds=2: every row admissible)."""
     rng = np.random.default_rng(n)
     params = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
-    X, kind = _mixed_batch(rng, n)
+    X, kind = _mixed_batch(rng, n, kinds)
     p = params.as_array()
     if layout == "per_row":
         p = p[:, None] * rng.uniform(0.95, 1.05, (K.N_PARAMS, n))
+    elif layout == "shared":
+        p = [p[slot] * rng.uniform(0.95, 1.05, n) if slot in PER_ROW_SLOTS
+             else p[slot] for slot in range(K.N_PARAMS)]
+        assert all(type(v) is np.float64 for v in p if np.ndim(v) == 0)
     pid = POLICY_IDS[policy]
     values, violations, valid = K.evaluate_policy_batch_numpy(pid, X, p)
     if n >= 6:
         assert valid[kind == 0].all() and valid[kind == 1].all()
         assert not valid[kind >= 2].any()
+    assert valid.all() == (kinds == 2 or n == 1)
     for i in range(n):
-        row_p = p[:, i:i + 1] if layout == "per_row" else p
+        if layout == "per_row":
+            row_p = p[:, i:i + 1]
+        elif layout == "shared":
+            row_p = [v if np.ndim(v) == 0 else v[i:i + 1] for v in p]
+        else:
+            row_p = p
         one = K.evaluate_policy_batch_numpy(pid, X[i:i + 1], row_p)
         assert one[2][0] == valid[i]
         assert one[0].view(np.int64)[0] == values[i:i + 1].view(np.int64)[0]

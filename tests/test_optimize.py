@@ -204,7 +204,8 @@ class TestRuns:
         {"pop_size": 7.5}, {"pop_size": True}, {"max_iter": "10"}, {"max_iter": 2.5},
         {"penalty_double_every": 2.0}, {"penalty_coefficient": "big"},
         {"penalty_coefficient": float("inf")}, {"Pc": "0.5"}, {"m0": None},
-        {"F": float("nan")}, {"c1": True}, {"c2": 10 ** 400}])
+        {"F": float("nan")}, {"c1": True}, {"c2": 10 ** 400},
+        {"pop_size": 10 ** 15}, {"max_iter": 10 ** 15}])
     def test_out_of_range_schedule_rejected(self, cube, bad):
         with pytest.raises(ValueError):
             run(cube, OptimizerConfig(algorithm="de1", seed=1, **bad),
@@ -316,13 +317,15 @@ LOCKSTEP_DOUBLE_EVERY = 3
 
 
 def lockstep_entries():
-    """Four runs mixing seeds, parameter sets and spaces.
+    """Five runs mixing seeds, parameter sets and spaces.
 
     Entry 2 has no emission allowance and little room for green investment,
     so under `limited` it starts infeasible and its coefficient doubles
     until it finds a feasible point.  Entry 3 searches prices past a/b,
     where every row is inadmissible, so its coefficient doubles every
-    LOCKSTEP_DOUBLE_EVERY generations to the end.
+    LOCKSTEP_DOUBLE_EVERY generations to the end.  Entry 4 differs from
+    entry 0 in P_r alone, as the levels of a sweep differ in one parameter;
+    the lockstep objective passes the slots all five sets share as scalars.
     """
     a = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
     b = ModelParameters(v1=0.05, v2=0.03, C_Tax=1.5, C_CT=2.5, U2=90.0)
@@ -337,6 +340,7 @@ def lockstep_entries():
         (b, default_search_space(b), {"seed": 2}),
         (capped, low_green, {"seed": 3}),
         (b, no_demand, {"seed": 4}),
+        (a.replace(P_r=2400.0), base, {"seed": 5}),
     ]
 
 
@@ -352,7 +356,7 @@ class TestLockstep:
                             make_batch_objective([p for p, _, _ in entries], policy))
         alone = [run(space, config, make_batch_objective(p, policy))
                  for (p, space, _), config in zip(entries, configs)]
-        assert len(together) == len(alone) == 4
+        assert len(together) == len(alone) == 5
         for t, a in zip(together, alone):
             for name in RUN_FIELDS:
                 assert np.array_equal(getattr(t, name), getattr(a, name)), name
