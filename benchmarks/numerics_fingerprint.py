@@ -12,6 +12,12 @@ Floats are stored as hex strings, so two records are equal only when every
 bit is.  Compare mode prints each entry that differs and exits 1 if any
 does, 0 otherwise.
 
+The script calls greenchain's public functions, so it follows their
+signatures.  Across a change to one of them, record the parent with the
+parent's copy of this script on the parent tree, and the change with this
+one; the entry names and the calls behind them stay the same, so the two
+records compare entry by entry.
+
 Entries (one process, about 20 s on two cores):
 
 - ``run``: de1/de2/pso x tax/cap_trade/limited x seeds 0-4;
@@ -126,12 +132,10 @@ def _optimizer_entries(gc) -> dict:
     mixed = [params, params.replace(U2=0.0, l3=1.5), params]
     objective = gc.make_batch_objective(mixed, "limited")
     for algo in ALGORITHMS:
-        configs = [OptimizerConfig(algorithm=algo, seed=seed, max_iter=60,
-                                   penalty_coefficient=1e-3,
-                                   penalty_double_every=3)
-                   for seed in (4, 5, 6)]
+        config = OptimizerConfig(algorithm=algo, seed=4, max_iter=60,
+                                 penalty_coefficient=1e-3, penalty_double_every=3)
         entries[f"mixed_feasibility/{algo}"] = run_many(
-            [default_search_space(p) for p in mixed], configs, objective)
+            [default_search_space(p) for p in mixed], config, (4, 5, 6), objective)
 
     def reject_all(X):
         n = len(X)

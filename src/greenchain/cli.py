@@ -38,7 +38,7 @@ from .params import ModelParameters, ParameterError, to_real
 from .policy import POLICY_IDS, evaluate_policy, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
                           DEFAULT_LEVELS, SWEEP_CSV_COLUMNS, SweepSpec,
-                          calibrated_parameters, direction_report,
+                          calibrate_missing_defaults, direction_report,
                           run_sweep, sweep_table)
 
 EXIT_OK = 0
@@ -452,7 +452,7 @@ def cmd_calibrate(args, config) -> int:
             decisions=DecisionVector.from_dict(doc["decisions"]),
             **{k: to_real(doc.get(k), f"calibrate target {k}")
                for k in ("Z_m", "Z_r", "phi_T")})
-    result = calibrated_parameters(_parameter_document(config), target)
+    result = calibrate_missing_defaults(target, _parameter_document(config))
     report = result.report()
     if args.check_directions:
         seed = _seed(args, config, required=True)

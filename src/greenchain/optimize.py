@@ -13,28 +13,28 @@ the larger value wins, among infeasible ones the larger fitness under the
 current coefficient; ties keep the incumbent, then the earlier row.  The
 history is the running maximum of the incumbent fitness.
 
-Lockstep: ``run_many`` advances K runs together and makes one objective
-call per generation on their stacked (K*NP, d) populations; ``run`` is
-``run_many`` with one entry.  The runs of one call share one optimizer
-config apart from the seed.  Each keeps its own generator, search box,
-parameter set, penalty coefficient, incumbent and history, the per-run
-state held in (K, ...) arrays.
+Lockstep: ``run_many(spaces, config, seeds, objective)`` advances K runs
+of one optimizer config together and makes one objective call per
+generation on their stacked (K*NP, d) populations; ``run`` is ``run_many``
+with one entry, seeded with ``config.seed``.  Each run keeps its own
+generator, search box, parameter set, penalty coefficient, incumbent and
+history, the per-run state held in (K, ...) arrays.
 
-Determinism: each run has its own PCG64 generator seeded from its
-``config.seed``; draws happen in a fixed order per generation (DE: mutation
-indices row by row, then the per-individual blend factor R, then the
-crossover mask and forced column; PSO: the two acceleration factors, per
-particle and dimension).  DE's mutation indices are drawn ahead in one
-array call and the generator is then replayed to the number of draws the
-row-by-row rejection loop consumes, so the stream is the loop's: the same
-indices and the same later draws.  Fitness evaluation is vectorised, so
-results do not depend on evaluation scheduling or on which runs share a
-lockstep call.  Multi-seed helpers use seeds ``seed, seed+1, ...``.
+Determinism: run k has its own PCG64 generator seeded from ``seeds[k]``
+(``config.seed`` seeds no run of ``run_many``); draws happen in a fixed
+order per generation (DE: mutation indices row by row, then the
+per-individual blend factor R, then the crossover mask and forced column;
+PSO: the two acceleration factors, per particle and dimension).  DE's
+mutation indices are drawn ahead in one array call and the generator is
+then replayed to the number of draws the row-by-row rejection loop
+consumes, so the stream is the loop's: the same indices and the same later
+draws.  Fitness evaluation is vectorised, so results do not depend on
+evaluation scheduling or on which runs share a lockstep call.  Multi-seed
+helpers use seeds ``seed, seed+1, ...``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 import os
@@ -284,24 +284,19 @@ class _Runs:
     ``feasible`` flag and penalized fitness ``fit`` under ``coeff[k]``.
     """
 
-    def __init__(self, spaces, configs):
-        spaces, configs = list(spaces), list(configs)
-        if not configs or len(spaces) != len(configs):
-            raise ValueError("need one search space per config and at least one run")
-        first = configs[0]
-        first.validate()
-        if any(dataclasses.replace(c, seed=first.seed) != first for c in configs):
-            raise ValueError("runs in one lockstep call must share one optimizer "
-                             "config apart from the seed")
-        if any(c.seed is None for c in configs):
-            raise ValueError("seed is mandatory for optimizer runs")
+    def __init__(self, spaces, config: OptimizerConfig, seeds):
+        config.validate()
+        spaces, seeds = list(spaces), list(seeds)
+        if not spaces or len(seeds) != len(spaces):
+            raise ValueError("need one seed per search space and at least one run")
+        # default_rng(None) would seed from the wall clock.
+        if not all(_is_number(seed, numbers.Integral) for seed in seeds):
+            raise ValueError("every run needs an integer seed")
         if any(s.dim != spaces[0].dim for s in spaces):
             raise ValueError("runs in one lockstep call must share the dimension")
-        self.config = first
-        self.seeds = [c.seed for c in configs]
-        self.algorithm = first.algorithm
-        self.K, self.NP, self.d = len(configs), first.pop_size, spaces[0].dim
-        self.iters = first.resolved_iters()
+        self.config, self.seeds = config, seeds
+        self.K, self.NP, self.d = len(seeds), config.pop_size, spaces[0].dim
+        self.iters = config.resolved_iters()
         # Bounds repeated per member: against a (K, 1, d) box NumPy loops
         # over rows of d = 5, which makes the clip and the reflection slow.
         self.lower = np.repeat(np.stack([s.lower for s in spaces])[:, None, :],
@@ -309,7 +304,7 @@ class _Runs:
         self.upper = np.repeat(np.stack([s.upper for s in spaces])[:, None, :],
                                self.NP, axis=1)
         self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
-        self.coeff = np.full(self.K, first.penalty_coefficient, dtype=np.float64)
+        self.coeff = np.full(self.K, config.penalty_coefficient, dtype=np.float64)
         self.rows = np.arange(self.K)
         self.x = np.zeros((self.K, self.d))
         self.has_x = np.zeros(self.K, dtype=bool)
@@ -393,7 +388,7 @@ class _Runs:
         history_feasible = np.array(self.history_feasible).T.copy()
         x_best = np.where(self.has_x[:, None], self.x, X[:, 0])
         wall_time = time.perf_counter() - self.start
-        return [RunResult(algorithm=self.algorithm, seed=seed, x_best=x_best[k],
+        return [RunResult(algorithm=self.config.algorithm, seed=seed, x_best=x_best[k],
                           best_value=float(self.value[k]), best_fitness=float(self.fit[k]),
                           best_violation=float(self.violation[k]),
                           feasible=bool(self.feasible[k]), history=history[k],
@@ -402,9 +397,8 @@ class _Runs:
                 for k, seed in enumerate(self.seeds)]
 
 
-def _de_run(spaces, configs, objective) -> list[RunResult]:
+def _de_run(runs: _Runs, objective) -> list[RunResult]:
     """Differential evolution with greedy one-to-one selection, K runs in lockstep."""
-    runs = _Runs(spaces, configs)
     K, NP, rows = runs.K, runs.NP, runs.rows
     F, Pc = runs.config.F, runs.config.Pc
 
@@ -412,7 +406,7 @@ def _de_run(spaces, configs, objective) -> list[RunResult]:
     X, values, violations, valid, fitness = (
         a.copy() for a in runs.initial_population(objective))
 
-    n_aux = 2 if runs.algorithm == "de1" else 3
+    n_aux = 2 if runs.config.algorithm == "de1" else 3
     for gen in range(1, runs.iters + 1):
         fitness = runs.double_penalties(gen, values, violations, valid, fitness)
 
@@ -422,7 +416,7 @@ def _de_run(spaces, configs, objective) -> list[RunResult]:
             idx[k] = _mutation_indices(rng, NP, n_aux)
             R[k, :, 0] = rng.random(NP)
         picks = X[rows[:, None, None], idx]          # (K, NP, n_aux, d)
-        if runs.algorithm == "de1":
+        if runs.config.algorithm == "de1":
             x_best = X[rows, np.argmax(fitness, axis=1)][:, None, :]
             donors = de_mutate_rand_to_best(X, x_best, picks[:, :, 0],
                                             picks[:, :, 1], F, R)
@@ -443,9 +437,8 @@ def _de_run(spaces, configs, objective) -> list[RunResult]:
     return runs.results(X)
 
 
-def _pso_run(spaces, configs, objective) -> list[RunResult]:
+def _pso_run(runs: _Runs, objective) -> list[RunResult]:
     """Particle swarm with clamp-to-bound and velocity zeroing, K runs in lockstep."""
-    runs = _Runs(spaces, configs)
     K, NP, d, rows = runs.K, runs.NP, runs.d, runs.rows
     w, c1, c2 = runs.config.m0, runs.config.c1, runs.config.c2
 
@@ -483,34 +476,34 @@ def _pso_run(spaces, configs, objective) -> list[RunResult]:
     return runs.results(X)
 
 
-def run_many(spaces, configs, objective) -> list[RunResult]:
-    """Advance K independent runs in lockstep, one objective call per generation.
+def run_many(spaces, config: OptimizerConfig, seeds, objective) -> list[RunResult]:
+    """Advance K independent runs of one config in lockstep, one objective
+    call per generation.
 
-    Run k searches `spaces[k]` under `configs[k]`; the configs must be
-    equal apart from the seed.  The objective receives the K populations
-    stacked as (K*NP, d) rows, run k in block k, and must evaluate each
-    row on its own.  Every run keeps its own generator, box, penalty
-    coefficient and incumbent, so its result does not depend on which
-    runs share the call.
+    Run k searches `spaces[k]` from a generator seeded with the integer
+    `seeds[k]`; `config.seed` seeds no run.  The objective receives the K
+    populations stacked as (K*NP, d) rows, run k in block k, and must
+    evaluate each row on its own.  Every run keeps its own generator, box,
+    penalty coefficient and incumbent, so its result does not depend on
+    which runs share the call.
     """
-    configs = list(configs)
-    body = _pso_run if configs and configs[0].algorithm == "pso" else _de_run
-    return body(spaces, configs, objective)
+    runs = _Runs(spaces, config, seeds)
+    return (_pso_run if config.algorithm == "pso" else _de_run)(runs, objective)
 
 
 def run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
-    """One run: `run_many` with a single entry."""
-    return run_many([space], [config], objective)[0]
+    """One run seeded with `config.seed`: `run_many` with a single entry."""
+    return run_many([space], config, [config.seed], objective)[0]
 
 
 def multi_seed_run(space: SearchSpace, config: OptimizerConfig, objective,
                    n_seeds: int) -> list[RunResult]:
     """Seeds config.seed, config.seed+1, ... run in lockstep."""
+    config.validate()
     if n_seeds < 1:
         raise ValueError("n_seeds must be positive")
-    configs = [dataclasses.replace(config, seed=config.seed + k)
-               for k in range(n_seeds)]
-    return run_many([space] * n_seeds, configs, objective)
+    return run_many([space] * n_seeds, config,
+                    range(config.seed, config.seed + n_seeds), objective)
 
 
 def multi_seed_stats(results: list[RunResult]) -> tuple[float, float, float]:

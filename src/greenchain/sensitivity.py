@@ -14,7 +14,7 @@ with its per-player and joint profits under the tax policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def run_sweep(spec: SweepSpec, params: ModelParameters) -> list[SweepRow]:
 
     The re-optimized levels run in lockstep (``optimize.run_many``).
     """
-    return _run_sweeps([spec], params)[0]
+    return _run_sweeps(spec, [spec.parameter], params)[0]
 
 
 def _sweep_levels(spec: SweepSpec, params: ModelParameters) -> list:
@@ -118,26 +118,22 @@ def _sweep_row(spec: SweepSpec, level: float, level_params, result) -> SweepRow:
                     outcome.value)
 
 
-def _run_sweeps(specs: list[SweepSpec], params: ModelParameters) -> list[list[SweepRow]]:
-    """Rows of each sweep; every re-optimized level of every sweep shares
-    one ``run_many`` call, so the specs must share the policy and the
-    optimizer config apart from the seed."""
-    if len({spec.policy for spec in specs}) > 1:
-        raise ValueError("sweeps run together must share the policy")
-    plans = [_sweep_levels(spec, params) for spec in specs]
-    pending = [(i, j, level_params)
-               for i, (spec, plan) in enumerate(zip(specs, plans)) if spec.reoptimize
+def _run_sweeps(spec: SweepSpec, names, params: ModelParameters) -> list[list[SweepRow]]:
+    """Rows of the sweep `spec` for each parameter in `names`; every
+    re-optimized level of every sweep shares one ``run_many`` call."""
+    plans = [_sweep_levels(replace(spec, parameter=name), params) for name in names]
+    pending = [(i, j, level_params) for i, plan in enumerate(plans)
                for j, (_, level_params) in enumerate(plan) if level_params is not None]
     results = {}
-    if pending:
+    if spec.reoptimize and pending:
         found = run_many(
-            [default_search_space(lp) for _, _, lp in pending],
-            [specs[i].optimizer for i, _, _ in pending],
-            make_batch_objective([lp for _, _, lp in pending], specs[0].policy))
+            [default_search_space(lp) for _, _, lp in pending], spec.optimizer,
+            [spec.optimizer.seed] * len(pending),
+            make_batch_objective([lp for _, _, lp in pending], spec.policy))
         results = {(i, j): result for (i, j, _), result in zip(pending, found)}
 
     sweeps = []
-    for i, (spec, plan) in enumerate(zip(specs, plans)):
+    for i, plan in enumerate(plans):
         rows = [_sweep_row(spec, level, level_params, results.get((i, j)))
                 for j, (level, level_params) in enumerate(plan)]
         baseline = next(r for r in rows if r.level == 0.0)
@@ -157,20 +153,16 @@ def sweep_slope(rows: list[SweepRow]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def direction_report(params: ModelParameters,
-                     optimizer: OptimizerConfig,
-                     policy: str = "tax",
-                     parameters: tuple | None = None) -> dict:
-    """Sweep every listed parameter and verify the profit slope sign.
+def direction_report(params: ModelParameters, optimizer: OptimizerConfig) -> dict:
+    """Sweep every parameter of EXPECTED_DECREASING and EXPECTED_INCREASING
+    under the tax policy and verify the profit slope sign.
 
     All levels of all sweeps run in one lockstep call.
     """
-    names = parameters if parameters is not None else \
-        EXPECTED_DECREASING + EXPECTED_INCREASING
-    specs = [SweepSpec(parameter=name, policy=policy, optimizer=optimizer)
-             for name in names]
+    names = EXPECTED_DECREASING + EXPECTED_INCREASING
+    spec = SweepSpec(parameter=names[0], optimizer=optimizer)
     checks = {}
-    for name, rows in zip(names, _run_sweeps(specs, params)):
+    for name, rows in zip(names, _run_sweeps(spec, names, params)):
         expected = "-" if name in EXPECTED_DECREASING else "+"
         slope = sweep_slope(rows)
         ok = math.isfinite(slope) and (slope < 0 if expected == "-" else slope > 0)
@@ -306,6 +298,9 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     identifiability flags.  A zero or non-finite target profit has no
     relative error and is refused.  `base_values` is a parameter document
     (``ModelParameters.from_dict``); its v1, v2 and C_Tax are not read.
+    The trading price has no published value either, so `result.params`
+    mirrors the fitted tax price onto C_CT: reproduction runs use a
+    symmetric market at the fitted tax level.
     """
     unusable = [name for name in ("Z_m", "Z_r", "phi_T")
                 if not 0.0 < abs(getattr(target, name)) < math.inf]
@@ -372,17 +367,6 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     return CalibrationResult(
         v1=v1, v2=v2, C_Tax=c_tax, residual=residual,
         ok=bool(residual <= CALIBRATION_TOLERANCE), errors=errors,
-        identifiable=identifiable, params=start.replace(v1=v1, v2=v2, C_Tax=c_tax))
+        identifiable=identifiable,
+        params=start.replace(v1=v1, v2=v2, C_Tax=c_tax, C_CT=c_tax))
 
-
-def calibrated_parameters(base_values: dict | None = None,
-                          target: CalibrationTarget = DEFAULT_CALIBRATION_TARGET
-                          ) -> CalibrationResult:
-    """Calibrate and mirror the fitted tax price onto the trading price.
-
-    The trading price has no published value either; reproduction runs use
-    a symmetric market at the fitted tax level.
-    """
-    result = calibrate_missing_defaults(target, base_values)
-    result.params = result.params.replace(C_CT=result.C_Tax)
-    return result

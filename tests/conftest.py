@@ -19,9 +19,9 @@ def params():
 @pytest.fixture(scope="session")
 def calibration():
     """Shared calibration of the missing constants (slow, run once)."""
-    from greenchain.sensitivity import calibrated_parameters
+    from greenchain.sensitivity import calibrate_missing_defaults
 
-    return calibrated_parameters()
+    return calibrate_missing_defaults()
 
 
 def sample_admissible(rng: np.random.Generator, n: int):

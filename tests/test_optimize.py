@@ -317,7 +317,7 @@ LOCKSTEP_DOUBLE_EVERY = 3
 
 
 def lockstep_entries():
-    """Five runs mixing seeds, parameter sets and spaces.
+    """Five (parameter set, search space) pairs, run with seeds 1-5.
 
     Entry 2 has no emission allowance and little room for green investment,
     so under `limited` it starts infeasible and its coefficient doubles
@@ -336,11 +336,11 @@ def lockstep_entries():
     no_demand = SearchSpace(np.r_[base.lower[:4], cap + 1.0],
                             np.r_[base.upper[:4], cap + 20.0])
     return [
-        (a, base, {"seed": 1}),
-        (b, default_search_space(b), {"seed": 2}),
-        (capped, low_green, {"seed": 3}),
-        (b, no_demand, {"seed": 4}),
-        (a.replace(P_r=2400.0), base, {"seed": 5}),
+        (a, base),
+        (b, default_search_space(b)),
+        (capped, low_green),
+        (b, no_demand),
+        (a.replace(P_r=2400.0), base),
     ]
 
 
@@ -349,13 +349,14 @@ class TestLockstep:
     @pytest.mark.parametrize("algo", ["de1", "de2", "pso"])
     def test_equals_separate_runs(self, algo, policy):
         entries = lockstep_entries()
-        configs = [OptimizerConfig(algorithm=algo, max_iter=40,
-                                   penalty_double_every=LOCKSTEP_DOUBLE_EVERY, **extra)
-                   for _, _, extra in entries]
-        together = run_many([space for _, space, _ in entries], configs,
-                            make_batch_objective([p for p, _, _ in entries], policy))
-        alone = [run(space, config, make_batch_objective(p, policy))
-                 for (p, space, _), config in zip(entries, configs)]
+        config = OptimizerConfig(algorithm=algo, seed=1, max_iter=40,
+                                 penalty_double_every=LOCKSTEP_DOUBLE_EVERY)
+        seeds = range(1, 6)
+        together = run_many([space for _, space in entries], config, seeds,
+                            make_batch_objective([p for p, _ in entries], policy))
+        alone = [run(space, dataclasses.replace(config, seed=seed),
+                     make_batch_objective(p, policy))
+                 for (p, space), seed in zip(entries, seeds)]
         assert len(together) == len(alone) == 5
         for t, a in zip(together, alone):
             for name in RUN_FIELDS:
@@ -365,16 +366,17 @@ class TestLockstep:
             assert not together[2].history_feasible[0]
             assert together[2].feasible
 
-    @pytest.mark.parametrize("change", [{"algorithm": "de2"}, {"pop_size": 40},
-                                        {"max_iter": 11}, {"F": 0.5},
-                                        {"penalty_double_every": 3},
-                                        {"penalty_coefficient": 1.0}])
-    def test_configs_must_share_shape(self, cube, change):
-        first = OptimizerConfig(algorithm="de1", seed=1, max_iter=10)
-        other = OptimizerConfig(**{"algorithm": "de1", "seed": 2, "max_iter": 10,
-                                   **change})
-        with pytest.raises(ValueError, match="share"):
-            run_many([cube, cube], [first, other], sphere_objective)
+    @pytest.mark.parametrize("call", [
+        lambda cube, config: run_many([cube, cube], config, [1], sphere_objective),
+        lambda cube, config: run_many([cube], config, [1, 2], sphere_objective),
+        lambda cube, config: run_many([cube, cube], config, [1, None], sphere_objective),
+        lambda cube, config: multi_seed_run(
+            cube, dataclasses.replace(config, seed=None), sphere_objective, 2),
+    ], ids=["seeds_shorter", "seeds_longer", "none_seed", "multi_seed_none"])
+    def test_one_integer_seed_per_space(self, cube, call):
+        # default_rng(None) would seed from the wall clock
+        with pytest.raises(ValueError, match="seed"):
+            call(cube, OptimizerConfig(algorithm="de1", seed=1, max_iter=2))
 
     def test_sweep_makes_one_objective_call_per_generation(self, monkeypatch,
                                                            params):
@@ -401,7 +403,7 @@ class TestLockstep:
 
 @st.composite
 def scripted_lockstep(draw):
-    """K runs of one config, seeds apart, over scripted objective streams.
+    """K runs of one config, seeds 0..K-1, over scripted objective streams.
 
     Values are small integers, so ties are common; violations are either
     feasible (-0.5 or 0) or positive, and invalid rows carry NaN.
@@ -412,8 +414,7 @@ def scripted_lockstep(draw):
         algorithm=draw(st.sampled_from(["de1", "de2", "pso"])), pop_size=5,
         max_iter=iters,
         penalty_coefficient=draw(st.sampled_from([1e-3, 1.0, 1e3])),
-        penalty_double_every=draw(st.integers(1, 4)))
-    configs = [dataclasses.replace(config, seed=k) for k in range(K)]
+        penalty_double_every=draw(st.integers(1, 4)), seed=0)
     p_valid = draw(st.sampled_from([0.0, 0.6, 1.0]))
     p_feasible = draw(st.sampled_from([0.0, 0.04, 0.3]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -426,13 +427,13 @@ def scripted_lockstep(draw):
                               rng.choice([0.25, 1.0, 2.0], 5 * K))
         streams.append((np.where(valid, values, np.nan),
                         np.where(valid, violations, np.nan), valid))
-    return configs, streams
+    return config, K, streams
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=scripted_lockstep())
 def test_incumbent_rule_matches_scalar_reference(case):
-    configs, streams = case
+    config, K, streams = case
     calls = []
 
     def scripted(X):
@@ -440,9 +441,9 @@ def test_incumbent_rule_matches_scalar_reference(case):
         return streams[len(calls) - 1]
 
     space = SearchSpace(lower=np.zeros(2), upper=np.ones(2))
-    results = run_many([space] * len(configs), configs, scripted)
+    results = run_many([space] * K, config, range(K), scripted)
     assert len(calls) == len(streams)
-    for k, (config, result) in enumerate(zip(configs, results)):
+    for k, result in enumerate(results):
         block = slice(5 * k, 5 * k + 5)
         x, value, violation, feasible, history, history_feasible = incumbent_reference(
             [(X[block], *(a[block] for a in stream))

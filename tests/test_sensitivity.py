@@ -13,7 +13,7 @@ from greenchain.policy import evaluate_policy, make_batch_objective
 from greenchain.sensitivity import (DEFAULT_CALIBRATION_TARGET,
                                     STATIONARITY_WEIGHT, CalibrationTarget,
                                     SweepSpec, calibrate_missing_defaults,
-                                    calibration_residuals, run_sweep,
+                                    _run_sweeps, calibration_residuals, run_sweep,
                                     sweep_slope)
 
 QUICK_PSO = OptimizerConfig(algorithm="pso", seed=17, pop_size=30, max_iter=120)
@@ -46,6 +46,16 @@ class TestSweep:
         deltas = np.diff([r.phi_T for r in rows])
         assert np.allclose(deltas, deltas[0], rtol=1e-9)
         assert sweep_slope(rows) < 0
+
+    def test_fixed_decision_sweeps_run_together_as_alone(self, params):
+        dec = DecisionVector(T0=0.6, xi1=50.0, xi2=50.0, G=2.0, W_r=280.0)
+        spec = SweepSpec(parameter="C_p", optimizer=QUICK_PSO,
+                         reoptimize=False, decisions=dec)
+        together = _run_sweeps(spec, ["C_p", "f_d"], params)
+        alone = [run_sweep(dataclasses.replace(spec, parameter=name), params)
+                 for name in ("C_p", "f_d")]
+        assert together == alone
+        assert all(r.feasible and r.decisions == dec for rows in together for r in rows)
 
     def test_levels_must_include_baseline(self, params):
         with pytest.raises(ValueError, match="include 0"):
@@ -134,9 +144,8 @@ class TestCalibration:
         runs = [p for p in sets for _ in range(4)]
         results = run_many(
             [default_search_space(p) for p in runs],
-            [OptimizerConfig(algorithm="pso", seed=seed)
-             for _ in sets for seed in range(4)],
-            make_batch_objective(runs, "tax"))
+            OptimizerConfig(algorithm="pso", seed=0),
+            [seed for _ in sets for seed in range(4)], make_batch_objective(runs, "tax"))
         for k, (p, truth) in enumerate(zip(sets, triples)):
             best = max(results[4 * k:4 * k + 4], key=lambda r: r.best_fitness)
             outcome = evaluate_policy(p, best.decisions, "tax")
