@@ -35,6 +35,9 @@ Entries (one process, about 20 s on two cores):
   runs may never reach the zero-deterioration limits);
 - ``make_batch_objective`` over five parameter sets that differ in one
   slot, as a sweep's levels do, on the same batch under each policy;
+- ``make_batch_objective`` at ``kappa1 = kappa2 = 2.0`` under each policy:
+  one set alone, and the same set first among sets that differ from it in
+  ``kappa1`` or ``kappa2`` (its block must equal the one-set rows);
 - ``run_sweep`` for all 14 parameters of the direction check;
 - one ``direction_report``;
 - the ``calibrate_missing_defaults`` triple;
@@ -170,6 +173,10 @@ def _twin_entries(gc) -> dict:
     # Five levels of P_r, 48 rows each.
     sweep_sets = [params.replace(v1=0.1, P_r=2500.0 * level)
                   for level in (0.6, 0.8, 1.0, 1.2, 1.4)]
+    # Exponents at 2.0, where NumPy's ** squares a scalar exponent's base;
+    # with no cap and a large l4 the violation turns on G ** kappa2.
+    square = params.replace(v1=0.1, kappa1=2.0, kappa2=2.0, U2=0.0, l4=300.0)
+    kappa_sets = [square, square.replace(kappa1=1.45), square.replace(kappa2=0.8)]
     entries = {}
     for policy, pid in POLICY_IDS.items():
         for layout, p in (("vector", vector), ("per_row", per_row)):
@@ -177,6 +184,10 @@ def _twin_entries(gc) -> dict:
                 pid, X, p)
         entries[f"objective/{policy}/sweep_sets"] = gc.make_batch_objective(
             sweep_sets, policy)(X)
+        entries[f"objective/{policy}/kappa2.0/one_set"] = gc.make_batch_objective(
+            square, policy)(X)
+        entries[f"objective/{policy}/kappa2.0/mixed_sets"] = gc.make_batch_objective(
+            kappa_sets, policy)(np.concatenate([X] * len(kappa_sets)))
     return entries
 
 

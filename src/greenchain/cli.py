@@ -25,6 +25,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,9 @@ EXIT_INVALID = 2
 EXIT_CALIBRATION = 3
 
 CONFIG_ENV = "GREENCHAIN_CONFIG"
+# `surface` evaluates and writes whole grid rows, about this many cells at
+# a time, so its memory does not grow with the number of rows.
+SURFACE_BLOCK_CELLS = 8192
 # The keys of each subcommand's own section; a config holds at most one.
 SECTION_KEYS = {
     "evaluate": ("decisions",),
@@ -411,26 +415,28 @@ def cmd_surface(args, config) -> int:
 
     xs = np.linspace(range1[0], range1[1], n1)
     ys = np.linspace(range2[0], range2[1], n2)
-    grid = np.tile(decisions.as_array(), (n1, n2, 1))
-    grid[:, :, DECISION_NAMES.index(v1)] = xs[:, None]
-    grid[:, :, DECISION_NAMES.index(v2)] = ys
-    values, _, valid = make_batch_objective(params, policy)(
-        grid.reshape(n1 * n2, -1))
-
+    objective = make_batch_objective(params, policy)
+    i1, i2 = DECISION_NAMES.index(v1), DECISION_NAMES.index(v2)
+    block_rows = max(1, SURFACE_BLOCK_CELLS // n2)
     out = _out_dir(args, config)
     target = (out / f"surface_{v1}_{v2}.csv") if out else None
 
     def write(fh):
         # The bytes csv.writer would give (repr cells, "\r\n" line ends),
-        # one grid row per write, each axis value formatted once.
+        # each axis value formatted once, a block of grid rows at a time: a
+        # row's result does not depend on its batch, nor the bytes on blocks.
         fh.write(f"{v1},{v2},phi_T\r\n")
         middles = [f",{y!r}," for y in ys.tolist()]
-        for i, x in enumerate(xs.tolist()):
-            row = slice(i * n2, (i + 1) * n2)
-            x = repr(x)
+        for start in range(0, n1, block_rows):
+            block = xs[start:start + block_rows]
+            grid = np.tile(decisions.as_array(), (len(block), n2, 1))
+            grid[:, :, i1] = block[:, None]
+            grid[:, :, i2] = ys
+            values, _, valid = objective(grid.reshape(len(block) * n2, -1))
             fh.write("".join([f"{x}{mid}{v!r}\r\n" if ok else f"{x}{mid}\r\n"
-                              for mid, v, ok in zip(middles, values[row].tolist(),
-                                                    valid[row].tolist())]))
+                              for (x, mid), v, ok in zip(
+                                  product(map(repr, block.tolist()), middles),
+                                  values.tolist(), valid.tolist())]))
 
     if target:
         _atomic_write(target, write)

@@ -491,8 +491,9 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
     inadmissible, the zero-deterioration limits only when some row is
     below THETA_FLOOR, and only the emission reductions the policy reads.
     Parameter-only products are scalar arithmetic where the slots are
-    scalars.  At surface sizes (10^5 rows) memory counts instead: the
-    retailer's phi arguments reuse the manufacturer's (3, n) arrays.
+    scalars.  Large batches (the CLI's ``surface`` passes blocks of about
+    8k rows) reuse memory: the retailer's phi arguments are written over
+    the manufacturer's (3, n) arrays.
     Every expression keeps its association, and each row's result does not
     depend on the other rows of the batch.
     """

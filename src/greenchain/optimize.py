@@ -113,7 +113,7 @@ class OptimizerConfig:
     """
 
     algorithm: str = "pso"            # one of ALGORITHMS
-    seed: int | None = None           # mandatory: no wall-clock seeding
+    seed: int | None = None           # run and multi_seed_run: mandatory
     pop_size: int = 50
     max_iter: int | None = None       # None: 100 for DE, 300 for PSO
     F: float = 0.6                    # DE scale factor
@@ -132,8 +132,6 @@ class OptimizerConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.seed is None:
-            raise ValueError("seed is mandatory for optimizer runs")
         integers = ("pop_size", "penalty_double_every") + (
             () if self.max_iter is None else ("max_iter",))
         wrong = [f"{name} must be an integer" for name in integers
@@ -491,19 +489,25 @@ def run_many(spaces, config: OptimizerConfig, seeds, objective) -> list[RunResul
     return (_pso_run if config.algorithm == "pso" else _de_run)(runs, objective)
 
 
+def _config_seed(config: OptimizerConfig) -> int:
+    if config.seed is None:
+        raise ValueError("seed is mandatory for optimizer runs")
+    return config.seed
+
+
 def run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
     """One run seeded with `config.seed`: `run_many` with a single entry."""
-    return run_many([space], config, [config.seed], objective)[0]
+    return run_many([space], config, [_config_seed(config)], objective)[0]
 
 
 def multi_seed_run(space: SearchSpace, config: OptimizerConfig, objective,
                    n_seeds: int) -> list[RunResult]:
     """Seeds config.seed, config.seed+1, ... run in lockstep."""
-    config.validate()
+    seed = _config_seed(config)
     if n_seeds < 1:
         raise ValueError("n_seeds must be positive")
-    return run_many([space] * n_seeds, config,
-                    range(config.seed, config.seed + n_seeds), objective)
+    return run_many([space] * n_seeds, config, range(seed, seed + n_seeds),
+                    objective)
 
 
 def multi_seed_stats(results: list[RunResult]) -> tuple[float, float, float]:

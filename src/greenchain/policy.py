@@ -101,12 +101,16 @@ def make_batch_objective(params, policy: str):
     n_sets = len(sets)
     # A slot whose bits are equal in every set is one float64 scalar that
     # the twin broadcasts, so a parameter-only product costs no array call
-    # and one set holds no per-row copies (≈40 MB for a 320 × 320 surface
-    # as a matrix).  Compared by bits: NaN prices are shared, -0.0 and 0.0
-    # are not.  Kept as NumPy scalars, whose division by zero follows the
-    # errstate scope where a Python float's would raise.
+    # and one set holds per-row copies of the two exponents only.  Compared
+    # by bits: NaN prices are shared, -0.0 and 0.0 are not.  Kept as NumPy
+    # scalars, whose division by zero follows the errstate scope where a
+    # Python float's would raise.  The exponents are never scalars: `**`
+    # takes a square, sqrt or reciprocal fast path for a scalar 2.0, 0.5 or
+    # -1.0 that a per-row exponent does not, so a set's rows would depend
+    # on whether the other sets share its kappa.
     bits = vectors.view(np.int64)
     shared = (bits == bits[0]).all(axis=0)
+    shared[[K.P_KAPPA1, K.P_KAPPA2]] = False
     layouts = {}
 
     def objective(X: np.ndarray):

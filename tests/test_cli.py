@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,7 +265,12 @@ class TestSurface:
         ("T0", "xi1", (0.45, 0.9), (120.0, 220.0), 1, 4),
         ("xi2", "T0", (80.0, 100.0), (0.3, 0.9), 5, 1),
         ("G", "T0", (1e-05, 3e-05), (0.1, 2.0), 4, 3),
-    ], ids=["mixed_admissible", "n1_one", "n2_one", "exponent_axis"])
+        # 25 grid rows per block: two blocks, the last one short.
+        ("T0", "W_r", (0.05, 12.0), (80.0, 320.0), 27, 320),
+        # A grid row wider than a block: one row per block.
+        ("W_r", "T0", (250.0, 305.0), (0.05, 12.0), 3, 8200),
+    ], ids=["mixed_admissible", "n1_one", "n2_one", "exponent_axis",
+            "short_last_block", "row_wider_than_block"])
     def test_csv_bytes_match_reference(self, capsys, config_path, tmp_path,
                                        v1, v2, range1, range2, n1, n2):
         expected = expected_surface(v1, v2, range1, range2, n1, n2)
@@ -282,6 +288,24 @@ class TestSurface:
         lines = expected.split("\r\n")
         assert lines[-1] == "" and len(lines) == n1 * n2 + 2
         assert not any("\r" in line or "\n" in line for line in lines)
+
+    def test_memory_does_not_grow_with_the_grid(self, capsys, config_path,
+                                                tmp_path):
+        # Evaluating the whole 320 x 320 grid in one call peaks at about
+        # 62 MB; a block of grid rows at a time, at about 5 MB.
+        out_dir = tmp_path / "art"
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "--config", config_path, "--out",
+                                 str(out_dir), "surface", "--vars", "T0", "W_r",
+                                 "--range1", "0.05", "12", "--range2", "80", "320",
+                                 "--n1", "320", "--n2", "320")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= 16e6
+        with open(out_dir / "surface_T0_W_r.csv", newline="") as fh:
+            assert sum(1 for _ in fh) == 320 * 320 + 1
 
     def test_reference_covers_empty_cells_and_exponents(self):
         mixed = expected_surface("T0", "W_r", (0.2, 0.8), (290.0, 310.0), 3, 5)

@@ -123,6 +123,31 @@ def test_twin_rows_do_not_depend_on_their_batch(n, kinds, layout, policy):
         assert one[1].view(np.int64)[0] == violations[i:i + 1].view(np.int64)[0]
 
 
+@pytest.mark.parametrize("policy", sorted(POLICY_IDS))
+@pytest.mark.parametrize("kappa", [2.0, 0.5])
+@pytest.mark.parametrize("slot", ["kappa1", "kappa2"])
+def test_objective_rows_do_not_depend_on_other_sets_kappa(slot, kappa, policy):
+    """A set's rows are the same bits alone and among sets that differ from
+    it only in one exponent.  NumPy's ** takes a square or sqrt fast path
+    for a scalar exponent of 2.0 or 0.5 that a per-row exponent does not."""
+    # Abatement all curvature and no cap, so the powers of G set the
+    # values and violations; G up to 1e4 spreads their bases.
+    params = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108,
+                             l1=1e-3, l2=1e3, l3=1e-3, l4=1e3, U2=0.0,
+                             **{slot: kappa})
+    rng = np.random.default_rng(5)
+    n = 600
+    X, _ = _mixed_batch(rng, n, kinds=2)
+    X[:, 3] = 10.0 ** rng.uniform(-2.0, 4.0, n)
+    alone = make_batch_objective(params, policy)(X)
+    sets = [params, params.replace(**{slot: 0.9 * kappa}),
+            params.replace(**{slot: 1.1 * kappa})]
+    together = make_batch_objective(sets, policy)(np.concatenate([X] * len(sets)))
+    assert alone[2].all()
+    for one, many in zip(alone, together):
+        assert one.tobytes() == many[:n].tobytes()
+
+
 def test_status_codes():
     params = ModelParameters(v1=0.05, v2=0.05, C_Tax=1.0)
     p = params.as_array()

@@ -196,8 +196,19 @@ class TestRuns:
             assert result.evaluations == cfg.pop_size
 
     def test_seed_is_mandatory(self, cube):
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match="seed is mandatory"):
             run(cube, OptimizerConfig(algorithm="pso"), sphere_objective)
+        with pytest.raises(ValueError, match="seed is mandatory"):
+            multi_seed_run(cube, OptimizerConfig(algorithm="pso"), sphere_objective, 2)
+
+    def test_run_many_needs_no_config_seed(self, cube):
+        # run_many seeds its runs from `seeds` alone.
+        config = OptimizerConfig(algorithm="pso", max_iter=5)
+        [result] = run_many([cube], config, [1], sphere_objective)
+        alone = run(cube, dataclasses.replace(config, seed=1), sphere_objective)
+        assert result.seed == 1
+        assert np.array_equal(result.x_best, alone.x_best)
+        assert np.array_equal(result.history, alone.history)
 
     @pytest.mark.parametrize("bad", [
         {"max_iter": -1}, {"penalty_double_every": 0}, {"pop_size": "50"},
