@@ -9,8 +9,10 @@ before and after the change and compares the two files:
 SRC_DIR is the directory that holds the ``greenchain`` package (``src`` in
 a checkout); the script imports greenchain from there and nowhere else.
 Floats are stored as hex strings, so two records are equal only when every
-bit is.  Compare mode prints each entry that differs and exits 1 if any
-does, 0 otherwise.
+bit is.  Compare mode prints each entry that differs, with how many of its
+numbers differ (numbers inside text such as stdout and CSV files count)
+and their largest relative difference, and exits 1 if any entry differs,
+0 otherwise.
 
 The script calls greenchain's public functions, so it follows their
 signatures.  Across a change to one of them, record the parent with the
@@ -64,6 +66,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import re
 import sys
 import tempfile
 import warnings
@@ -294,11 +298,60 @@ def record(src_dir: Path) -> dict:
     return {name: hexify(value) for name, value in entries.items()}
 
 
+#: A number inside text (stdout, CSV), read as a float by compare mode.
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def _leaves(value):
+    """The leaves of a record entry in order: numbers as floats (hex
+    strings, ints, and the numbers inside text), other text as strings."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield key
+            yield from _leaves(value[key])
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, str) and (value.startswith(("0x", "-0x"))
+                                     or value in ("inf", "-inf", "nan")):
+        yield float.fromhex(value)
+    elif isinstance(value, str):
+        last = 0
+        for match in NUMBER.finditer(value):
+            yield value[last:match.start()]
+            yield float(match.group())
+            last = match.end()
+        yield value[last:]
+    elif isinstance(value, bool) or value is None:
+        yield value
+    else:
+        yield float(value)
+
+
+def describe(before, after) -> str:
+    """How two versions of one entry differ: the count of numbers that
+    differ and their largest relative difference, when the rest is equal."""
+    a, b = list(_leaves(before)), list(_leaves(after))
+    if len(a) != len(b) or any(type(x) is not type(y) or (
+            not isinstance(x, float) and x != y) for x, y in zip(a, b)):
+        return "structure differs"
+    pairs = [(x, y) for x, y in zip(a, b) if isinstance(x, float)
+             and x.hex() != y.hex() and not (x != x and y != y)]
+    rel = max((abs(x - y) / max(abs(x), abs(y)) if x - y == x - y else math.inf
+               for x, y in pairs), default=0.0)
+    count = sum(isinstance(x, float) for x in a)
+    return (f"{len(pairs)} of {count} numbers differ, largest relative "
+            f"difference {rel:.3g}")
+
+
 def compare(before: dict, after: dict) -> int:
     differing = sorted(name for name in before.keys() | after.keys()
                        if before.get(name) != after.get(name))
     for name in differing:
-        print(f"differs: {name}")
+        detail = (describe(before[name], after[name])
+                  if name in before and name in after
+                  else "only in " + ("the first" if name in before else "the second"))
+        print(f"differs: {name}: {detail}")
     print(f"{len(before.keys() | after.keys()) - len(differing)} of "
           f"{len(before.keys() | after.keys())} entries identical")
     return 1 if differing else 0

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DECISION_NAMES, DecisionVector, DomainError
+from .model import DECISION_NAMES, DecisionVector
 from .params import ModelParameters
-from .policy import evaluate_policy
+# `evaluate_policy` is not called here; it stays importable from this
+# module for callers that wrap it by attribute.
+from .policy import evaluate_policy, make_batch_objective  # noqa: F401
 
 LABELS = ("very low", "low", "medium", "high", "very high")
 #: Total firing strength at or below which an input is outside the support.
@@ -245,7 +247,8 @@ def train_hybrid(model: AnfisModel, x, y, epochs: int = 100,
 def generate_dataset(params: ModelParameters, decisions: DecisionVector,
                      sweep_variable: str, n_points: int,
                      bounds: tuple, policy: str = "tax"):
-    """Uniform grid of (x, joint policy profit) pairs over `bounds`.
+    """Uniform grid of (x, joint policy profit) pairs over `bounds`, in one
+    objective call: each profit is ``evaluate_policy``'s for that point.
 
     Grid points the model rejects are skipped with a single warning that
     reports the count.  Returns (x, y, n_skipped).
@@ -258,16 +261,11 @@ def generate_dataset(params: ModelParameters, decisions: DecisionVector,
     if not hi > lo:
         raise ValueError("empty sweep range")
     grid = np.linspace(lo, hi, n_points)
-    xs, ys = [], []
-    skipped = 0
-    for value in grid:
-        candidate = replace(decisions, **{sweep_variable: float(value)})
-        try:
-            ys.append(evaluate_policy(params, candidate, policy).value)
-            xs.append(float(value))
-        except DomainError:
-            skipped += 1
+    X = np.tile(decisions.as_array(), (n_points, 1))
+    X[:, DECISION_NAMES.index(sweep_variable)] = grid
+    values, _, valid = make_batch_objective(params, policy)(X)
+    skipped = n_points - int(np.count_nonzero(valid))
     if skipped:
         warnings.warn(f"skipped {skipped} inadmissible grid points "
                       f"while sweeping {sweep_variable}", stacklevel=2)
-    return np.asarray(xs), np.asarray(ys), skipped
+    return grid[valid], values[valid], skipped

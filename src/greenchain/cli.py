@@ -34,7 +34,7 @@ from .anfis import generate_dataset, grid_partition, train_hybrid
 from .model import (DECISION_NAMES, DecisionVector, DomainError, base_profits,
                     compute_breakdown, compute_schedule, refusing_overflow)
 from .optimize import (ALGORITHMS, OptimizerConfig, default_search_space,
-                       multi_seed_run, multi_seed_stats)
+                       multi_seed_run, multi_seed_stats, require_allocatable)
 from .params import ModelParameters, ParameterError, to_real
 from .policy import POLICY_IDS, evaluate_policy, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
@@ -346,6 +346,7 @@ def cmd_anfis(args, config) -> int:
     variable = args.variable or section.get("variable", "T0")
     n_points = args.points if args.points is not None else section.get("n_points", 61)
     n_points = _count(n_points, "anfis n_points")
+    require_allocatable("anfis n_points", n_points)
     bounds = _range(args.range or section.get("range"), "anfis range")
     epochs = args.epochs if args.epochs is not None else section.get("epochs", 100)
     if _count(epochs, "anfis epochs") < 1:
@@ -411,6 +412,8 @@ def cmd_surface(args, config) -> int:
                 "surface n2")
     if n1 < 1 or n2 < 1:
         raise UsageError("surface needs at least one grid point per variable")
+    require_allocatable("surface n1", n1)
+    require_allocatable("surface n2", n2)
     decisions = _decisions(config, section)
 
     xs = np.linspace(range1[0], range1[1], n1)

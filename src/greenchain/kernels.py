@@ -1,13 +1,13 @@
-"""Scalar closed-form kernels for the two-echelon production/retail cycle.
+"""The model: closed-form terms of the two-echelon production/retail cycle.
 
 Everything numeric lives here: effective production rates, cycle schedules,
-inventory trajectories and their exact integrals, cost and emission terms,
-per-player profits and the three carbon-policy objectives.  The scalar
-functions are plain Python math and serve single evaluations (the model
-layer, calibration, the ANFIS dataset).  Optimizer populations and surfaces
-go through `evaluate_policy_batch_numpy`, a separately implemented
-vectorised twin of the batch objective; ``tests/test_kernels.py`` pins the
-two against each other.
+exact inventory integrals, cost and emission terms, per-player profits and
+the three carbon-policy objectives, written once, as the vectorised NumPy
+function `evaluate_policy_batch_numpy` (the twin of the scalar kernel that
+``tests/oracles.py`` keeps as the reference it is tested against).
+Optimizer populations, sweeps and surfaces call it for values only; the
+model layer calls it through `evaluate_terms` for the term table and a
+status per row as well.
 
 All cycle formulas route the ill-conditioned ``(e^x - 1 - x) / x**2`` style
 terms through series-protected helpers, so they are uniformly accurate for
@@ -16,8 +16,6 @@ deterioration rates all the way down to the documented floor of 1e-10
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -50,12 +48,12 @@ N_PARAMS = len(PARAM_ORDER)
 globals().update({"P_" + name.upper(): slot
                   for slot, name in enumerate(PARAM_ORDER)})
 
-# Policy identifiers.
+# Policy identifiers; None evaluates no carbon policy.
 POLICY_TAX = 0
 POLICY_CAP_TRADE = 1
 POLICY_LIMITED = 2
 
-# Status codes returned by evaluate_terms.
+# Row statuses of evaluate_terms, in the order the rows are checked.
 OK = 0
 ERR_BAD_T0 = 1
 ERR_BAD_INVESTMENT = 2
@@ -63,7 +61,7 @@ ERR_NEGATIVE_DEMAND = 3
 ERR_ZERO_DEMAND = 4
 ERR_NET_REPLENISHMENT = 5
 ERR_BACKLOG = 6
-ERR_OVERFLOW = 7    # not from evaluate_terms: the model layer's, on overflow
+ERR_OVERFLOW = 7    # admissible, but a value, violation or term is not finite
 
 STATUS_MESSAGES = {
     OK: "ok",
@@ -76,9 +74,9 @@ STATUS_MESSAGES = {
     ERR_OVERFLOW: "floating-point overflow: the inputs are too extreme",
 }
 
-# The term vector filled by evaluate_terms, in slot order.  This table is the
-# only statement of the layout: the slot constants below and the model-layer
-# dataclasses are generated from it.
+# The rows of the term table of evaluate_terms, in slot order.  This table
+# is the only statement of the layout: the slot constants below and the
+# model-layer dataclasses are generated from it.
 TERM_NAMES = (
     "T1", "T2", "Q_m", "theta_m", "theta_r", "s", "T11", "Q_r", "T3",
     "B1", "B2", "f_Wr", "int_I", "int_Id", "int_r", "int_r_sr",
@@ -96,374 +94,47 @@ globals().update({"T_" + name.upper(): slot
                   for slot, name in enumerate(TERM_NAMES)})
 
 
-def phi1(x):
-    """(e^x - 1) / x, series-protected near zero."""
-    if abs(x) < 1e-4:
-        return 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
-    return math.expm1(x) / x
+def abatement(x, linear, scale, kappa):
+    """Emission reduction ``x * linear - scale * x ** kappa`` bought by the
+    investment x: rho_m and rho_r (the players' shares of G; l1, l2,
+    kappa1) and rho_G (G itself; l3, l4, kappa2)."""
+    return x * linear - scale * x ** kappa
 
 
-def phi2(x):
-    """(e^x - 1 - x) / x^2, series-protected near zero."""
-    if abs(x) < 1e-3:
-        return 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
-    return (math.expm1(x) - x) / (x * x)
+def slot_layout(vectors, n):
+    """The twin's `p` for n rows in len(vectors) equal blocks, block k
+    evaluated under the parameter vector ``vectors[k]``.
 
-
-def effective_rates(P, f_d, beta1, beta2):
-    """Perfect / defective effective production rates; they sum to P."""
-    P_e = (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1
-    P_de = (1.0 - f_d) * P * beta1 + f_d * P - f_d * P * beta2
-    return P_e, P_de
-
-
-def preserved_rate(theta_base, v, xi):
-    """Deterioration rate after a preservation investment xi at efficiency v."""
-    return theta_base * math.exp(-v * xi)
-
-
-def manufacturer_cycle(P, P_e, P_de, P_r, D_r, theta_m, T0):
-    """Rework-end time T1, cycle-end time T2 and lot size Q_m.
-
-    Below THETA_FLOOR the zero-deterioration limits apply:
-    T1 = T0(1 + P_de/P_r), Q_m = P*T0, T2 = T1 + Q_m/D_r.
+    A slot whose bits are equal in every vector is one float64 scalar that
+    the twin broadcasts, so a parameter-only product costs no array call;
+    the others hold one value per row.  Compared by bits: NaN prices are
+    shared, -0.0 and 0.0 are not.  Kept as NumPy scalars, whose division by
+    zero follows the errstate scope where a Python float's would raise.
+    The exponents are never scalars: `**` takes a square, sqrt or
+    reciprocal fast path for a scalar 2.0, 0.5 or -1.0 that a per-row
+    exponent does not, so a row would depend on whether the other vectors
+    share its kappa.
     """
-    if theta_m < THETA_FLOOR:
-        T1 = T0 * (1.0 + P_de / P_r)
-        Q_m = P * T0
-        T2 = T1 + Q_m / D_r
-    else:
-        u = -math.expm1(-theta_m * T0)
-        T1 = T0 + math.log1p(P_de * u / P_r) / theta_m
-        # algebraically identical to (P_r/th)*(1 + (P_e*u - P_r)/(P_de*u + P_r))
-        # but free of the cancellation that form suffers for small theta_m
-        Q_m = P * P_r * u / (theta_m * (P_de * u + P_r))
-        T2 = T1 + math.log1p(Q_m * theta_m / D_r) / theta_m
-    return T1, T2, Q_m
-
-
-def manufacturer_integrals(P_e, P_de, P_r, D_r, Q_m, theta_m, T0, T1, T2):
-    """Exact integrals of the perfect and defective stock over their cycles."""
-    d1 = T1 - T0
-    d2 = T2 - T1
-    if theta_m < THETA_FLOOR:
-        int_I = 0.5 * P_e * T0 * T0 + P_e * T0 * d1 + 0.5 * P_r * d1 * d1 \
-            + 0.5 * D_r * d2 * d2
-        int_Id = 0.5 * P_de * T0 * T0 + 0.5 * P_r * d1 * d1
-    else:
-        x0 = theta_m * T0
-        x1 = theta_m * d1
-        x2 = theta_m * d2
-        int_I = P_e * T0 * T0 * phi2(-x0) \
-            + Q_m * d1 * phi1(x1) - P_r * d1 * d1 * phi2(x1) \
-            + D_r * d2 * d2 * phi2(x2)
-        int_Id = P_de * T0 * T0 * phi2(-x0) + P_r * d1 * d1 * phi2(x1)
-    return int_I, int_Id
-
-
-def manufacturer_stock(t, P_e, P_r, D_r, Q_m, theta_m, T0, T1, T2):
-    """Perfect-stock level I(t) on [0, T2] (branch by production phase)."""
-    if theta_m < THETA_FLOOR:
-        if t <= T0:
-            return P_e * t
-        if t <= T1:
-            return P_e * T0 + P_r * (t - T0)
-        return D_r * (T2 - t)
-    if t <= T0:
-        return -(P_e / theta_m) * math.expm1(-theta_m * t)
-    if t <= T1:
-        # stable regrouping of P_r/th + (Q_m - P_r/th) e^{th (T1-t)}
-        x = theta_m * (T1 - t)
-        return Q_m * math.exp(x) - P_r * math.expm1(x) / theta_m
-    return (D_r / theta_m) * math.expm1(theta_m * (T2 - t))
-
-
-def defective_stock(t, P_de, P_r, theta_m, T0, T1):
-    """Defective-stock level I_d(t) on [0, T1]."""
-    if theta_m < THETA_FLOOR:
-        if t <= T0:
-            return P_de * t
-        return P_r * (T1 - t)
-    if t <= T0:
-        return -(P_de / theta_m) * math.expm1(-theta_m * t)
-    return (P_r / theta_m) * math.expm1(theta_m * (T1 - t))
-
-
-def retailer_cycle(fW, D_r, eta, theta_r, T1, T2):
-    """Backlog s, clearing time T11, stock peak Q_r and cycle end T3.
-
-    Requires fW > 0 and B2 - s*eta > 0; callers guard the domain.
-    """
-    B1 = eta + theta_r
-    B2 = D_r - fW
-    s = fW * T1
-    T11 = T1 + math.log1p(-s * eta / B2) / eta
-    Q_r = -(B2 / B1) * math.expm1(B1 * (T11 - T2))
-    T3 = T2 + math.log1p(B1 * Q_r / fW) / B1
-    return s, T11, Q_r, T3, B1, B2
-
-
-def retailer_integrals(fW, s, eta, B1, B2, T1, T11, T2, T3):
-    """Stock integrals over [T11, T3] (holding) and [T1, T3] (revenue).
-
-    The [T1, T11] piece is signed; it is negative whenever T11 < T1, which
-    the printed backlog-clearing time permits.
-    """
-    dA = T2 - T11
-    dB = T3 - T2
-    piece2 = B2 * dA * dA * phi2(-B1 * dA)
-    piece3 = fW * dB * dB * phi2(B1 * dB)
-    d0 = T11 - T1
-    q = -math.expm1(-eta * d0) / eta
-    piece1 = B2 * d0 * d0 * phi2(-eta * d0) + s * q
-    return piece2 + piece3, piece1 + piece2 + piece3
-
-
-def retailer_stock(t, fW, s, eta, B1, B2, Q_r, T1, T11, T2, T3):
-    """Retailer stock on the printed branches.
-
-    On [0, T1] the value is the accumulated backlog stored as a positive
-    level.  The [T1, T11] branch is evaluated as printed even when T11 < T1.
-    """
-    if t <= T1:
-        return fW * t
-    if t <= T11:
-        x = eta * (T1 - t)
-        return s * math.exp(x) - B2 * math.expm1(x) / eta
-    if t <= T2:
-        return -(B2 / B1) * math.expm1(B1 * (T11 - t))
-    return (fW / B1) * math.expm1(B1 * (T3 - t))
-
-
-def green_reduction_terms(G, omega, l1, l2, kappa1, l3, l4, kappa2):
-    """Emission reductions bought by the green investment G."""
-    gm = omega * G
-    gr = (1.0 - omega) * G
-    rho_m = gm * l1 - l2 * gm ** kappa1
-    rho_r = gr * l1 - l2 * gr ** kappa1
-    rho_G = G * l3 - l4 * G ** kappa2
-    return rho_m, rho_r, rho_G
-
-
-def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
-    """Fill `out` with every schedule, cost, emission and profit term.
-
-    Returns a status code; on a nonzero status `out` is left untrusted.
-    Positive-form guards are used so NaN inputs fail the checks.
-    """
-    if not (0.0 < T0 < math.inf):
-        return ERR_BAD_T0
-    if not (0.0 <= xi1 < math.inf and 0.0 <= xi2 < math.inf
-            and 0.0 <= G < math.inf):
-        return ERR_BAD_INVESTMENT
-
-    P = p[P_P]
-    P_r = p[P_P_R]
-    f_d = p[P_F_D]
-    beta1 = p[P_BETA1]
-    beta2 = p[P_BETA2]
-    theta1 = p[P_THETA1]
-    theta2 = p[P_THETA2]
-    v1 = p[P_V1]
-    v2 = p[P_V2]
-    D_r = p[P_D_R]
-    a = p[P_A]
-    b = p[P_B]
-    eta = p[P_ETA]
-    W_m = p[P_W_M]
-    C_p = p[P_C_P]
-    C_r = p[P_C_R]
-    C_g = p[P_C_G]
-    C_op = p[P_C_OP]
-    C_or = p[P_C_OR]
-    i_c = p[P_I_C]
-    h_p = p[P_H_P]
-    h_d = p[P_H_D]
-    h_r = p[P_H_R]
-    d_cp = p[P_D_CP]
-    d_cd = p[P_D_CD]
-    d_cr = p[P_D_CR]
-    O_r = p[P_O_R]
-    C_s = p[P_C_S]
-    f_r = p[P_F_R]
-    E_p = p[P_E_P]
-    E_t = p[P_E_T]
-    E_h1 = p[P_E_H1]
-    E_h2 = p[P_E_H2]
-    E_hr = p[P_E_HR]
-    E_d1 = p[P_E_D1]
-    E_d2 = p[P_E_D2]
-    E_dr = p[P_E_DR]
-    d1_km = p[P_D1]
-
-    fW = a - b * W_r
-    if not (fW >= 0.0):
-        return ERR_NEGATIVE_DEMAND
-    if fW == 0.0:
-        return ERR_ZERO_DEMAND
-
-    P_e, P_de = effective_rates(P, f_d, beta1, beta2)
-    theta_m = preserved_rate(theta1, v1, xi1)
-    theta_r = preserved_rate(theta2, v2, xi2)
-
-    T1, T2, Q_m = manufacturer_cycle(P, P_e, P_de, P_r, D_r, theta_m, T0)
-    int_I, int_Id = manufacturer_integrals(
-        P_e, P_de, P_r, D_r, Q_m, theta_m, T0, T1, T2)
-
-    B2 = D_r - fW
-    if not (B2 > 0.0):
-        return ERR_NET_REPLENISHMENT
-    s = fW * T1
-    if not (B2 - s * eta > 0.0):
-        return ERR_BACKLOG
-    s, T11, Q_r, T3, B1, B2 = retailer_cycle(fW, D_r, eta, theta_r, T1, T2)
-    int_r, int_r_sr = retailer_integrals(fW, s, eta, B1, B2, T1, T11, T2, T3)
-
-    SR_m = W_m * D_r * (T2 - T1)
-    PC_m = C_p * P * T0
-    StC_m = C_op + C_or
-    PeC_m = C_g * f_d * P * beta2 * T0
-    RC_m = C_r * P_r * (T1 - T0)
-    PreC_m = xi1 * T2
-    ScC_m = i_c * P * T0
-    HC_m1 = h_p * int_I
-    HC_m2 = h_d * int_Id
-    DC_m1 = d_cp * theta1 * int_I
-    DC_m2 = d_cd * theta1 * int_Id
-
-    e_m1 = Q_m * E_p
-    e_m2 = E_h1 * int_I
-    e_m3 = E_h2 * int_Id
-    e_m4 = E_d1 * theta1 * int_I
-    e_m5 = E_d2 * theta1 * int_Id
-    e_m6 = d1_km * E_t * D_r * (T2 - T1)
-    CarC_m = e_m1 + e_m2 + e_m3 + e_m4 + e_m5 + e_m6
-
-    SR_r = W_r * (fW * (T3 - T1) + eta * int_r_sr)
-    HC_r = h_r * int_r
-    DC_r = d_cr * theta2 * int_r
-    PC_r = W_m * D_r * (T2 - T1)
-    OC_r = O_r
-    PreC_r = xi2 * T2
-    SC_r = 0.5 * s * T1 * C_s
-
-    e_r1 = E_hr * int_r
-    e_r2 = E_dr * theta2 * int_r
-    CarC_r = e_r1 + e_r2
-
-    phi_m = (SR_m - (PC_m + StC_m + PeC_m + RC_m + PreC_m + ScC_m
-                     + HC_m1 + HC_m2 + DC_m1 + DC_m2)) / T2
-    phi_r_raw = (SR_r - (HC_r + DC_r + PC_r + OC_r + PreC_r + SC_r)) / T3
-    phi_r = (1.0 - f_r) * phi_r_raw
-
-    out[T_T1] = T1
-    out[T_T2] = T2
-    out[T_Q_M] = Q_m
-    out[T_THETA_M] = theta_m
-    out[T_THETA_R] = theta_r
-    out[T_S] = s
-    out[T_T11] = T11
-    out[T_Q_R] = Q_r
-    out[T_T3] = T3
-    out[T_B1] = B1
-    out[T_B2] = B2
-    out[T_F_WR] = fW
-    out[T_INT_I] = int_I
-    out[T_INT_ID] = int_Id
-    out[T_INT_R] = int_r
-    out[T_INT_R_SR] = int_r_sr
-    out[T_SR_M] = SR_m
-    out[T_PC_M] = PC_m
-    out[T_STC_M] = StC_m
-    out[T_PEC_M] = PeC_m
-    out[T_RC_M] = RC_m
-    out[T_PREC_M] = PreC_m
-    out[T_SCC_M] = ScC_m
-    out[T_HC_M1] = HC_m1
-    out[T_HC_M2] = HC_m2
-    out[T_DC_M1] = DC_m1
-    out[T_DC_M2] = DC_m2
-    out[T_E_M1] = e_m1
-    out[T_E_M2] = e_m2
-    out[T_E_M3] = e_m3
-    out[T_E_M4] = e_m4
-    out[T_E_M5] = e_m5
-    out[T_E_M6] = e_m6
-    out[T_CARC_M] = CarC_m
-    out[T_SR_R] = SR_r
-    out[T_HC_R] = HC_r
-    out[T_DC_R] = DC_r
-    out[T_PC_R] = PC_r
-    out[T_OC_R] = OC_r
-    out[T_PREC_R] = PreC_r
-    out[T_SC_R] = SC_r
-    out[T_E_R1] = e_r1
-    out[T_E_R2] = e_r2
-    out[T_CARC_R] = CarC_r
-    out[T_PHI_M] = phi_m
-    out[T_PHI_R_RAW] = phi_r_raw
-    out[T_PHI_R] = phi_r
-    out[T_PHI_T] = phi_m + phi_r
-    out[T_P_E] = P_e
-    out[T_P_DE] = P_de
-    return OK
-
-
-def policy_value_from_terms(policy_id, G, p, terms):
-    """Compose (value, phi_m, phi_r, violation) for one policy from terms."""
-    f_r = p[P_F_R]
-    l1 = p[P_L1]
-    l2 = p[P_L2]
-    l3 = p[P_L3]
-    l4 = p[P_L4]
-    kappa1 = p[P_KAPPA1]
-    kappa2 = p[P_KAPPA2]
-    omega = p[P_OMEGA]
-    U1 = p[P_U1]
-    U2 = p[P_U2]
-    C_Tax = p[P_C_TAX]
-    C_CT = p[P_C_CT]
-
-    rho_m, rho_r, rho_G = green_reduction_terms(
-        G, omega, l1, l2, kappa1, l3, l4, kappa2)
-    T2 = terms[T_T2]
-    T3 = terms[T_T3]
-    T11 = terms[T_T11]
-    CarC_m = terms[T_CARC_M]
-    CarC_r = terms[T_CARC_R]
-
-    if policy_id == POLICY_LIMITED:
-        phi_m = terms[T_PHI_M]
-        phi_r = terms[T_PHI_R]
-        value = phi_m + phi_r - G
-        excess = CarC_m + CarC_r - rho_G - U2
-        violation = excess if excess > 0.0 else 0.0
-        return value, phi_m, phi_r, violation
-
-    if policy_id == POLICY_TAX:
-        charge_m = C_Tax * (CarC_m - rho_m)
-        charge_r = C_Tax * (CarC_r - rho_r)
-    else:
-        charge_m = C_CT * (CarC_m - rho_m - U1)
-        charge_r = C_CT * (CarC_r - rho_r - U1)
-
-    phi_m = terms[T_PHI_M] - (charge_m + omega * G * T2) / T2
-    phi_r_raw = terms[T_PHI_R_RAW] \
-        - (charge_r + (1.0 - omega) * G * (T3 - T11)) / T3
-    phi_r = (1.0 - f_r) * phi_r_raw
-    return phi_m + phi_r, phi_m, phi_r, 0.0
+    bits = vectors.view(np.int64)
+    shared = (bits == bits[0]).all(axis=0)
+    shared[[P_KAPPA1, P_KAPPA2]] = False
+    return [vectors[0, slot] if shared[slot]
+            else np.repeat(vectors[:, slot], n // len(vectors))
+            for slot in range(N_PARAMS)]
 
 
 def _np_phi1(x, e):
-    """phi1 elementwise from e = expm1(x); the caller holds the errstate
-    scope (the direct form divides by zero where the series is taken)."""
+    """phi1 = (e^x - 1) / x elementwise from e = expm1(x); the caller holds
+    the errstate scope (the direct form divides by zero where the series
+    is taken)."""
     series = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
     return np.where(np.abs(x) < 1e-4, series, e / x)
 
 
 def _np_phi2(x, e):
-    """phi2 elementwise from e = expm1(x); the caller holds the errstate
-    scope.  The series is computed only when some element needs it."""
+    """phi2 = (e^x - 1 - x) / x^2 elementwise from e = expm1(x); the caller
+    holds the errstate scope.  The series is computed only when some
+    element needs it."""
     direct = (e - x) / (x * x)
     small = np.abs(x) < 1e-3
     if not small.any():
@@ -472,16 +143,36 @@ def _np_phi2(x, e):
     return np.where(small, series, direct)
 
 
-def evaluate_policy_batch_numpy(policy_id, X, p):
+def evaluate_terms(policy_id, X, p):
+    """The twin with its term output: the model layer's entry.
+
+    Returns (values, violations, valid, status, terms, phi_m, phi_r); see
+    `evaluate_policy_batch_numpy`.
+    """
+    return evaluate_policy_batch_numpy(policy_id, X, p, terms=True)
+
+
+def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
     """Evaluate a population X (n, 5) under one policy, vectorised.
 
     Returns (values, violations, valid); invalid rows carry NaN.  `p` holds
     the N_PARAMS parameters in slot order, each a float64 scalar shared by
     every row or an (n,) array with one value per row: one parameter
     vector, an (N_PARAMS, n) matrix, or a sequence that mixes the two
-    kinds (``policy.make_batch_objective`` passes the slots its parameter
-    sets share as scalars).  Written independently of the scalar kernels,
-    which it is tested against.
+    kinds (`slot_layout`).  `policy_id` None evaluates no carbon policy:
+    the values are the base joint profits phi_T, with no violation.
+
+    With `terms` (the model layer's `evaluate_terms`; the optimizers do
+    not ask for it) it also returns the per-row status, the (N_TERMS, n)
+    term table in TERM_NAMES order, and the policy's phi_m and phi_r rows.
+    The status is the first failed check in the order ERR_BAD_T0 ..
+    ERR_BACKLOG (ERR_OVERFLOW where the manufacturer's cycle, which comes
+    before the retailer's checks, or the backlog is not finite), else
+    ERR_OVERFLOW where the value, the violation or any term is not finite,
+    else OK; valid is status == OK.  The table and the phi rows of a row
+    whose status is not OK are not to be trusted.  Without terms, valid
+    refuses the same rows wherever a non-finite term makes the value or
+    the violation non-finite.
 
     At optimizer sizes (50-250 rows) the cost is the number of NumPy calls,
     not the rows, so the body makes as few as it can: one errstate scope,
@@ -493,7 +184,8 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
     Parameter-only products are scalar arithmetic where the slots are
     scalars.  Large batches (the CLI's ``surface`` passes blocks of about
     8k rows) reuse memory: the retailer's phi arguments are written over
-    the manufacturer's (3, n) arrays.
+    the manufacturer's (3, n) arrays.  The terms are the expressions the
+    values are computed from, so asking for them changes no value.
     Every expression keeps its association, and each row's result does not
     depend on the other rows of the batch.
     """
@@ -505,7 +197,7 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
     W_r = X[:, 4]
 
     # Unpacked by position, apart from PARAM_ORDER and the slot constants,
-    # so that this twin stays an independent check of the layout.
+    # so that the layout is checked against the oracle's slot reads.
     (P, P_r, f_d, beta1, beta2, theta1, theta2, v1, v2, D_r, a, b, eta, W_m,
      C_p, C_r, C_g, C_op, C_or, i_c, h_p, h_d, h_r, d_cp, d_cd, d_cr, O_r,
      C_s, f_r, E_p, E_t, E_h1, E_h2, E_hr, E_d1, E_d2, E_dr, d1_km, l1, l2,
@@ -518,9 +210,9 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
         fW = a - b * W_r
         # Each investment in [0, inf): NaN propagates through np.minimum
         # and np.maximum and fails both tests.
-        valid = (T0 > 0.0) & (fW > 0.0) \
-            & (np.minimum(np.minimum(xi1, xi2), G) >= 0.0) \
+        invested = (np.minimum(np.minimum(xi1, xi2), G) >= 0.0) \
             & (np.maximum(np.maximum(xi1, xi2), G) < np.inf)
+        valid = (T0 > 0.0) & (fW > 0.0) & invested
         admissible = valid.all()   # then no row needs a placeholder
         T0s = T0 if admissible else np.where(valid, T0, 1.0)
         fWs = fW if admissible else np.where(valid, fW, 1.0)
@@ -540,6 +232,9 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
         np.multiply(th, -T0s, out=x[0])
         np.expm1(x[0], out=e[0])
         u = -e[0]
+        # T1 = T0 + log1p(P_de u / P_r) / th; Q_m is the regrouping of
+        # (P_r/th)(1 + (P_e u - P_r)/(P_de u + P_r)) that does not cancel
+        # for small th.
         T1 = T0s + np.log1p(P_de * u / P_r) / th
         Q_m = P * P_r * u / (th * (P_de * u + P_r))
         T2 = T1 + np.log1p(Q_m * th / D_r) / th
@@ -569,7 +264,9 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
         B1 = eta + theta_r
         B2 = D_r - fWs
         s = fWs * T1
-        valid &= (B2 > 0.0) & (B2 - s * eta > 0.0)
+        replenished = B2 > 0.0
+        clears = B2 - s * eta > 0.0
+        valid &= replenished & clears
         admissible = valid.all()
         B2s = B2 if admissible else np.where(valid, B2, 1.0)
         ss = s if admissible else np.where(valid, s, 0.0)
@@ -577,7 +274,8 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
         d0 = T11 - T1
         dA = T2 - T11
         # (-eta d0, -B1 dA, B1 dB), with -B1 dA = B1 (T11 - T2), and their
-        # expm1: written over the manufacturer's spent x and e.
+        # expm1: written over the manufacturer's spent x and e.  The
+        # [T1, T11] piece is signed: T11 < T1 is admitted as printed.
         y = x
         np.multiply(-eta, d0, out=y[0])
         np.multiply(-B1, dA, out=y[1])
@@ -607,9 +305,13 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
         HC_m2 = h_d * int_Id
         DC_m1 = d_cp * theta1 * int_I
         DC_m2 = d_cd * theta1 * int_Id
-        CarC_m = Q_m * E_p + E_h1 * int_I + E_h2 * int_Id \
-            + E_d1 * theta1 * int_I + E_d2 * theta1 * int_Id \
-            + d1_km * E_t * D_r * dm2
+        e_m1 = Q_m * E_p
+        e_m2 = E_h1 * int_I
+        e_m3 = E_h2 * int_Id
+        e_m4 = E_d1 * theta1 * int_I
+        e_m5 = E_d2 * theta1 * int_Id
+        e_m6 = d1_km * E_t * D_r * dm2
+        CarC_m = e_m1 + e_m2 + e_m3 + e_m4 + e_m5 + e_m6
 
         SR_r = W_r * (fWs * (T3 - T1) + eta * int_r_sr)
         HC_r = h_r * int_r
@@ -624,15 +326,20 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
 
         # A valid row has G >= 0, so the powers below need no guard: rows
         # with G < 0 are overwritten with NaN at the end.
-        if policy_id == POLICY_LIMITED:
-            rho_G = G * l3 - l4 * G ** kappa2
-            values = phi_m + (1.0 - f_r) * phi_r_raw - G
-            violations = np.maximum(CarC_m + CarC_r - rho_G - U2, 0.0)
+        if policy_id is None or policy_id == POLICY_LIMITED:
+            phi_m_pol = phi_m
+            phi_r_pol = (1.0 - f_r) * phi_r_raw
+            values = phi_m + phi_r_pol
+            violations = 0.0
+            if policy_id == POLICY_LIMITED:
+                values = values - G
+                violations = np.maximum(CarC_m + CarC_r - abatement(G, l3, l4, kappa2)
+                                        - U2, 0.0)
         else:
             gm = omega * G
             gr = (1.0 - omega) * G
-            rho_m = gm * l1 - l2 * gm ** kappa1
-            rho_r = gr * l1 - l2 * gr ** kappa1
+            rho_m = abatement(gm, l1, l2, kappa1)
+            rho_r = abatement(gr, l1, l2, kappa1)
             if policy_id == POLICY_TAX:
                 charge_m = C_Tax * (CarC_m - rho_m)
                 charge_r = C_Tax * (CarC_r - rho_r)
@@ -644,6 +351,36 @@ def evaluate_policy_batch_numpy(policy_id, X, p):
             values = phi_m_pol + phi_r_pol
             violations = 0.0
 
-    # inf or NaN is no answer: refused, as the model layer refuses it.
-    valid &= np.isfinite(values) & np.isfinite(violations)
-    return np.where(valid, values, np.nan), np.where(valid, violations, np.nan), valid
+        if terms:
+            phi_r = (1.0 - f_r) * phi_r_raw
+            table = np.empty((N_TERMS, len(T0s)))
+            for slot, row in enumerate((
+                    T1, T2, Q_m, theta_m, theta_r, s, T11, Q_r, T3,
+                    B1, B2, fW, int_I, int_Id, int_r, int_r_sr,
+                    shipped, PC_m, StC_m, PeC_m, RC_m, PreC_m, ScC_m,
+                    HC_m1, HC_m2, DC_m1, DC_m2,
+                    e_m1, e_m2, e_m3, e_m4, e_m5, e_m6, CarC_m,
+                    SR_r, HC_r, DC_r, shipped, O_r, PreC_r, SC_r,
+                    E_hr * int_r, E_dr * theta2 * int_r, CarC_r,
+                    phi_m, phi_r_raw, phi_r, phi_m + phi_r, P_e, P_de)):
+                table[slot] = row
+            # The first failed check.  The manufacturer's cycle and its
+            # integrals come before the retailer's checks, and s eta is
+            # what the backlog check reads: where those are not finite the
+            # row fails with ERR_OVERFLOW there.
+            status = np.select(
+                [~((T0 > 0.0) & (T0 < np.inf)), ~invested, ~(fW >= 0.0), fW == 0.0,
+                 ~np.isfinite([T1, T2, Q_m, int_I, int_Id]).all(axis=0),
+                 ~replenished, ~np.isfinite(s * eta), ~clears],
+                [ERR_BAD_T0, ERR_BAD_INVESTMENT, ERR_NEGATIVE_DEMAND, ERR_ZERO_DEMAND,
+                 ERR_OVERFLOW, ERR_NET_REPLENISHMENT, ERR_OVERFLOW, ERR_BACKLOG], OK)
+
+    # inf or NaN is no answer: refused with ERR_OVERFLOW.
+    finite = np.isfinite(values) & np.isfinite(violations)
+    if not terms:
+        valid &= finite
+        return np.where(valid, values, np.nan), np.where(valid, violations, np.nan), valid
+    status[(status == OK) & ~(finite & np.isfinite(table).all(axis=0))] = ERR_OVERFLOW
+    valid = status == OK
+    return (np.where(valid, values, np.nan), np.where(valid, violations, np.nan), valid,
+            status, table, phi_m_pol, phi_r_pol)

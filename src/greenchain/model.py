@@ -1,12 +1,12 @@
-"""Decision vector, term views and domain errors over the scalar kernel.
+"""Decision vector, term views and domain errors over the NumPy twin.
 
 This is the readable layer over :mod:`greenchain.kernels`: it reads
-decision vectors, raises a typed error with the kernel's status for every
-input that ``kernels.evaluate_terms`` rejects (the only statement of the
-model's domain) or whose arithmetic overflows, and views the term vector
-as the schedule, cost breakdown and base profits that the CLI and reports
-expose.  The per-step formulas live in the kernels; optimizer inner loops
-call the batch twin.
+decision vectors, evaluates one at a time as a one-row call of
+``kernels.evaluate_terms`` (the twin the optimizers call, so the two
+agree by construction), raises a typed error with the twin's status for
+every row it refuses (a domain check, or ERR_OVERFLOW where a value or
+term is not finite), and views the term vector as the schedule, cost
+breakdown and base profits that the CLI and reports expose.
 """
 
 from __future__ import annotations
@@ -103,20 +103,31 @@ def refusing_overflow():
         raise DomainError(K.ERR_OVERFLOW) from None
 
 
-def _terms_or_raise(p: np.ndarray, decisions: DecisionVector) -> np.ndarray:
-    """Term vector for a packed parameter vector `p`; DomainError if rejected."""
-    terms = np.empty(K.N_TERMS, dtype=np.float64)
-    with refusing_overflow():
-        status = K.evaluate_terms(decisions.T0, decisions.xi1, decisions.xi2,
-                                  decisions.G, decisions.W_r, p, terms)
-    if status != K.OK:
-        raise DomainError(status)
-    return terms
+def evaluate_row(params: ModelParameters, decisions: DecisionVector,
+                 policy_id=None) -> tuple:
+    """(value, violation, phi_m, phi_r, terms) of one decision vector under
+    a kernel policy code (None: no carbon policy), from a one-row twin call
+    with the parameter layout of ``policy.make_batch_objective``, so the
+    value is the optimizer's for that row bit for bit.  DomainError with
+    the twin's status if the row is refused."""
+    values, violations, _, status, terms, phi_m, phi_r = K.evaluate_terms(
+        policy_id, decisions.as_array()[None, :],
+        K.slot_layout(params.as_array()[None, :], 1))
+    if status[0] != K.OK:
+        raise DomainError(int(status[0]))
+    return (values[0].item(), violations[0].item(), phi_m[0].item(),
+            phi_r[0].item(), terms[:, 0])
+
+
+def _terms_or_raise(params: ModelParameters, decisions: DecisionVector
+                    ) -> np.ndarray:
+    """Term vector of one decision vector; DomainError if it is refused."""
+    return evaluate_row(params, decisions)[4]
 
 
 def compute_schedule(params: ModelParameters, decisions: DecisionVector
                      ) -> CycleSchedule:
-    t = _terms_or_raise(params.as_array(), decisions)
+    t = _terms_or_raise(params, decisions)
     return CycleSchedule(decisions.T0, *t[K.T_T1:K.T_F_WR + 1],
                          *t[K.T_P_E:], bool(t[K.T_T11] < t[K.T_T1]))
 
@@ -128,11 +139,11 @@ def _breakdown_from_terms(t: np.ndarray) -> CostBreakdown:
 def compute_breakdown(params: ModelParameters, decisions: DecisionVector
                       ) -> CostBreakdown:
     """All cost and emission components for one decision vector."""
-    return _breakdown_from_terms(_terms_or_raise(params.as_array(), decisions))
+    return _breakdown_from_terms(_terms_or_raise(params, decisions))
 
 
 def base_profits(params: ModelParameters, decisions: DecisionVector
                  ) -> ProfitResult:
     """Cycle-averaged profits before carbon charges."""
-    t = _terms_or_raise(params.as_array(), decisions)
+    t = _terms_or_raise(params, decisions)
     return ProfitResult(*t[K.T_PHI_M:K.T_PHI_T + 1])

@@ -98,6 +98,16 @@ def _memory_bytes() -> int:
         return sys.maxsize
 
 
+def require_allocatable(name: str, count: int) -> None:
+    """ValueError when even one float64 per item of a `count`-row array
+    would not fit in this machine's memory: refused before anything is
+    allocated, instead of a MemoryError partway."""
+    memory = _memory_bytes()
+    if 8 * (count + 1) > memory:
+        raise ValueError(f"{name} {count} is too large: its arrays would not "
+                         f"fit in this machine's {memory / 2 ** 30:.1f} GiB")
+
+
 def _is_number(value, kind) -> bool:
     """A finite `kind` (numbers.Integral or numbers.Real) other than a bool."""
     return (isinstance(value, kind) and not isinstance(value, bool)
@@ -146,14 +156,10 @@ class OptimizerConfig:
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError("iterations must be nonnegative")
         # A run holds float64 arrays of pop_size rows and of max_iter + 1
-        # history rows: refused before any is allocated when even one float
-        # per row does not fit, instead of a MemoryError partway.
-        memory = _memory_bytes()
-        for name in ("pop_size", "max_iter"):
-            count = getattr(self, name)
-            if count is not None and 8 * (count + 1) > memory:
-                raise ValueError(f"{name} {count} is too large: its arrays would not "
-                                 f"fit in this machine's {memory / 2 ** 30:.1f} GiB")
+        # history rows.
+        require_allocatable("pop_size", self.pop_size)
+        if self.max_iter is not None:
+            require_allocatable("max_iter", self.max_iter)
         if self.penalty_double_every < 1:
             raise ValueError("penalty_double_every must be at least 1")
         if not 0.0 <= self.Pc <= 1.0:

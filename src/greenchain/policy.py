@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels as K
 from .model import (CostBreakdown, DecisionVector, DomainError,
-                    _breakdown_from_terms, _terms_or_raise, refusing_overflow)
+                    _breakdown_from_terms, evaluate_row)
 from .params import ModelParameters
 
 # Kernel policy codes.  Indexed only after `require_policy_price`, which
@@ -58,23 +58,29 @@ class PolicyObjective:
 
 
 def green_reduction(G: float, params: ModelParameters) -> GreenReduction:
+    """rho_m, rho_r and rho_G at G by the twin's arithmetic (a one-row
+    array, per-row exponents); DomainError(ERR_OVERFLOW) where one is not
+    finite."""
     if not 0.0 <= G < math.inf:  # the kernel's test: NaN is refused too
         raise DomainError(K.ERR_BAD_INVESTMENT)
-    rho_m, rho_r, rho_G = K.green_reduction_terms(
-        G, params.omega, params.l1, params.l2, params.kappa1,
-        params.l3, params.l4, params.kappa2)
-    return GreenReduction(rho_m=rho_m, rho_r=rho_r, rho_G=rho_G)
+    G = np.array([G], dtype=np.float64)
+    kappa1, kappa2 = np.array([params.kappa1]), np.array([params.kappa2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = [K.abatement(params.omega * G, params.l1, params.l2, kappa1),
+               K.abatement((1.0 - params.omega) * G, params.l1, params.l2, kappa1),
+               K.abatement(G, params.l3, params.l4, kappa2)]
+    if not np.isfinite(rho).all():
+        raise DomainError(K.ERR_OVERFLOW)
+    return GreenReduction(*np.concatenate(rho).tolist())
 
 
 def evaluate_policy(params: ModelParameters, decisions: DecisionVector,
                     policy: str) -> PolicyObjective:
-    """Joint value, per-player profits and cap violation under `policy`."""
+    """Joint value, per-player profits and cap violation under `policy`:
+    the row the optimizers' objective gives for `decisions`, bit for bit."""
     params.require_policy_price(policy)
-    p = params.as_array()
-    terms = _terms_or_raise(p, decisions)
-    with refusing_overflow():
-        value, phi_m, phi_r, violation = K.policy_value_from_terms(
-            POLICY_IDS[policy], decisions.G, p, terms)
+    value, violation, phi_m, phi_r, terms = evaluate_row(
+        params, decisions, POLICY_IDS[policy])
     return PolicyObjective(kind=policy, value=value, phi_m=phi_m,
                            phi_r=phi_r, constraint_violation=violation,
                            diagnostics=_breakdown_from_terms(terms))
@@ -99,19 +105,7 @@ def make_batch_objective(params, policy: str):
     pid = POLICY_IDS[policy]
     vectors = np.array([p_set.as_array() for p_set in sets])   # (K, N_PARAMS)
     n_sets = len(sets)
-    # A slot whose bits are equal in every set is one float64 scalar that
-    # the twin broadcasts, so a parameter-only product costs no array call
-    # and one set holds per-row copies of the two exponents only.  Compared
-    # by bits: NaN prices are shared, -0.0 and 0.0 are not.  Kept as NumPy
-    # scalars, whose division by zero follows the errstate scope where a
-    # Python float's would raise.  The exponents are never scalars: `**`
-    # takes a square, sqrt or reciprocal fast path for a scalar 2.0, 0.5 or
-    # -1.0 that a per-row exponent does not, so a set's rows would depend
-    # on whether the other sets share its kappa.
-    bits = vectors.view(np.int64)
-    shared = (bits == bits[0]).all(axis=0)
-    shared[[K.P_KAPPA1, K.P_KAPPA2]] = False
-    layouts = {}
+    layouts = {}   # K.slot_layout per row count
 
     def objective(X: np.ndarray):
         X = np.asarray(X)
@@ -119,11 +113,9 @@ def make_batch_objective(params, policy: str):
         if n not in layouts:
             if n % n_sets:
                 raise ValueError(f"{n} rows do not split into {n_sets} equal blocks")
-            # Row i of block k gets set k's value in every other slot, so
-            # each block gets the numbers a separate call would.
-            layouts[n] = [vectors[0, slot] if shared[slot]
-                          else np.repeat(vectors[:, slot], n // n_sets)
-                          for slot in range(K.N_PARAMS)]
+            # Block k gets set k's value in every slot, so each block
+            # gets the numbers a separate call would.
+            layouts[n] = K.slot_layout(vectors, n)
         return K.evaluate_policy_batch_numpy(pid, X, layouts[n])
 
     return objective

@@ -233,8 +233,10 @@ STATIONARITY_WEIGHT = 0.01
 
 
 def calibration_residuals(target: CalibrationTarget):
-    """``residuals(p) -> (r0, s)``: at the v1 and v2 of the packed
-    parameter list `p`, the calibration residuals are ``r0 + C_Tax * s``.
+    """``residuals(vectors) -> (r0, s, ok)``: at each row of `vectors`, a
+    (B, N_PARAMS) array of packed parameter vectors, the calibration
+    residuals are ``r0 + C_Tax * s`` (r0 and s are (B, m)); ok is False
+    where the twin refuses a decision row.
 
     They are the relative errors of (Z_m, Z_r, phi_T) at the target
     decisions, then stationarity anchors; the loss is their sum of
@@ -246,12 +248,10 @@ def calibration_residuals(target: CalibrationTarget):
     differences in xi1, xi2 and G are the anchors.  Near-zero investments
     lie on the domain boundary, need not be stationary and are skipped.
 
-    The kernel's terms do not depend on the carbon price and the tax
-    charges are linear in it, so one kernel call per decision row and two
-    policy compositions (C_Tax = 0 and 1, written into `p`) give r0 and s.
-    On Python floats the scalar kernel runs about three times faster than
-    on NumPy scalars, and raises ArithmeticError where NumPy would warn.
-    Raises DomainError when the kernel rejects a row.
+    The terms do not depend on the carbon price and the tax charges are
+    linear in it, so the profits at C_Tax = 0 and 1 (written over the
+    vectors' C_Tax) give r0 and s: one twin call on every decision row
+    under every vector at both prices.
     """
     d = target.decisions.as_array().tolist()
     rows, weights = [d], []
@@ -263,22 +263,21 @@ def calibration_residuals(target: CalibrationTarget):
         weights.append(math.sqrt(STATIONARITY_WEIGHT) * d[k]
                        / (2.0 * h * abs(target.phi_T)))
     goal = np.array([target.Z_m, target.Z_r, target.phi_T])
-    terms = [0.0] * K.N_TERMS
 
-    def residuals(p: list) -> tuple[np.ndarray, np.ndarray]:
-        # values[c, i] = (joint, manufacturer, retailer) profit of row i at C_Tax = c
-        values = np.empty((2, len(rows), 3))
-        for i, row in enumerate(rows):
-            status = K.evaluate_terms(*row, p, terms)
-            if status != K.OK:
-                raise DomainError(status)
-            for c in (0, 1):
-                p[K.P_C_TAX] = c
-                values[c, i] = K.policy_value_from_terms(
-                    K.POLICY_TAX, row[3], p, terms)[:3]
-        r = np.column_stack(((values[:, 0, [1, 2, 0]] - goal) / np.abs(goal),
-                             (values[:, 2::2, 0] - values[:, 1::2, 0]) * weights))
-        return r[0], r[1] - r[0]
+    def residuals(vectors: np.ndarray) -> tuple:
+        priced = np.repeat(vectors, 2, axis=0)
+        priced[:, K.P_C_TAX] = np.tile([0.0, 1.0], len(vectors))
+        n = len(priced) * len(rows)
+        values, _, valid, _, _, phi_m, phi_r = K.evaluate_terms(
+            K.POLICY_TAX, np.tile(rows, (len(priced), 1)), K.slot_layout(priced, n))
+        # profits[b, c, i] = (joint, manufacturer, retailer) of row i under
+        # vector b at C_Tax = c
+        profits = np.stack([values, phi_m, phi_r], axis=1).reshape(
+            len(vectors), 2, len(rows), 3)
+        r = np.concatenate(((profits[:, :, 0, [1, 2, 0]] - goal) / np.abs(goal),
+                            (profits[:, :, 2::2, 0] - profits[:, :, 1::2, 0]) * weights),
+                           axis=2)
+        return r[:, 0], r[:, 1] - r[:, 0], valid.reshape(len(vectors), -1).all(axis=1)
 
     return residuals
 
@@ -315,39 +314,40 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     # inside the box v1, v2 in (1e-6, 10), C_Tax in [0, 1e3].
     start = ModelParameters.from_dict(
         {**(base_values or {}), "v1": 1.0, "v2": 1.0, "C_Tax": 0.0})
-    p = start.as_array().tolist()
+    base = start.as_array()
     residuals = calibration_residuals(target)
 
     def project(lv):
-        """(residuals, loss, C_Tax, <s, s>) at the best C_Tax for (log v1, log v2);
-        profits that overflow give a non-finite loss, not a NumPy warning."""
-        p[K.P_V1], p[K.P_V2] = math.exp(lv[0]), math.exp(lv[1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            r0, s = residuals(p)
-            ss = float(s @ s)
-            c_tax = min(max(-float(r0 @ s) / ss, 0.0), 1e3) if ss > 0.0 else 0.0
-            r = r0 + c_tax * s
-            return r, float(r @ r), c_tax, ss
+        """(residuals, loss, C_Tax, <s, s>) at the best C_Tax for each row
+        (log v1, log v2) of `lv`.  The loss is 1e6 outside the box, outside
+        the model's domain and where the profits are not finite."""
+        lv = np.atleast_2d(lv)
+        with np.errstate(all="ignore"):
+            v = np.exp(lv)
+            vectors = np.tile(base, (len(lv), 1))
+            vectors[:, [K.P_V1, K.P_V2]] = v
+            r0, s, ok = residuals(vectors)
+            ss = np.einsum("ij,ij->i", s, s)
+            c_tax = np.where(ss > 0.0, np.clip(-np.einsum("ij,ij->i", r0, s) / ss,
+                                               0.0, 1e3), 0.0)
+            r = r0 + c_tax[:, None] * s
+            f = np.einsum("ij,ij->i", r, r)
+        usable = ok & ((v > 1e-6) & (v < 10.0)).all(axis=1) & (f < 1e6)
+        return r, np.where(usable, f, 1e6), c_tax, ss
 
     def loss(lv) -> float:
-        # 1e6 outside the box, outside the model's domain and where the
-        # profits are not finite
-        if not all(1e-6 < math.exp(x) < 10.0 for x in lv):
-            return 1e6
-        try:
-            f = project(lv)[1]
-        except (DomainError, ArithmeticError):
-            return 1e6
-        return f if f < 1e6 else 1e6
+        return float(project(lv)[1][0])
 
-    grid = np.log(np.geomspace(2e-3, 0.5, 28))
-    best = min(((lv1, lv2) for lv1 in grid for lv2 in grid), key=loss)
-    lv = sciopt.minimize(loss, np.array(best), method="Nelder-Mead",
+    axis = np.log(np.geomspace(2e-3, 0.5, 28))
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    best = grid[np.argmin(project(grid)[1])]
+    lv = sciopt.minimize(loss, best, method="Nelder-Mead",
                          options={"xatol": 1e-10, "fatol": math.inf}).x
     if loss(lv) >= 1e6:
         raise ValueError("calibration target: the model rejects its decisions, "
                          "or their profits are not finite, at every v1, v2 tried")
-    r, f0, c_tax, ss = project(lv)
+    r, f0, c_tax, ss = (a[0] for a in project(lv))
+    f0, c_tax = float(f0), float(c_tax)
     v1, v2 = math.exp(lv[0]), math.exp(lv[1])
     errors = dict(zip(("Z_m", "Z_r", "phi_T"), r[:3].tolist()))
     residual = max(abs(e) for e in errors.values())
@@ -362,7 +362,7 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
             if f_probe < 1e6:
                 moved = max(moved, abs(f_probe - f0))
         identifiable[name] = bool(moved > 1e-12 * (1.0 + abs(f0)))
-    identifiable["C_Tax"] = ss > 0.0
+    identifiable["C_Tax"] = bool(ss > 0.0)
 
     return CalibrationResult(
         v1=v1, v2=v2, C_Tax=c_tax, residual=residual,

@@ -6,8 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from greenchain import DecisionVector, ModelParameters
+from greenchain import DecisionVector, DomainError, ModelParameters
 from greenchain import kernels as K
+from greenchain.model import _terms_or_raise
 
 
 @pytest.fixture
@@ -27,7 +28,6 @@ def calibration():
 def sample_admissible(rng: np.random.Generator, n: int):
     """Random admissible (params, decisions) pairs, rejection-sampled."""
     out = []
-    scratch = np.empty(K.N_TERMS)
     while len(out) < n:
         P = rng.uniform(4000, 12000)
         a = rng.uniform(20, 60)
@@ -56,12 +56,12 @@ def sample_admissible(rng: np.random.Generator, n: int):
             xi1=rng.uniform(0.0, 300.0), xi2=rng.uniform(0.0, 300.0),
             G=rng.uniform(0.0, 20.0),
             W_r=rng.uniform(lo, 0.97 * price_cap))
-        status = K.evaluate_terms(d.T0, d.xi1, d.xi2, d.G, d.W_r,
-                                  p.as_array(), scratch)
-        if status != K.OK:
+        try:
+            terms = _terms_or_raise(p, d)
+        except DomainError:
             continue
         # keep clear of the backlog-degeneracy boundary B2 = s*eta
-        if scratch[K.T_B2] - scratch[K.T_S] * p.eta < 0.05 * scratch[K.T_B2]:
+        if terms[K.T_B2] - terms[K.T_S] * p.eta < 0.05 * terms[K.T_B2]:
             continue
         out.append((p, d))
     return out

@@ -5,19 +5,22 @@ equations, not from the package's closed forms: fourth-order Runge-Kutta
 integration of the inventory ODEs, composite Simpson quadrature, bisection
 root finding, and direct vectorised evaluations of the printed trajectory
 branches.  The tests compare the package against these.  The exceptions
-are `evaluate_policy_batch`, a row-by-row loop over the package's scalar
-kernels that the vectorised NumPy twin is checked against,
-`surface_csv_reference`, the `csv.writer` loop the surface writer must
-match byte for byte, `mutation_indices_reference`, the draw-by-draw
-loop whose stream DE's bulk draw must replay, and
-`anfis_training_reference`, the rule-by-rule training loop that ANFIS
-training on the corner array must match bit for bit.
-"""
+are the scalar kernel, the model's closed forms written one decision row
+at a time in plain Python math (step formulas, inventory trajectories,
+`evaluate_terms` and `policy_value_from_terms`), which the NumPy twin,
+the package's only model code, is checked against through
+`evaluate_policy_batch`, its row-by-row loop; `surface_csv_reference`,
+the `csv.writer` loop the surface writer must match byte for byte;
+`mutation_indices_reference`, the draw-by-draw loop whose stream DE's bulk
+draw must replay; and `anfis_training_reference`, the rule-by-rule
+training loop that ANFIS training on the corner array must match bit for
+bit."""
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -109,6 +112,371 @@ def stock_drain(t, end_t, demand, theta):
     return demand / theta * np.expm1(theta * (end_t - t))
 
 
+# The scalar kernel: every schedule, cost, emission and profit term of one
+# decision row, in plain Python math.  Cycle formulas route the
+# ill-conditioned (e^x - 1 - x) / x**2 style terms through the
+# series-protected phi1/phi2, and below THETA_FLOOR the explicit
+# zero-deterioration limits are used.
+
+def phi1(x):
+    """(e^x - 1) / x, series-protected near zero."""
+    if abs(x) < 1e-4:
+        return 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
+    return math.expm1(x) / x
+
+
+def phi2(x):
+    """(e^x - 1 - x) / x^2, series-protected near zero."""
+    if abs(x) < 1e-3:
+        return 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
+    return (math.expm1(x) - x) / (x * x)
+
+
+def effective_rates(P, f_d, beta1, beta2):
+    """Perfect / defective effective production rates; they sum to P."""
+    P_e = (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1
+    P_de = (1.0 - f_d) * P * beta1 + f_d * P - f_d * P * beta2
+    return P_e, P_de
+
+
+def preserved_rate(theta_base, v, xi):
+    """Deterioration rate after a preservation investment xi at efficiency v."""
+    return theta_base * math.exp(-v * xi)
+
+
+def manufacturer_cycle(P, P_e, P_de, P_r, D_r, theta_m, T0):
+    """Rework-end time T1, cycle-end time T2 and lot size Q_m.
+
+    Below K.THETA_FLOOR the zero-deterioration limits apply:
+    T1 = T0(1 + P_de/P_r), Q_m = P*T0, T2 = T1 + Q_m/D_r.
+    """
+    if theta_m < K.THETA_FLOOR:
+        T1 = T0 * (1.0 + P_de / P_r)
+        Q_m = P * T0
+        T2 = T1 + Q_m / D_r
+    else:
+        u = -math.expm1(-theta_m * T0)
+        T1 = T0 + math.log1p(P_de * u / P_r) / theta_m
+        # algebraically identical to (P_r/th)*(1 + (P_e*u - P_r)/(P_de*u + P_r))
+        # but free of the cancellation that form suffers for small theta_m
+        Q_m = P * P_r * u / (theta_m * (P_de * u + P_r))
+        T2 = T1 + math.log1p(Q_m * theta_m / D_r) / theta_m
+    return T1, T2, Q_m
+
+
+def manufacturer_integrals(P_e, P_de, P_r, D_r, Q_m, theta_m, T0, T1, T2):
+    """Exact integrals of the perfect and defective stock over their cycles."""
+    d1 = T1 - T0
+    d2 = T2 - T1
+    if theta_m < K.THETA_FLOOR:
+        int_I = 0.5 * P_e * T0 * T0 + P_e * T0 * d1 + 0.5 * P_r * d1 * d1 \
+            + 0.5 * D_r * d2 * d2
+        int_Id = 0.5 * P_de * T0 * T0 + 0.5 * P_r * d1 * d1
+    else:
+        x0 = theta_m * T0
+        x1 = theta_m * d1
+        x2 = theta_m * d2
+        int_I = P_e * T0 * T0 * phi2(-x0) \
+            + Q_m * d1 * phi1(x1) - P_r * d1 * d1 * phi2(x1) \
+            + D_r * d2 * d2 * phi2(x2)
+        int_Id = P_de * T0 * T0 * phi2(-x0) + P_r * d1 * d1 * phi2(x1)
+    return int_I, int_Id
+
+
+def manufacturer_stock(t, P_e, P_r, D_r, Q_m, theta_m, T0, T1, T2):
+    """Perfect-stock level I(t) on [0, T2] (branch by production phase)."""
+    if theta_m < K.THETA_FLOOR:
+        if t <= T0:
+            return P_e * t
+        if t <= T1:
+            return P_e * T0 + P_r * (t - T0)
+        return D_r * (T2 - t)
+    if t <= T0:
+        return -(P_e / theta_m) * math.expm1(-theta_m * t)
+    if t <= T1:
+        # stable regrouping of P_r/th + (Q_m - P_r/th) e^{th (T1-t)}
+        x = theta_m * (T1 - t)
+        return Q_m * math.exp(x) - P_r * math.expm1(x) / theta_m
+    return (D_r / theta_m) * math.expm1(theta_m * (T2 - t))
+
+
+def defective_stock(t, P_de, P_r, theta_m, T0, T1):
+    """Defective-stock level I_d(t) on [0, T1]."""
+    if theta_m < K.THETA_FLOOR:
+        if t <= T0:
+            return P_de * t
+        return P_r * (T1 - t)
+    if t <= T0:
+        return -(P_de / theta_m) * math.expm1(-theta_m * t)
+    return (P_r / theta_m) * math.expm1(theta_m * (T1 - t))
+
+
+def retailer_cycle(fW, D_r, eta, theta_r, T1, T2):
+    """Backlog s, clearing time T11, stock peak Q_r and cycle end T3.
+
+    Requires fW > 0 and B2 - s*eta > 0; callers guard the domain.
+    """
+    B1 = eta + theta_r
+    B2 = D_r - fW
+    s = fW * T1
+    T11 = T1 + math.log1p(-s * eta / B2) / eta
+    Q_r = -(B2 / B1) * math.expm1(B1 * (T11 - T2))
+    T3 = T2 + math.log1p(B1 * Q_r / fW) / B1
+    return s, T11, Q_r, T3, B1, B2
+
+
+def retailer_integrals(fW, s, eta, B1, B2, T1, T11, T2, T3):
+    """Stock integrals over [T11, T3] (holding) and [T1, T3] (revenue).
+
+    The [T1, T11] piece is signed; it is negative whenever T11 < T1, which
+    the printed backlog-clearing time permits.
+    """
+    dA = T2 - T11
+    dB = T3 - T2
+    piece2 = B2 * dA * dA * phi2(-B1 * dA)
+    piece3 = fW * dB * dB * phi2(B1 * dB)
+    d0 = T11 - T1
+    q = -math.expm1(-eta * d0) / eta
+    piece1 = B2 * d0 * d0 * phi2(-eta * d0) + s * q
+    return piece2 + piece3, piece1 + piece2 + piece3
+
+
+def retailer_stock(t, fW, s, eta, B1, B2, Q_r, T1, T11, T2, T3):
+    """Retailer stock on the printed branches.
+
+    On [0, T1] the value is the accumulated backlog stored as a positive
+    level.  The [T1, T11] branch is evaluated as printed even when T11 < T1.
+    """
+    if t <= T1:
+        return fW * t
+    if t <= T11:
+        x = eta * (T1 - t)
+        return s * math.exp(x) - B2 * math.expm1(x) / eta
+    if t <= T2:
+        return -(B2 / B1) * math.expm1(B1 * (T11 - t))
+    return (fW / B1) * math.expm1(B1 * (T3 - t))
+
+
+def green_reduction_terms(G, omega, l1, l2, kappa1, l3, l4, kappa2):
+    """Emission reductions bought by the green investment G."""
+    gm = omega * G
+    gr = (1.0 - omega) * G
+    rho_m = gm * l1 - l2 * gm ** kappa1
+    rho_r = gr * l1 - l2 * gr ** kappa1
+    rho_G = G * l3 - l4 * G ** kappa2
+    return rho_m, rho_r, rho_G
+
+
+def evaluate_terms(T0, xi1, xi2, G, W_r, p, out):
+    """Fill `out` with every schedule, cost, emission and profit term.
+
+    Returns a status code; on a nonzero status `out` is left untrusted.
+    Positive-form guards are used so NaN inputs fail the checks.
+    """
+    if not (0.0 < T0 < math.inf):
+        return K.ERR_BAD_T0
+    if not (0.0 <= xi1 < math.inf and 0.0 <= xi2 < math.inf
+            and 0.0 <= G < math.inf):
+        return K.ERR_BAD_INVESTMENT
+
+    P = p[K.P_P]
+    P_r = p[K.P_P_R]
+    f_d = p[K.P_F_D]
+    beta1 = p[K.P_BETA1]
+    beta2 = p[K.P_BETA2]
+    theta1 = p[K.P_THETA1]
+    theta2 = p[K.P_THETA2]
+    v1 = p[K.P_V1]
+    v2 = p[K.P_V2]
+    D_r = p[K.P_D_R]
+    a = p[K.P_A]
+    b = p[K.P_B]
+    eta = p[K.P_ETA]
+    W_m = p[K.P_W_M]
+    C_p = p[K.P_C_P]
+    C_r = p[K.P_C_R]
+    C_g = p[K.P_C_G]
+    C_op = p[K.P_C_OP]
+    C_or = p[K.P_C_OR]
+    i_c = p[K.P_I_C]
+    h_p = p[K.P_H_P]
+    h_d = p[K.P_H_D]
+    h_r = p[K.P_H_R]
+    d_cp = p[K.P_D_CP]
+    d_cd = p[K.P_D_CD]
+    d_cr = p[K.P_D_CR]
+    O_r = p[K.P_O_R]
+    C_s = p[K.P_C_S]
+    f_r = p[K.P_F_R]
+    E_p = p[K.P_E_P]
+    E_t = p[K.P_E_T]
+    E_h1 = p[K.P_E_H1]
+    E_h2 = p[K.P_E_H2]
+    E_hr = p[K.P_E_HR]
+    E_d1 = p[K.P_E_D1]
+    E_d2 = p[K.P_E_D2]
+    E_dr = p[K.P_E_DR]
+    d1_km = p[K.P_D1]
+
+    fW = a - b * W_r
+    if not (fW >= 0.0):
+        return K.ERR_NEGATIVE_DEMAND
+    if fW == 0.0:
+        return K.ERR_ZERO_DEMAND
+
+    P_e, P_de = effective_rates(P, f_d, beta1, beta2)
+    theta_m = preserved_rate(theta1, v1, xi1)
+    theta_r = preserved_rate(theta2, v2, xi2)
+
+    T1, T2, Q_m = manufacturer_cycle(P, P_e, P_de, P_r, D_r, theta_m, T0)
+    int_I, int_Id = manufacturer_integrals(
+        P_e, P_de, P_r, D_r, Q_m, theta_m, T0, T1, T2)
+
+    B2 = D_r - fW
+    if not (B2 > 0.0):
+        return K.ERR_NET_REPLENISHMENT
+    s = fW * T1
+    if not (B2 - s * eta > 0.0):
+        return K.ERR_BACKLOG
+    s, T11, Q_r, T3, B1, B2 = retailer_cycle(fW, D_r, eta, theta_r, T1, T2)
+    int_r, int_r_sr = retailer_integrals(fW, s, eta, B1, B2, T1, T11, T2, T3)
+
+    SR_m = W_m * D_r * (T2 - T1)
+    PC_m = C_p * P * T0
+    StC_m = C_op + C_or
+    PeC_m = C_g * f_d * P * beta2 * T0
+    RC_m = C_r * P_r * (T1 - T0)
+    PreC_m = xi1 * T2
+    ScC_m = i_c * P * T0
+    HC_m1 = h_p * int_I
+    HC_m2 = h_d * int_Id
+    DC_m1 = d_cp * theta1 * int_I
+    DC_m2 = d_cd * theta1 * int_Id
+
+    e_m1 = Q_m * E_p
+    e_m2 = E_h1 * int_I
+    e_m3 = E_h2 * int_Id
+    e_m4 = E_d1 * theta1 * int_I
+    e_m5 = E_d2 * theta1 * int_Id
+    e_m6 = d1_km * E_t * D_r * (T2 - T1)
+    CarC_m = e_m1 + e_m2 + e_m3 + e_m4 + e_m5 + e_m6
+
+    SR_r = W_r * (fW * (T3 - T1) + eta * int_r_sr)
+    HC_r = h_r * int_r
+    DC_r = d_cr * theta2 * int_r
+    PC_r = W_m * D_r * (T2 - T1)
+    OC_r = O_r
+    PreC_r = xi2 * T2
+    SC_r = 0.5 * s * T1 * C_s
+
+    e_r1 = E_hr * int_r
+    e_r2 = E_dr * theta2 * int_r
+    CarC_r = e_r1 + e_r2
+
+    phi_m = (SR_m - (PC_m + StC_m + PeC_m + RC_m + PreC_m + ScC_m
+                     + HC_m1 + HC_m2 + DC_m1 + DC_m2)) / T2
+    phi_r_raw = (SR_r - (HC_r + DC_r + PC_r + OC_r + PreC_r + SC_r)) / T3
+    phi_r = (1.0 - f_r) * phi_r_raw
+
+    out[K.T_T1] = T1
+    out[K.T_T2] = T2
+    out[K.T_Q_M] = Q_m
+    out[K.T_THETA_M] = theta_m
+    out[K.T_THETA_R] = theta_r
+    out[K.T_S] = s
+    out[K.T_T11] = T11
+    out[K.T_Q_R] = Q_r
+    out[K.T_T3] = T3
+    out[K.T_B1] = B1
+    out[K.T_B2] = B2
+    out[K.T_F_WR] = fW
+    out[K.T_INT_I] = int_I
+    out[K.T_INT_ID] = int_Id
+    out[K.T_INT_R] = int_r
+    out[K.T_INT_R_SR] = int_r_sr
+    out[K.T_SR_M] = SR_m
+    out[K.T_PC_M] = PC_m
+    out[K.T_STC_M] = StC_m
+    out[K.T_PEC_M] = PeC_m
+    out[K.T_RC_M] = RC_m
+    out[K.T_PREC_M] = PreC_m
+    out[K.T_SCC_M] = ScC_m
+    out[K.T_HC_M1] = HC_m1
+    out[K.T_HC_M2] = HC_m2
+    out[K.T_DC_M1] = DC_m1
+    out[K.T_DC_M2] = DC_m2
+    out[K.T_E_M1] = e_m1
+    out[K.T_E_M2] = e_m2
+    out[K.T_E_M3] = e_m3
+    out[K.T_E_M4] = e_m4
+    out[K.T_E_M5] = e_m5
+    out[K.T_E_M6] = e_m6
+    out[K.T_CARC_M] = CarC_m
+    out[K.T_SR_R] = SR_r
+    out[K.T_HC_R] = HC_r
+    out[K.T_DC_R] = DC_r
+    out[K.T_PC_R] = PC_r
+    out[K.T_OC_R] = OC_r
+    out[K.T_PREC_R] = PreC_r
+    out[K.T_SC_R] = SC_r
+    out[K.T_E_R1] = e_r1
+    out[K.T_E_R2] = e_r2
+    out[K.T_CARC_R] = CarC_r
+    out[K.T_PHI_M] = phi_m
+    out[K.T_PHI_R_RAW] = phi_r_raw
+    out[K.T_PHI_R] = phi_r
+    out[K.T_PHI_T] = phi_m + phi_r
+    out[K.T_P_E] = P_e
+    out[K.T_P_DE] = P_de
+    return K.OK
+
+
+def policy_value_from_terms(policy_id, G, p, terms):
+    """Compose (value, phi_m, phi_r, violation) for one policy from terms."""
+    f_r = p[K.P_F_R]
+    l1 = p[K.P_L1]
+    l2 = p[K.P_L2]
+    l3 = p[K.P_L3]
+    l4 = p[K.P_L4]
+    kappa1 = p[K.P_KAPPA1]
+    kappa2 = p[K.P_KAPPA2]
+    omega = p[K.P_OMEGA]
+    U1 = p[K.P_U1]
+    U2 = p[K.P_U2]
+    C_Tax = p[K.P_C_TAX]
+    C_CT = p[K.P_C_CT]
+
+    rho_m, rho_r, rho_G = green_reduction_terms(
+        G, omega, l1, l2, kappa1, l3, l4, kappa2)
+    T2 = terms[K.T_T2]
+    T3 = terms[K.T_T3]
+    T11 = terms[K.T_T11]
+    CarC_m = terms[K.T_CARC_M]
+    CarC_r = terms[K.T_CARC_R]
+
+    if policy_id == K.POLICY_LIMITED:
+        phi_m = terms[K.T_PHI_M]
+        phi_r = terms[K.T_PHI_R]
+        value = phi_m + phi_r - G
+        excess = CarC_m + CarC_r - rho_G - U2
+        violation = excess if excess > 0.0 else 0.0
+        return value, phi_m, phi_r, violation
+
+    if policy_id == K.POLICY_TAX:
+        charge_m = C_Tax * (CarC_m - rho_m)
+        charge_r = C_Tax * (CarC_r - rho_r)
+    else:
+        charge_m = C_CT * (CarC_m - rho_m - U1)
+        charge_r = C_CT * (CarC_r - rho_r - U1)
+
+    phi_m = terms[K.T_PHI_M] - (charge_m + omega * G * T2) / T2
+    phi_r_raw = terms[K.T_PHI_R_RAW] \
+        - (charge_r + (1.0 - omega) * G * (T3 - T11)) / T3
+    phi_r = (1.0 - f_r) * phi_r_raw
+    return phi_m + phi_r, phi_m, phi_r, 0.0
+
+
+
 def incumbent_reference(generations, coeff: float, every: int):
     """Deb's feasibility rule for one optimizer run, one candidate at a time.
 
@@ -161,7 +529,7 @@ def mutation_indices_reference(rng: np.random.Generator, NP: int, n_aux: int
 
 
 def evaluate_policy_batch(policy_id, X, p):
-    """Evaluate a population X (n, 5) one row at a time with the scalar kernels.
+    """Evaluate a population X (n, 5) one row at a time with the scalar kernel.
 
     Returns (values, violations, valid) like
     ``kernels.evaluate_policy_batch_numpy``; invalid rows carry NaN.
@@ -172,8 +540,8 @@ def evaluate_policy_batch(policy_id, X, p):
     valid = np.zeros(n, dtype=bool)
     terms = np.empty(K.N_TERMS, dtype=np.float64)
     for i in range(n):
-        if K.evaluate_terms(*X[i], p, terms) == K.OK:
-            values[i], _, _, violations[i] = K.policy_value_from_terms(
+        if evaluate_terms(*X[i], p, terms) == K.OK:
+            values[i], _, _, violations[i] = policy_value_from_terms(
                 policy_id, X[i, 3], p, terms)
             valid[i] = True
     return values, violations, valid

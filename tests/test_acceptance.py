@@ -19,6 +19,7 @@ import pytest
 from greenchain import (DecisionVector, base_profits, evaluate_policy,
                         green_reduction, make_batch_objective)
 from greenchain import kernels as K
+from greenchain.model import _terms_or_raise
 from greenchain.anfis import generate_dataset, grid_partition, train_hybrid
 from greenchain.optimize import (OptimizerConfig, SearchSpace,
                                  default_search_space, multi_seed_run,
@@ -26,8 +27,8 @@ from greenchain.optimize import (OptimizerConfig, SearchSpace,
 from greenchain.sensitivity import (DEFAULT_CALIBRATION_TARGET, SweepSpec,
                                     direction_report, run_sweep)
 from conftest import sample_admissible
-from oracles import rk4_path, simpson, stock_build, stock_drain, \
-    stock_linear_shift
+from oracles import defective_stock, manufacturer_stock, rk4_path, simpson, \
+    stock_build, stock_drain, stock_linear_shift
 
 N_SAMPLES = 100
 N_CHECKPOINTS = 50
@@ -46,14 +47,7 @@ def announce(name: str, ok: bool, detail: str) -> None:
 def samples():
     rng = np.random.default_rng(20240817)
     pairs = sample_admissible(rng, N_SAMPLES)
-    rows = []
-    for p, d in pairs:
-        terms = np.empty(K.N_TERMS)
-        status = K.evaluate_terms(d.T0, d.xi1, d.xi2, d.G, d.W_r,
-                                  p.as_array(), terms)
-        assert status == K.OK
-        rows.append((p, d, terms))
-    return rows
+    return [(p, d, _terms_or_raise(p, d)) for p, d in pairs]
 
 
 def _per_sample(rows, key):
@@ -81,7 +75,7 @@ def test_a1_trajectories_match_ode_integration(samples):
         out = np.empty_like(ts_block)
         for j in range(ts_block.shape[1]):
             for i in range(ts_block.shape[0]):
-                out[i, j] = K.manufacturer_stock(
+                out[i, j] = manufacturer_stock(
                     ts_block[i, j], P_e[j], P_r[j], D_r[j], Q_m[j],
                     theta[j], T0[j], T1[j], T2[j])
         return out
@@ -90,7 +84,7 @@ def test_a1_trajectories_match_ode_integration(samples):
         out = np.empty_like(ts_block)
         for j in range(ts_block.shape[1]):
             for i in range(ts_block.shape[0]):
-                out[i, j] = K.defective_stock(
+                out[i, j] = defective_stock(
                     ts_block[i, j], P_de[j], P_r[j], theta[j], T0[j], T1[j])
         return out
 
@@ -175,12 +169,12 @@ def test_a3_algebraic_identities(samples):
         T1, T2, Q_m = t[K.T_T1], t[K.T_T2], t[K.T_Q_M]
         scale = max(Q_m, 1.0)
         args = (P_e, p.P_r, p.D_r, Q_m, theta, T0, T1, T2)
-        branch1_T0 = K.manufacturer_stock(T0, *args)
-        branch2_T0 = K.manufacturer_stock(np.nextafter(T0, T2), *args)
-        branch2_T1 = K.manufacturer_stock(T1, *args)
-        branch3_T1 = K.manufacturer_stock(np.nextafter(T1, T2), *args)
-        end = K.manufacturer_stock(T2, *args)
-        d_T1 = K.defective_stock(T1, P_de, p.P_r, theta, T0, T1)
+        branch1_T0 = manufacturer_stock(T0, *args)
+        branch2_T0 = manufacturer_stock(np.nextafter(T0, T2), *args)
+        branch2_T1 = manufacturer_stock(T1, *args)
+        branch3_T1 = manufacturer_stock(np.nextafter(T1, T2), *args)
+        end = manufacturer_stock(T2, *args)
+        d_T1 = defective_stock(T1, P_de, p.P_r, theta, T0, T1)
         for dev in (abs(branch2_T0 - branch1_T0), abs(branch2_T1 - Q_m),
                     abs(branch3_T1 - Q_m), abs(end), abs(d_T1)):
             worst_boundary = max(worst_boundary, dev / scale)

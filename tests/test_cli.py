@@ -247,6 +247,26 @@ class TestAnfis:
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["anfis", "--range", "0.2", "1.0", "--points"],
+    ["surface", "--vars", "T0", "W_r", "--range1", "0.05", "12", "--range2",
+     "80", "320", "--n1", "2", "--n2"],
+    ["surface", "--vars", "T0", "W_r", "--range1", "0.05", "12", "--range2",
+     "80", "320", "--n2", "2", "--n1"]], ids=["anfis_points", "surface_n2",
+                                              "surface_n1"])
+def test_grid_count_too_large_to_allocate_is_usage_error(capsys, config_path, argv):
+    # Refused by the optimizers' memory check, before the grid allocates.
+    count = str(10 ** 15)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "--config", config_path, *argv, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and count in err and "too large" in err
+    assert out == "" and peak < 1e6
+
+
 def expected_surface(v1, v2, range1, range2, n1, n2):
     """The reference CSV text for a `surface` run on the fixture config."""
     xs = np.linspace(*range1, n1)

@@ -11,6 +11,7 @@ from greenchain import kernels as K
 from greenchain.params import TABLE_DEFAULTS
 from greenchain.policy import POLICY_IDS, make_batch_objective
 from conftest import sample_admissible
+import oracles as O
 from oracles import evaluate_policy_batch
 
 
@@ -148,34 +149,37 @@ def test_objective_rows_do_not_depend_on_other_sets_kappa(slot, kappa, policy):
         assert one.tobytes() == many[:n].tobytes()
 
 
-def test_status_codes():
-    params = ModelParameters(v1=0.05, v2=0.05, C_Tax=1.0)
+def _statuses(params, rows):
+    """The twin's status of each decision row, and the scalar oracle's."""
+    X = np.array(rows, dtype=np.float64)
     p = params.as_array()
     out = np.empty(K.N_TERMS)
-    assert K.evaluate_terms(0.0, 1.0, 1.0, 1.0, 200.0, p, out) == K.ERR_BAD_T0
-    assert K.evaluate_terms(float("nan"), 1.0, 1.0, 1.0, 200.0, p, out) \
-        == K.ERR_BAD_T0
-    assert K.evaluate_terms(math.inf, 1.0, 1.0, 1.0, 200.0, p, out) \
-        == K.ERR_BAD_T0
-    assert K.evaluate_terms(0.5, -1.0, 1.0, 1.0, 200.0, p, out) \
-        == K.ERR_BAD_INVESTMENT
-    # An infinite investment buys nothing finite: refused, not valued -inf.
-    for xi1, xi2, G in ((math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
-                        (1.0, 1.0, math.inf)):
-        assert K.evaluate_terms(0.5, xi1, xi2, G, 200.0, p, out) \
-            == K.ERR_BAD_INVESTMENT
-    assert K.evaluate_terms(0.5, 1.0, 1.0, 1.0, 301.0, p, out) \
-        == K.ERR_NEGATIVE_DEMAND
-    assert K.evaluate_terms(0.5, 1.0, 1.0, 1.0, 300.0, p, out) \
-        == K.ERR_ZERO_DEMAND
-    assert K.evaluate_terms(0.5, 1.0, 1.0, 1.0, 200.0, p, out) == K.OK
+    return (K.evaluate_terms(None, X, p)[3].tolist(),
+            [O.evaluate_terms(*row, p, out) for row in X])
+
+
+def test_status_codes():
+    params = ModelParameters(v1=0.05, v2=0.05, C_Tax=1.0)
+    rows, expected = zip(
+        ([0.0, 1.0, 1.0, 1.0, 200.0], K.ERR_BAD_T0),
+        ([math.nan, 1.0, 1.0, 1.0, 200.0], K.ERR_BAD_T0),
+        ([math.inf, 1.0, 1.0, 1.0, 200.0], K.ERR_BAD_T0),
+        ([0.5, -1.0, 1.0, 1.0, 200.0], K.ERR_BAD_INVESTMENT),
+        # An infinite investment buys nothing finite: refused, not valued -inf.
+        ([0.5, math.inf, 1.0, 1.0, 200.0], K.ERR_BAD_INVESTMENT),
+        ([0.5, 1.0, math.inf, 1.0, 200.0], K.ERR_BAD_INVESTMENT),
+        ([0.5, 1.0, 1.0, math.inf, 200.0], K.ERR_BAD_INVESTMENT),
+        ([0.5, 1.0, 1.0, 1.0, 301.0], K.ERR_NEGATIVE_DEMAND),
+        ([0.5, 1.0, 1.0, 1.0, 300.0], K.ERR_ZERO_DEMAND),
+        ([0.5, 1.0, 1.0, 1.0, -math.inf], K.ERR_NET_REPLENISHMENT),
+        ([0.5, 1.0, 1.0, 1.0, 200.0], K.OK))
+    twin, oracle = _statuses(params, rows)
+    assert twin == oracle == list(expected)
 
 
 def test_backlog_status():
     params = ModelParameters(v1=0.05, v2=0.05, C_Tax=1.0, D_r=31.0)
-    out = np.empty(K.N_TERMS)
-    status = K.evaluate_terms(0.9, 0.0, 0.0, 1.0, 80.0, params.as_array(), out)
-    assert status == K.ERR_BACKLOG
+    assert _statuses(params, [[0.9, 0.0, 0.0, 1.0, 80.0]]) == ([K.ERR_BACKLOG],) * 2
 
 
 @pytest.mark.parametrize("policy, extreme", [
@@ -200,24 +204,26 @@ def test_overflow_is_refused_not_answered(policy, extreme):
 
 
 def test_series_helpers_continuous_at_switch():
-    for x in (9.9e-4, 1.01e-3, -9.9e-4, -1.01e-3):
-        direct = (np.expm1(x) - x) / (x * x)
-        assert K.phi2(x) == pytest.approx(direct, rel=1e-12)
-    for x in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4):
-        assert K.phi1(x) == pytest.approx(np.expm1(x) / x, rel=1e-13)
-    assert K.phi2(0.0) == 0.5
-    assert K.phi1(0.0) == 1.0
+    x = np.array([9.9e-4, 1.01e-3, -9.9e-4, -1.01e-3])
+    np.testing.assert_allclose(K._np_phi2(x, np.expm1(x)),
+                               (np.expm1(x) - x) / (x * x), rtol=1e-12)
+    x = np.array([9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4])
+    np.testing.assert_allclose(K._np_phi1(x, np.expm1(x)), np.expm1(x) / x,
+                               rtol=1e-13)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zero = np.zeros(1)
+        assert K._np_phi2(zero, zero)[0] == 0.5
+        assert K._np_phi1(zero, zero)[0] == 1.0
 
 
 def test_integrals_stable_across_theta_floor():
-    P_e, P_de = K.effective_rates(7500.0, 0.05, 0.04, 0.06)
+    params = ModelParameters(v1=0.05, v2=0.05, C_Tax=1.0)
+    row = np.array([[0.6626, 0.0, 0.0, 1.0, 200.0]])
 
     def values(theta):
-        T1, T2, Q_m = K.manufacturer_cycle(7500.0, P_e, P_de, 2500.0, 400.0,
-                                           theta, 0.6626)
-        int_I, int_Id = K.manufacturer_integrals(P_e, P_de, 2500.0, 400.0,
-                                                 Q_m, theta, 0.6626, T1, T2)
-        return np.array([T2, int_I, int_Id])
+        # theta_m = theta1 with no preservation
+        terms = K.evaluate_terms(None, row, params.replace(theta1=theta).as_array())[4]
+        return terms[[K.T_T2, K.T_INT_I, K.T_INT_ID], 0]
 
     # the series-limit branch joins the general formulas smoothly
     below = values(0.0)
@@ -262,15 +268,15 @@ def parameters_and_decisions(draw):
     v = {name: draw(strategy) for name, strategy in PARAMETER_DRAWS.items()}
     v["P"] *= v["P_r"]
     params = ModelParameters(**v)
-    P_e, P_de = K.effective_rates(v["P"], v["f_d"], v["beta1"], v["beta2"])
+    P_e, P_de = O.effective_rates(v["P"], v["f_d"], v["beta1"], v["beta2"])
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         T0 = draw(st.floats(1e-3, 2.0))
         # theta_m = theta1 exp(-v1 xi1) from theta1 down to e^-40 theta1,
         # across THETA_FLOOR.
         xi1 = draw(st.floats(0.0, 40.0)) / v["v1"]
-        theta_m = K.preserved_rate(v["theta1"], v["v1"], xi1)
-        T1 = K.manufacturer_cycle(v["P"], P_e, P_de, v["P_r"], v["D_r"],
+        theta_m = O.preserved_rate(v["theta1"], v["v1"], xi1)
+        T1 = O.manufacturer_cycle(v["P"], P_e, P_de, v["P_r"], v["D_r"],
                                   theta_m, T0)[0]
         # The backlog clears while B2 > s eta, i.e. f(W_r) (1 + T1 eta) < D_r;
         # a share below 0 gives no demand at all.
@@ -297,14 +303,78 @@ def test_scalar_kernel_matches_twin_over_whole_table(case):
         assert np.array_equal(ok, twin_ok)
         np.testing.assert_allclose(values[ok], twin_values[ok], rtol=1e-9)
         np.testing.assert_allclose(violations[ok], twin_violations[ok], rtol=1e-9)
-    # The model layer refuses exactly the rows the scalar kernel does, with
-    # the kernel's status.
-    out = np.empty(K.N_TERMS)
-    for row in X:
-        status = K.evaluate_terms(*row, p, out)
-        if status == K.OK:
+    # The model layer refuses exactly the rows the twin does, with the
+    # twin's status.
+    _assert_model_layer_raises_twin_status(params, X)
+
+
+def _assert_model_layer_raises_twin_status(params, X):
+    """compute_schedule raises DomainError with the twin's status for every
+    row of X the twin refuses, and answers the others."""
+    status = K.evaluate_terms(None, X, params.as_array())[3]
+    for row, code in zip(X, status.tolist()):
+        if code == K.OK:
             compute_schedule(params, DecisionVector.from_array(row))
         else:
             with pytest.raises(DomainError) as info:
                 compute_schedule(params, DecisionVector.from_array(row))
-            assert info.value.status == status
+            assert info.value.status == code
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=parameters_and_decisions(),
+       extreme=st.sampled_from((None, "C_p", "h_p", "E_p", "d1", "W_m")))
+def test_model_layer_raises_the_twin_status(case, extreme):
+    """The model layer's statuses are the twin's on drawn rows around the
+    backlog boundary and the price cap, with odd components, and with one
+    parameter at 1e308, whose arithmetic overflows in admissible rows."""
+    params, X = case
+    if extreme is not None:
+        params = params.replace(**{extreme: 1e308})
+    _assert_model_layer_raises_twin_status(params, X)
+
+
+def test_model_layer_refuses_overflow_with_the_twin_status():
+    params = ModelParameters(v1=0.05, v2=0.05, C_Tax=1.0, C_p=1e308)
+    X = np.array([[0.6626, 167.8651, 93.6741, 7.7565, 292.28]])
+    assert K.evaluate_terms(None, X, params.as_array())[3][0] == K.ERR_OVERFLOW
+    _assert_model_layer_raises_twin_status(params, X)
+
+
+def test_evaluate_policy_is_the_objective_row():
+    """evaluate_policy gives the optimizers' objective row bit for bit, in
+    value and violation: 200 drawn admissible rows, each under its own
+    parameter set in one lockstep objective call, with kappa1 = kappa2 =
+    2.0 and no emission cap, so that the powers set the values and
+    violations (NumPy's ** squares a scalar exponent of 2.0; the layout
+    passes it per row on both paths)."""
+    pairs = sample_admissible(np.random.default_rng(17), 200)
+    sets = [p.replace(kappa1=2.0, kappa2=2.0, U2=0.0) for p, _ in pairs]
+    X = np.array([d.as_array() for _, d in pairs])
+    for policy in sorted(POLICY_IDS):
+        values, violations, valid = make_batch_objective(sets, policy)(X)
+        assert valid.all()
+        rows = [evaluate_policy(p, d, policy) for p, (_, d) in zip(sets, pairs)]
+        assert np.array([r.value for r in rows]).tobytes() == values.tobytes()
+        assert (np.array([r.constraint_violation for r in rows]).tobytes()
+                == violations.tobytes())
+
+
+def test_twin_terms_and_status_match_oracle():
+    """The twin's term table (TERM_NAMES order), policy profits and status
+    against the scalar oracle, row by row."""
+    params = ModelParameters(v1=0.04, v2=0.06, C_Tax=2.1, C_CT=2.1)
+    p = params.as_array()
+    X = _random_batch(np.random.default_rng(11), 1000)
+    out = np.empty(K.N_TERMS)
+    for policy, pid in POLICY_IDS.items():
+        _, _, valid, status, table, phi_m, phi_r = K.evaluate_terms(pid, X, p)
+        assert np.array_equal(valid, status == K.OK)
+        assert valid.sum() > 700 and (~valid).sum() > 50
+        for i, row in enumerate(X):
+            assert O.evaluate_terms(*row, p, out) == status[i]
+            if valid[i]:
+                np.testing.assert_allclose(table[:, i], out, rtol=1e-11, atol=1e-10)
+                np.testing.assert_allclose(
+                    [phi_m[i], phi_r[i]],
+                    O.policy_value_from_terms(pid, row[3], p, out)[1:3], rtol=1e-11)

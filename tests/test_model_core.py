@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenchain import (DecisionVector, DomainError, ParameterError,
-                        base_profits, compute_breakdown, compute_schedule)
+from greenchain import (DecisionVector, DomainError, ModelParameters,
+                        ParameterError, base_profits, compute_breakdown,
+                        compute_schedule)
 from greenchain import kernels as K
 from conftest import sample_admissible
+import oracles as O
 from oracles import bisect, rk4_path, simpson
 
 # Frozen oracle values for the reference manufacturer cycle
@@ -28,43 +30,53 @@ QR_REF = 234.83735834472495
 T3_REF = 11.199602381745592
 
 
+def _schedule(p, **changes):
+    """compute_schedule at the reference decisions with `changes` applied."""
+    return compute_schedule(p, DecisionVector(**{**_reference_decisions().to_dict(),
+                                                 **changes}))
+
+
 def _rates(p):
-    return K.effective_rates(p.P, p.f_d, p.beta1, p.beta2)
+    """(P_e, P_de) of the model at the reference decisions."""
+    schedule = _schedule(p)
+    return schedule.P_e, schedule.P_de
 
 
 def _manufacturer_cycle(p, T0, theta_m):
-    """(T1, T2, Q_m) of a production run of length T0."""
-    P_e, P_de = _rates(p)
-    return K.manufacturer_cycle(p.P, P_e, P_de, p.P_r, p.D_r, theta_m, T0)
+    """(T1, T2, Q_m) of the model for a production run of length T0 at the
+    deterioration rate theta_m (theta1 = theta_m, no preservation)."""
+    schedule = _schedule(p.replace(theta1=theta_m), T0=T0, xi1=0.0)
+    return schedule.T1, schedule.T2, schedule.Q_m
 
 
-def _manufacturer_stock(t, p, T0, theta_m):
-    """Perfect-stock level I(t), 0 <= t <= T2."""
+def _manufacturer_stock(p, T0, theta_m):
+    """The perfect-stock level I(t), 0 <= t <= T2, on the model's cycle."""
     P_e, _ = _rates(p)
     T1, T2, Q_m = _manufacturer_cycle(p, T0, theta_m)
-    return K.manufacturer_stock(t, P_e, p.P_r, p.D_r, Q_m, theta_m, T0, T1, T2)
+    return lambda t: O.manufacturer_stock(t, P_e, p.P_r, p.D_r, Q_m, theta_m,
+                                          T0, T1, T2)
 
 
-def _defective_stock(t, p, T0, theta_m):
-    """Defective-stock level I_d(t), 0 <= t <= T1."""
+def _defective_stock(p, T0, theta_m):
+    """The defective-stock level I_d(t), 0 <= t <= T1, on the model's cycle."""
     _, P_de = _rates(p)
     T1, _, _ = _manufacturer_cycle(p, T0, theta_m)
-    return K.defective_stock(t, P_de, p.P_r, theta_m, T0, T1)
+    return lambda t: O.defective_stock(t, P_de, p.P_r, theta_m, T0, T1)
 
 
 def _retailer_cycle(p, W_r, T1, T2, theta_r):
-    """(s, T11, Q_r, T3, B1, B2) of the retailer cycle."""
-    return K.retailer_cycle(p.a - p.b * W_r, p.D_r, p.eta, theta_r, T1, T2)
+    """(s, T11, Q_r, T3, B1, B2) of the oracle's retailer cycle."""
+    return O.retailer_cycle(p.a - p.b * W_r, p.D_r, p.eta, theta_r, T1, T2)
 
 
 def _rejection(params, match=None, **changes):
     """The DomainError compute_schedule raises for the reference decisions
-    with `changes` applied; its status must be the scalar kernel's."""
+    with `changes` applied; its status must be the scalar oracle's."""
     dec = DecisionVector(**{**_reference_decisions().to_dict(), **changes})
     with pytest.raises(DomainError, match=match) as info:
         compute_schedule(params, dec)
     out = np.empty(K.N_TERMS)
-    assert info.value.status == K.evaluate_terms(
+    assert info.value.status == O.evaluate_terms(
         dec.T0, dec.xi1, dec.xi2, dec.G, dec.W_r, params.as_array(), out)
     return info.value
 
@@ -88,24 +100,27 @@ class TestEffectiveRates:
     @given(f_d=st.floats(0, 0.99), b1=st.floats(0, 1), b2=st.floats(0, 1),
            P=st.floats(10, 1e6))
     def test_rates_conserve_production(self, f_d, b1, b2, P):
-        P_e, P_de = K.effective_rates(P, f_d, b1, b2)
-        assert P_e + P_de == pytest.approx(P, rel=1e-12)
+        p = ModelParameters(v1=0.05, v2=0.05, C_Tax=1.0, C_CT=1.0, P=P,
+                            P_r=0.5 * P, f_d=f_d, beta1=b1, beta2=b2)
+        terms = K.evaluate_terms(None, _reference_decisions().as_array()[None, :],
+                                 p.as_array())[4]
+        # parameter-only terms, whatever the row's status
+        assert terms[K.T_P_E, 0] + terms[K.T_P_DE, 0] == pytest.approx(P, rel=1e-12)
 
 
 class TestDeteriorationRates:
     def test_zero_investment(self, params):
-        theta_m = K.preserved_rate(params.theta1, params.v1, 0.0)
-        theta_r = K.preserved_rate(params.theta2, params.v2, 0.0)
-        assert theta_m == params.theta1 == 0.15
-        assert theta_r == params.theta2 == 0.1
+        schedule = _schedule(params, xi1=0.0, xi2=0.0)
+        assert schedule.theta_m == params.theta1 == 0.15
+        assert schedule.theta_r == params.theta2 == 0.1
 
     def test_reference_point(self, params):
-        theta_m = K.preserved_rate(params.theta1, params.v1, 167.8651)
+        theta_m = _schedule(params, xi1=167.8651).theta_m
         assert theta_m == pytest.approx(3.3958377145909984e-05, rel=1e-12)
 
     def test_monotone_decreasing(self, params):
         xis = np.linspace(0, 400, 30)
-        rates = [K.preserved_rate(params.theta1, params.v1, x) for x in xis]
+        rates = [_schedule(params, xi1=x).theta_m for x in xis]
         assert all(b < a for a, b in zip(rates, rates[1:]))
         assert rates[-1] > 0.0
 
@@ -146,25 +161,25 @@ class TestInventoryTrajectories:
     def test_initial_and_terminal_conditions(self, params):
         T1, T2, Q_m = _manufacturer_cycle(params, T0_REF, THETA_REF)
         scale = Q_m
-        assert _manufacturer_stock(0.0, params, T0_REF, THETA_REF) == 0.0
-        assert abs(_manufacturer_stock(T2, params, T0_REF, THETA_REF)) \
+        assert _manufacturer_stock(params, T0_REF, THETA_REF)(0.0) == 0.0
+        assert abs(_manufacturer_stock(params, T0_REF, THETA_REF)(T2)) \
             <= 1e-9 * scale
-        assert _defective_stock(0.0, params, T0_REF, THETA_REF) == 0.0
-        assert abs(_defective_stock(T1, params, T0_REF, THETA_REF)) \
+        assert _defective_stock(params, T0_REF, THETA_REF)(0.0) == 0.0
+        assert abs(_defective_stock(params, T0_REF, THETA_REF)(T1)) \
             <= 1e-9 * scale
 
     def test_branch_agreement_at_phase_changes(self, params):
         P_e, P_de = _rates(params)
         T1, T2, Q_m = _manufacturer_cycle(params, T0_REF, THETA_REF)
-        b1 = K.manufacturer_stock(T0_REF, P_e, params.P_r, params.D_r, Q_m,
+        b1 = O.manufacturer_stock(T0_REF, P_e, params.P_r, params.D_r, Q_m,
                                   THETA_REF, T0_REF, T1, T2)
-        b2 = K.manufacturer_stock(T0_REF + 1e-15, P_e, params.P_r, params.D_r,
+        b2 = O.manufacturer_stock(T0_REF + 1e-15, P_e, params.P_r, params.D_r,
                                   Q_m, THETA_REF, T0_REF, T1, T2)
         assert b2 == pytest.approx(b1, rel=1e-9)
         assert b1 == pytest.approx(I_T0_REF, rel=1e-6)
-        c1 = K.manufacturer_stock(T1, P_e, params.P_r, params.D_r, Q_m,
+        c1 = O.manufacturer_stock(T1, P_e, params.P_r, params.D_r, Q_m,
                                   THETA_REF, T0_REF, T1, T2)
-        c2 = K.manufacturer_stock(T1 + 1e-15, P_e, params.P_r, params.D_r,
+        c2 = O.manufacturer_stock(T1 + 1e-15, P_e, params.P_r, params.D_r,
                                   Q_m, THETA_REF, T0_REF, T1, T2)
         assert c1 == pytest.approx(Q_m, rel=1e-9)
         assert c2 == pytest.approx(Q_m, rel=1e-9)
@@ -179,9 +194,8 @@ class TestInventoryTrajectories:
         ]
         for t_from, t_to, y0, rhs in segments:
             ts, ys = rk4_path(rhs, t_from, y0, t_to, 2000)
-            closed = np.array([
-                _manufacturer_stock(float(t), params, T0_REF, THETA_REF)
-                for t in ts[::40]])
+            stock = _manufacturer_stock(params, T0_REF, THETA_REF)
+            closed = np.array([stock(float(t)) for t in ts[::40]])
             scale = max(np.abs(ys).max(), 1.0)
             assert np.max(np.abs(closed - ys[::40, ...])) <= 1e-6 * scale
 
@@ -231,9 +245,9 @@ class TestRetailerSchedule:
 
         at_T11 = stock_linear_shift(T11, 0.8215, s, B2, params.eta)
         assert abs(at_T11) <= 1e-9 * Q_r
-        at_T3 = K.retailer_stock(T3, fW, s, params.eta, B1, B2, Q_r,
+        at_T3 = O.retailer_stock(T3, fW, s, params.eta, B1, B2, Q_r,
                                  0.8215, T11, 7.523, T3)
-        at_T2 = K.retailer_stock(7.523, fW, s, params.eta, B1, B2, Q_r,
+        at_T2 = O.retailer_stock(7.523, fW, s, params.eta, B1, B2, Q_r,
                                  0.8215, T11, 7.523, T3)
         assert abs(at_T3) <= 1e-9 * Q_r
         assert at_T2 == pytest.approx(Q_r, rel=1e-9)
@@ -263,9 +277,10 @@ class TestCosts:
         schedule = compute_schedule(params, dec)
         b = compute_breakdown(params, dec)
 
+        level = _manufacturer_stock(params, dec.T0, schedule.theta_m)
+
         def stock(ts):
-            return np.array([_manufacturer_stock(
-                float(t), params, dec.T0, schedule.theta_m) for t in ts])
+            return np.array([level(float(t)) for t in ts])
 
         quad = (simpson(stock, 0.0, schedule.T1, 1500)
                 + simpson(stock, schedule.T1, schedule.T2, 1500))
@@ -294,7 +309,7 @@ class TestCosts:
         fW = schedule.f_Wr
 
         def stock(ts):
-            return np.array([K.retailer_stock(
+            return np.array([O.retailer_stock(
                 float(t), fW, schedule.s, params.eta, schedule.B1, schedule.B2,
                 schedule.Q_r, schedule.T1, schedule.T11, schedule.T2,
                 schedule.T3) for t in ts])
@@ -366,9 +381,7 @@ class TestMonotonicity:
         # with the preservation investment at fixed production time
         T2s = []
         for xi1 in (0.0, 50.0, 150.0, 400.0):
-            theta_m = K.preserved_rate(params.theta1, params.v1, xi1)
-            _, T2, _ = _manufacturer_cycle(params, T0_REF, theta_m)
-            T2s.append(T2)
+            T2s.append(_schedule(params, xi1=xi1).T2)
         assert all(b > a for a, b in zip(T2s, T2s[1:]))
 
 

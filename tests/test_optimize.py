@@ -3,17 +3,19 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from greenchain import ModelParameters, make_batch_objective, sensitivity
 from greenchain.cli import main
-from greenchain.optimize import (OptimizerConfig, RunResult, SearchSpace,
-                                 binomial_crossover, de_mutate_current_to_rand,
+from greenchain.optimize import (ALGORITHMS, OptimizerConfig, RunResult,
+                                 SearchSpace, binomial_crossover,
+                                 de_mutate_current_to_rand,
                                  de_mutate_rand_to_best, default_search_space,
                                  multi_seed_run, multi_seed_stats, pso_update,
                                  run, run_many)
 from greenchain.optimize import _mutation_indices
+from greenchain.policy import POLICY_IDS
 from oracles import incumbent_reference, mutation_indices_reference
 
 
@@ -410,6 +412,71 @@ class TestLockstep:
             params)
         assert len(rows) == 5 and all(r.feasible for r in rows)
         assert calls == [5 * 50] * (iters + 1)
+
+
+#: Hypothesis seeds of the lockstep invariance property, one test case each.
+LOCKSTEP_PROPERTY_SEEDS = range(3)
+
+
+@st.composite
+def lockstep_case(draw):
+    """2-4 parameter sets around the reference constants, each with drawn
+    P_r, C_p, theta1 and U2 and with kappa1/kappa2 sometimes at 2.0 or 0.5
+    (NumPy's ** squares or roots a scalar exponent there), drawn run
+    seeds, and a split of the runs into groups (group ids per run)."""
+    base = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
+    scale = st.floats(0.8, 1.25)
+    exponent = st.sampled_from((None, 2.0, 0.5))
+    sets = []
+    for _ in range(draw(st.integers(2, 4))):
+        changes = {"P_r": base.P_r * draw(scale), "C_p": base.C_p * draw(scale),
+                   "theta1": base.theta1 * draw(scale),
+                   "U2": draw(st.sampled_from((0.0, base.U2)))}
+        for name in ("kappa1", "kappa2"):
+            value = draw(exponent)
+            if value is not None:
+                changes[name] = value
+        sets.append(base.replace(**changes))
+    k = len(sets)
+    seeds = draw(st.lists(st.integers(0, 2 ** 31 - 1), min_size=k, max_size=k))
+    groups = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    return (draw(st.sampled_from(ALGORITHMS)), draw(st.sampled_from(sorted(POLICY_IDS))),
+            sets, seeds, groups)
+
+
+def _check_lockstep_invariance(case):
+    algo, policy, sets, seeds, groups = case
+    config = OptimizerConfig(algorithm=algo, pop_size=10, max_iter=6,
+                             penalty_double_every=2)
+    spaces = [default_search_space(p) for p in sets]
+    together = run_many(spaces, config, seeds, make_batch_objective(sets, policy))
+    split = {}
+    for group in sorted(set(groups)):
+        members = [k for k, g in enumerate(groups) if g == group]
+        found = run_many([spaces[k] for k in members], config,
+                         [seeds[k] for k in members],
+                         make_batch_objective([sets[k] for k in members], policy))
+        split.update(zip(members, found))
+    for k, result in enumerate(together):
+        for name in RUN_FIELDS + ("seed",):
+            assert (np.asarray(getattr(result, name)).tobytes()
+                    == np.asarray(getattr(split[k], name)).tobytes()), name
+    # One objective over every set gives each set's rows bit for bit.
+    X = np.random.default_rng(seeds[0]).uniform(
+        spaces[0].lower, spaces[0].upper, (20, 5))
+    stacked = make_batch_objective(sets, policy)(np.concatenate([X] * len(sets)))
+    for k, p in enumerate(sets):
+        for one, many in zip(make_batch_objective(p, policy)(X), stacked):
+            assert one.tobytes() == many[20 * k:20 * (k + 1)].tobytes()
+
+
+@pytest.mark.parametrize("hypothesis_seed", LOCKSTEP_PROPERTY_SEEDS)
+def test_lockstep_results_do_not_depend_on_the_split(hypothesis_seed):
+    """Any split of K runs into run_many calls gives bit-identical
+    RunResults, and one-set and multi-set objectives identical rows."""
+    check = given(case=lockstep_case())(_check_lockstep_invariance)
+    seed(hypothesis_seed)(settings(max_examples=25, deadline=None,
+                                   database=None)(check))()
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,16 @@ class TestGreenReduction:
         with pytest.raises(DomainError) as info:
             green_reduction(G, params)
         assert info.value.status == K.ERR_BAD_INVESTMENT
+
+    def test_overflow_is_refused_as_evaluate_policy_refuses_it(self, params,
+                                                                decisions):
+        # G ** kappa leaves the float range: no bare OverflowError.
+        huge = dataclasses.replace(decisions, G=1e300)
+        for call in (lambda: green_reduction(1e300, params),
+                     lambda: evaluate_policy(params, huge, "tax")):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert info.value.status == K.ERR_OVERFLOW
 
 
 class TestCarbonTax:

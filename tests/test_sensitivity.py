@@ -185,7 +185,9 @@ def test_residuals_are_affine_in_the_tax_price(lv1, lv2, c_tax):
     # The premise of projecting C_Tax out of the calibration loss.
     target = DEFAULT_CALIBRATION_TARGET
     v1, v2 = math.exp(lv1), math.exp(lv2)
-    r0, s = calibration_residuals(target)(
-        ModelParameters(v1=v1, v2=v2, C_Tax=0.0).as_array().tolist())
+    r0, s, ok = calibration_residuals(target)(
+        ModelParameters(v1=v1, v2=v2, C_Tax=0.0).as_array()[None, :])
+    assert ok[0]
+    r0, s = r0[0], s[0]
     r = direct_residuals(target, ModelParameters(v1=v1, v2=v2, C_Tax=c_tax))
     assert np.abs(r0 + c_tax * s - r).max() <= 1e-9 * np.linalg.norm(r)
