@@ -27,6 +27,10 @@ Entries (one process, about 20 s on two cores):
 - runs whose penalty coefficient doubles (``limited`` with no cap, three
   runs per algorithm with different doubling schedules, each on its own:
   the runs of one lockstep call share their schedule);
+- ``doubling/saturated``: one run per algorithm whose coefficient doubles
+  every generation until it stops at the largest float, on an objective
+  whose rows turn feasible at call 1,011 (the best fitness must be the
+  best value, and the history finite);
 - one lockstep call per algorithm that mixes runs which become feasible
   with a run that never does, under one shared doubling schedule;
 - runs on an objective that rejects every row (no incumbent: ``x_best``
@@ -104,8 +108,9 @@ def hexify(value):
 
 
 def _optimizer_entries(gc) -> dict:
-    from greenchain.optimize import (OptimizerConfig, default_search_space,
-                                     multi_seed_run, run, run_many)
+    from greenchain.optimize import (OptimizerConfig, SearchSpace,
+                                     default_search_space, multi_seed_run, run,
+                                     run_many)
 
     params = gc.ModelParameters.from_dict(REFERENCE)
     space = default_search_space(params)
@@ -134,6 +139,23 @@ def _optimizer_entries(gc) -> dict:
                                     penalty_coefficient=1e-3,
                                     penalty_double_every=every), objective)
                 for seed, every in ((1, 3), (2, 5), (3, 7))]
+
+    def late_feasible():
+        calls = []
+
+        def objective(X):
+            calls.append(len(X))
+            n = len(X)
+            return (-np.sum(X ** 2, axis=1),
+                    np.full(n, 0.0 if len(calls) > 1010 else 1.0), np.ones(n, dtype=bool))
+        return objective
+
+    # From 1e6, about 1,003 doublings reach the largest float.
+    entries["doubling/saturated"] = [
+        run(SearchSpace(-np.ones(2), np.ones(2)),
+            OptimizerConfig(algorithm=algo, seed=1, pop_size=5, max_iter=1100,
+                            penalty_double_every=1), late_feasible())
+        for algo in ALGORITHMS]
 
     # Runs 0 and 2 become feasible, run 1 (as above at l3 = 1.5) never does.
     mixed = [params, params.replace(U2=0.0, l3=1.5), params]

@@ -22,15 +22,15 @@ history, the per-run state held in (K, ...) arrays.
 
 Determinism: run k has its own PCG64 generator seeded from ``seeds[k]``
 (``config.seed`` seeds no run of ``run_many``); draws happen in a fixed
-order per generation (DE: mutation indices row by row, then the
-per-individual blend factor R, then the crossover mask and forced column;
-PSO: the two acceleration factors, per particle and dimension).  DE's
-mutation indices are drawn ahead in one array call and the generator is
-then replayed to the number of draws the row-by-row rejection loop
-consumes, so the stream is the loop's: the same indices and the same later
-draws.  Fitness evaluation is vectorised, so results do not depend on
-evaluation scheduling or on which runs share a lockstep call.  Multi-seed
-helpers use seeds ``seed, seed+1, ...``.
+order per generation (DE: mutation indices row by row by rejection, then
+the per-individual blend factor R, then the crossover uniforms, then one
+forced column per row; PSO: the two acceleration factors, per particle
+and dimension).  That order is unchanged, and each generator now takes a
+generation's draws in one pass into buffers allocated once per call;
+crossover, reflection and selection then act on all K runs at once.
+Fitness evaluation is vectorised, so results do not depend on evaluation
+scheduling or on which runs share a lockstep call.  Multi-seed helpers
+use seeds ``seed, seed+1, ...``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -204,18 +205,16 @@ def de_mutate_current_to_rand(x_i, x_a, x_b, x_c, F: float, R):
     return x_i + R * (np.asarray(x_a) - x_i) + F * (np.asarray(x_b) - np.asarray(x_c))
 
 
-def binomial_crossover(target, donor, Pc: float, rng: np.random.Generator):
-    """Row-wise binomial crossover of (n, d) populations.
+def binomial_crossover(target, donor, Pc: float, uniforms, forced):
+    """Row-wise binomial crossover of (..., n, d) populations.
 
-    Each row takes every donor component with probability Pc plus one forced
-    component j_rand.  Draw order: all n*d uniforms first, then one j_rand
-    per row.
+    A component comes from the donor where its uniform draw (`uniforms`,
+    the populations' shape) is below Pc, and in each row's forced column
+    j_rand (`forced`, shape (..., n)).  DE draws them per run: every
+    uniform, then one j_rand per row.
     """
-    target = np.asarray(target, dtype=np.float64)
-    donor = np.asarray(donor, dtype=np.float64)
-    n, d = target.shape
-    mask = rng.random((n, d)) < Pc
-    mask[np.arange(n), rng.integers(d, size=n)] = True
+    d = np.shape(target)[-1]
+    mask = (np.asarray(uniforms) < Pc) | (np.asarray(forced)[..., None] == np.arange(d))
     return np.where(mask, donor, target)
 
 
@@ -227,12 +226,13 @@ def pso_update(X, V, Pbest, Gbest, m0, c1, c2, r1, r2):
     return X + V_new, V_new
 
 
-def _reflect(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Fold out-of-box coordinates back inside (triangle-wave reflection)."""
-    span = upper - lower
-    y = np.mod(X - lower, 2.0 * span)
-    y = np.where(y > span, 2.0 * span - y, y)
-    return lower + y
+def _reflect(X: np.ndarray, lower: np.ndarray, span: np.ndarray,
+             period: np.ndarray) -> np.ndarray:
+    """Fold out-of-box coordinates back inside (triangle-wave reflection);
+    `span` is ``upper - lower`` and `period` is ``2.0 * span``."""
+    y = np.mod(X - lower, period)
+    np.subtract(period, y, out=y, where=y > span)
+    return np.add(lower, y, out=y)
 
 
 def penalize(values, violations, valid, coeff):
@@ -240,42 +240,49 @@ def penalize(values, violations, valid, coeff):
 
     Equals the value on feasible points; rows marked invalid get -inf.
     `coeff` may be an array broadcasting against the values (one per run).
+    A penalty too large for a float gives -inf, which keeps the order.
     """
     if not (np.asarray(coeff) > 0).all():
         raise ValueError("penalty coefficient must be positive")
-    with np.errstate(invalid="ignore"):
+    return _penalized(values, violations, valid, coeff)
+
+
+def _penalized(values, violations, valid, coeff):
+    """`penalize` for a coefficient already known to be positive."""
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.where(valid, values - coeff * violations ** 2, -math.inf)
 
 
 def _mutation_indices(rng: np.random.Generator, NP: int, n_aux: int) -> np.ndarray:
-    """Distinct partner indices per member, none equal to the member itself.
+    """Distinct partner indices per member (2 or 3), none the member itself.
 
     The draw sequence is a rejection loop, row by row: each partner is the
     next ``rng.integers(NP)``, drawn again while it repeats the member or
     an earlier partner (``tests/oracles.py`` keeps that loop as the
-    reference).  The draws are taken ahead in bulk and then replayed, so
-    the indices and the generator's final state are the loop's.
+    reference).  An array draw is the same stream as that many scalar
+    draws, so the loop reads array draws of one value per partner still
+    missing: none goes past the loop's last draw, and the indices and the
+    generator's final state are the loop's.
     """
-    state = rng.bit_generator.state
-    draws = rng.integers(NP, size=NP * (n_aux + 1)).tolist()
     idx = []
-    used = 0
+    push = idx.append
+    draw = chain.from_iterable(iter(
+        lambda: rng.integers(NP, size=NP * n_aux - len(idx)).tolist(), None)).__next__
     for i in range(NP):
-        chosen = [i]
-        while len(chosen) <= n_aux:
-            if used == len(draws):
-                draws += rng.integers(NP, size=NP).tolist()
-            j = draws[used]
-            used += 1
-            if j not in chosen:
-                chosen.append(j)
-        idx.append(chosen[1:])
-    # An array draw is the same stream as that many scalar draws: rewind and
-    # redraw exactly the `used` values, leaving the generator where the
-    # scalar loop would.
-    rng.bit_generator.state = state
-    rng.integers(NP, size=used)
-    return np.array(idx, dtype=np.int64)
+        a = draw()
+        while a == i:
+            a = draw()
+        push(a)
+        b = draw()
+        while b == i or b == a:
+            b = draw()
+        push(b)
+        if n_aux == 3:
+            c = draw()
+            while c == i or c == a or c == b:
+                c = draw()
+            push(c)
+    return np.array(idx, dtype=np.int64).reshape(NP, n_aux)
 
 
 class _Runs:
@@ -286,6 +293,8 @@ class _Runs:
     exactly the elementwise arithmetic it would see alone.  The
     incumbent of run k is ``x[k]``, with its raw ``value``, ``violation``,
     ``feasible`` flag and penalized fitness ``fit`` under ``coeff[k]``.
+    Once every incumbent is feasible the runs are ``settled``: no coefficient
+    doubles again, and only a better feasible candidate replaces one.
     """
 
     def __init__(self, spaces, config: OptimizerConfig, seeds):
@@ -307,7 +316,10 @@ class _Runs:
                                self.NP, axis=1)
         self.upper = np.repeat(np.stack([s.upper for s in spaces])[:, None, :],
                                self.NP, axis=1)
+        self.span = self.upper - self.lower
+        self.period = 2.0 * self.span
         self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
+        # Positive (`validate`) and only ever doubled.
         self.coeff = np.full(self.K, config.penalty_coefficient, dtype=np.float64)
         self.rows = np.arange(self.K)
         self.x = np.zeros((self.K, self.d))
@@ -315,15 +327,18 @@ class _Runs:
         self.value = np.full(self.K, -math.inf)
         self.violation = np.full(self.K, math.inf)
         self.feasible = np.zeros(self.K, dtype=bool)
+        self.settled = False
         self.fit = np.full(self.K, -math.inf)
-        self.history, self.history_feasible = [], []   # one (K,) entry per call
-        self.evals = 0
+        # One row per objective call: the initial population, then each generation.
+        self.history = np.empty((self.iters + 1, self.K))
+        self.history_feasible = np.empty((self.iters + 1, self.K), dtype=bool)
+        self.calls = 0
         self.start = time.perf_counter()
 
     def initial_population(self, objective):
         """Uniform draws in each box, evaluated: X and `evaluate`'s arrays."""
         draws = np.stack([rng.random((self.NP, self.d)) for rng in self.rngs])
-        X = self.lower + draws * (self.upper - self.lower)
+        X = self.lower + draws * self.span
         return (X, *self.evaluate(objective, X))
 
     def evaluate(self, objective, X: np.ndarray):
@@ -333,11 +348,11 @@ class _Runs:
         shape = (self.K, self.NP)
         values, violations, valid = (a.reshape(shape)
                                      for a in objective(X.reshape(-1, self.d)))
-        self.evals += self.NP
-        fitness = penalize(values, violations, valid, self.coeff[:, None])
+        fitness = _penalized(values, violations, valid, self.coeff[:, None])
         self._offer(X, values, violations, valid, fitness)
-        self.history.append(self.fit.copy())
-        self.history_feasible.append(self.feasible.copy())
+        self.history[self.calls] = self.fit
+        self.history_feasible[self.calls] = self.feasible
+        self.calls += 1
         return values, violations, valid, fitness
 
     def _offer(self, X, values, violations, valid, fitness) -> None:
@@ -345,17 +360,15 @@ class _Runs:
         rows = self.rows
         best = np.where(valid & (violations <= 0.0), values, -math.inf)
         top = best.argmax(axis=1)
-        settled = self.feasible.all()
-        # The value a feasible candidate must beat: -inf while infeasible.
-        found = best[rows, top] > (self.value if settled else
-                                   np.where(self.feasible, self.value, -math.inf))
-        if settled:
-            # Only a better feasible candidate can replace a feasible
-            # incumbent, and every feasible incumbent's violation is 0.
-            if not found.any():
+        if self.settled:
+            # Every incumbent is feasible, with violation 0.
+            changed = best[rows, top] > self.value
+            if not changed.any():
                 return
-            changed, pick = found, top
+            pick = top
         else:
+            # The value a feasible candidate must beat: -inf while infeasible.
+            found = best[rows, top] > np.where(self.feasible, self.value, -math.inf)
             j = fitness.argmax(axis=1)
             fitter = ~(self.feasible | found) & (fitness[rows, j] > self.fit)
             changed = found | fitter
@@ -363,33 +376,35 @@ class _Runs:
             pick = np.where(found, top, j)
             self.violation = np.where(found, 0.0, np.where(fitter, violations[rows, pick],
                                                            self.violation))
+            self.feasible |= found
+            self.settled = bool(self.feasible.all())
+            self.has_x |= changed
         np.copyto(self.x, X[rows, pick], where=changed[:, None])
-        self.value = np.where(changed, values[rows, pick], self.value)
-        self.feasible |= found
-        self.has_x |= changed
+        np.copyto(self.value, values[rows, pick], where=changed)
         self._rescore(changed)
 
     def _rescore(self, runs: np.ndarray) -> None:
         """Incumbent fitness of the masked runs; -inf without a finite value."""
-        value = self.value[runs]
-        self.fit[runs] = penalize(value, self.violation[runs], np.isfinite(value),
-                                  self.coeff[runs])
+        np.copyto(self.fit, _penalized(self.value, self.violation, np.isfinite(self.value),
+                                       self.coeff), where=runs)
 
     def double_penalties(self, gen: int, values, violations, valid, fitness):
         """On a doubling generation, double the coefficient of each run still
-        infeasible, and return `fitness` with those runs' rows re-penalized."""
-        if gen % self.config.penalty_double_every or self.feasible.all():
+        infeasible, and return `fitness` with those runs' rows re-penalized.
+        A coefficient stops at the largest finite float, where a feasible
+        row's fitness is still its value."""
+        if self.settled or gen % self.config.penalty_double_every:
             return fitness
         due = ~self.feasible
-        self.coeff = np.where(due, 2.0 * self.coeff, self.coeff)
+        self.coeff[due] = np.minimum(self.coeff[due], sys.float_info.max / 2.0) * 2.0
         self._rescore(due)
         return np.where(due[:, None],
-                        penalize(values, violations, valid, self.coeff[:, None]), fitness)
+                        _penalized(values, violations, valid, self.coeff[:, None]), fitness)
 
     def results(self, X: np.ndarray) -> list[RunResult]:
         """One result per run; the fallback x_best is the final row 0."""
         history = np.maximum.accumulate(self.history).T.copy()
-        history_feasible = np.array(self.history_feasible).T.copy()
+        history_feasible = self.history_feasible.T.copy()
         x_best = np.where(self.has_x[:, None], self.x, X[:, 0])
         wall_time = time.perf_counter() - self.start
         return [RunResult(algorithm=self.config.algorithm, seed=seed, x_best=x_best[k],
@@ -397,13 +412,13 @@ class _Runs:
                           best_violation=float(self.violation[k]),
                           feasible=bool(self.feasible[k]), history=history[k],
                           history_feasible=history_feasible[k],
-                          evaluations=self.evals, wall_time_s=wall_time)
+                          evaluations=self.NP * self.calls, wall_time_s=wall_time)
                 for k, seed in enumerate(self.seeds)]
 
 
 def _de_run(runs: _Runs, objective) -> list[RunResult]:
     """Differential evolution with greedy one-to-one selection, K runs in lockstep."""
-    K, NP, rows = runs.K, runs.NP, runs.rows
+    K, NP, d, rows = runs.K, runs.NP, runs.d, runs.rows
     F, Pc = runs.config.F, runs.config.Pc
 
     # The population's columns are updated in place, so they own their arrays.
@@ -411,32 +426,39 @@ def _de_run(runs: _Runs, objective) -> list[RunResult]:
         a.copy() for a in runs.initial_population(objective))
 
     n_aux = 2 if runs.config.algorithm == "de1" else 3
+    # Run k's draws of one generation, in one pass: its partners, then one
+    # array draw for R and the crossover uniforms, then the forced columns.
+    idx = np.empty((K, NP, n_aux), dtype=np.int64)
+    uniforms = np.empty((K, NP * (1 + d)))
+    R, crossover = uniforms[:, :NP, None], uniforms[:, NP:].reshape(K, NP, d)
+    forced = np.empty((K, NP), dtype=np.int64)
+    offsets = NP * rows[:, None, None]      # run k's members are rows k*NP... of X
     for gen in range(1, runs.iters + 1):
         fitness = runs.double_penalties(gen, values, violations, valid, fitness)
 
-        idx = np.empty((K, NP, n_aux), dtype=np.int64)
-        R = np.empty((K, NP, 1))
         for k, rng in enumerate(runs.rngs):
             idx[k] = _mutation_indices(rng, NP, n_aux)
-            R[k, :, 0] = rng.random(NP)
-        picks = X[rows[:, None, None], idx]          # (K, NP, n_aux, d)
-        if runs.config.algorithm == "de1":
+            rng.random(out=uniforms[k])
+            forced[k] = rng.integers(d, size=NP)
+        picks = np.take(X.reshape(-1, d), idx + offsets, axis=0)   # (K, NP, n_aux, d)
+        if n_aux == 2:
             x_best = X[rows, np.argmax(fitness, axis=1)][:, None, :]
             donors = de_mutate_rand_to_best(X, x_best, picks[:, :, 0],
                                             picks[:, :, 1], F, R)
         else:
             donors = de_mutate_current_to_rand(X, picks[:, :, 0], picks[:, :, 1],
                                                picks[:, :, 2], F, R)
-        crossed = np.stack([binomial_crossover(X[k], donors[k], Pc, runs.rngs[k])
-                            for k in range(K)])
-        trials = _reflect(crossed, runs.lower, runs.upper)
+        trials = _reflect(binomial_crossover(X, donors, Pc, crossover, forced),
+                          runs.lower, runs.span, runs.period)
 
         t_values, t_violations, t_valid, t_fitness = runs.evaluate(objective, trials)
         improve = t_fitness >= fitness
         np.copyto(X, trials, where=improve[:, :, None])
-        for column, trial in ((values, t_values), (violations, t_violations),
-                              (valid, t_valid), (fitness, t_fitness)):
-            np.copyto(column, trial, where=improve)
+        np.copyto(fitness, t_fitness, where=improve)
+        if not runs.settled:    # else no penalty doubles again to read them
+            for column, trial in ((values, t_values), (violations, t_violations),
+                                  (valid, t_valid)):
+                np.copyto(column, trial, where=improve)
 
     return runs.results(X)
 
@@ -473,9 +495,11 @@ def _pso_run(runs: _Runs, objective) -> list[RunResult]:
         values, violations, valid, fitness = runs.evaluate(objective, X)
         improve = fitness > pbest_fit
         np.copyto(pbest_X, X, where=improve[:, :, None])
-        for best, new in ((pbest_values, values), (pbest_violations, violations),
-                          (pbest_valid, valid), (pbest_fit, fitness)):
-            np.copyto(best, new, where=improve)
+        np.copyto(pbest_fit, fitness, where=improve)
+        if not runs.settled:    # else no penalty doubles again to read them
+            for best, new in ((pbest_values, values), (pbest_violations, violations),
+                              (pbest_valid, valid)):
+                np.copyto(best, new, where=improve)
 
     return runs.results(X)
 

@@ -20,13 +20,13 @@ import numpy as np
 
 from . import kernels as K
 from .kernels import PARAM_ORDER
-from .model import DECISION_NAMES, DecisionVector, DomainError
-# `run` is not called here; it stays importable from this module for
-# callers that wrap it by attribute.
+from .model import DECISION_NAMES, DecisionVector
+# `run` and `evaluate_policy` are not called here; they stay importable
+# from this module for callers that wrap them by attribute.
 from .optimize import (OptimizerConfig, default_search_space, run,  # noqa: F401
                        run_many)
 from .params import ModelParameters, ParameterError
-from .policy import evaluate_policy, make_batch_objective
+from .policy import POLICY_IDS, evaluate_policy, make_batch_objective  # noqa: F401
 
 #: Slope directions the sweeps are expected to exhibit (joint profit).
 EXPECTED_DECREASING = ("C_p", "C_r", "E_p", "E_t", "h_p", "C_Tax", "d1",
@@ -100,22 +100,19 @@ def _sweep_levels(spec: SweepSpec, params: ModelParameters) -> list:
     return levels
 
 
-def _sweep_row(spec: SweepSpec, level: float, level_params, result) -> SweepRow:
-    infeasible = SweepRow(level, False, None, math.nan, math.nan, math.nan)
-    if level_params is None:
-        return infeasible
-    if spec.reoptimize:
-        if not np.isfinite(result.best_value):
-            return infeasible
-        decisions = result.decisions
-    else:
-        decisions = spec.decisions
-    try:
-        outcome = evaluate_policy(level_params, decisions, spec.policy)
-    except (DomainError, ParameterError):
-        return infeasible
-    return SweepRow(level, True, decisions, outcome.phi_m, outcome.phi_r,
-                    outcome.value)
+def _evaluate_levels(policy: str, points: dict) -> dict:
+    """(decisions, Z_m, Z_r, phi_T) of each ``(level parameters, decisions)``
+    point by key, but for the rows the model refuses: one twin call, each
+    row under its level's parameters, so ``evaluate_policy``'s bit for bit."""
+    if not points:
+        return {}
+    vectors = np.array([lp.as_array() for lp, _ in points.values()])
+    X = np.array([d.as_array() for _, d in points.values()])
+    values, _, _, status, _, phi_m, phi_r = K.evaluate_terms(
+        POLICY_IDS[policy], X, K.slot_layout(vectors, len(X)))
+    rows = zip(points.items(), status == K.OK, phi_m.tolist(), phi_r.tolist(),
+               values.tolist())
+    return {key: (d, z_m, z_r, phi_t) for (key, (_, d)), ok, z_m, z_r, phi_t in rows if ok}
 
 
 def _run_sweeps(spec: SweepSpec, names, params: ModelParameters) -> list[list[SweepRow]]:
@@ -132,10 +129,17 @@ def _run_sweeps(spec: SweepSpec, names, params: ModelParameters) -> list[list[Sw
             make_batch_objective([lp for _, _, lp in pending], spec.policy))
         results = {(i, j): result for (i, j, _), result in zip(pending, found)}
 
+    # Each level is evaluated at its re-optimized incumbent (none where the
+    # model rejected every candidate) or at the fixed decisions.
+    points = {(i, j): (lp, results[(i, j)].decisions if spec.reoptimize else spec.decisions)
+              for i, j, lp in pending
+              if not spec.reoptimize or np.isfinite(results[(i, j)].best_value)}
+    evaluated = _evaluate_levels(spec.policy, points)
     sweeps = []
     for i, plan in enumerate(plans):
-        rows = [_sweep_row(spec, level, level_params, results.get((i, j)))
-                for j, (level, level_params) in enumerate(plan)]
+        rows = [SweepRow(level, True, *evaluated[(i, j)]) if (i, j) in evaluated
+                else SweepRow(level, False, None, math.nan, math.nan, math.nan)
+                for j, (level, _) in enumerate(plan)]
         baseline = next(r for r in rows if r.level == 0.0)
         for row in rows:
             if row.feasible and baseline.feasible and baseline.phi_T != 0.0:

@@ -12,19 +12,26 @@ the package's only model code, is checked against through
 `evaluate_policy_batch`, its row-by-row loop; `surface_csv_reference`,
 the `csv.writer` loop the surface writer must match byte for byte;
 `mutation_indices_reference`, the draw-by-draw loop whose stream DE's bulk
-draw must replay; and `anfis_training_reference`, the rule-by-rule
-training loop that ANFIS training on the corner array must match bit for
-bit."""
+draw must replay; `run_many_reference`, the optimizers' generation loops
+before their draws were taken in one pass per generator, whose results
+``run_many`` must match bit for bit; and `anfis_training_reference`, the
+rule-by-rule training loop that ANFIS training on the corner array must
+match bit for bit."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
+import numbers
+import time
 
 import numpy as np
 
 from greenchain import kernels as K
+from greenchain.optimize import (OptimizerConfig, RunResult, _is_number,
+                                 de_mutate_current_to_rand, de_mutate_rand_to_best,
+                                 pso_update)
 
 
 def rk4_path(rhs, t0: float, y0, t1: float, n_steps: int):
@@ -664,3 +671,257 @@ def anfis_training_reference(lo, hi, x, y, epochs=100, learning_rate=0.01,
             p, q = fitted
             history.append(new_rmse)
     return history, np.array([[mf.a, mf.b, mf.c, mf.d] for mf in mfs]), p, q
+
+
+# The optimizers' generation loops as they were before their draws were
+# taken in one pass per generator: per-run crossover drawing from the
+# generator, the reflection computing its spans on every call, list
+# histories and a coefficient checked on every penalty.  Apart from the
+# partner draws, which come from `mutation_indices_reference` (the stream
+# the bulk replay also gave), the code below is that version verbatim;
+# `run_many_reference` must give `optimize.run_many`'s RunResults bit for
+# bit.
+
+
+def binomial_crossover(target, donor, Pc: float, rng: np.random.Generator):
+    """Row-wise binomial crossover of (n, d) populations.
+
+    Each row takes every donor component with probability Pc plus one forced
+    component j_rand.  Draw order: all n*d uniforms first, then one j_rand
+    per row.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    donor = np.asarray(donor, dtype=np.float64)
+    n, d = target.shape
+    mask = rng.random((n, d)) < Pc
+    mask[np.arange(n), rng.integers(d, size=n)] = True
+    return np.where(mask, donor, target)
+
+
+def _reflect(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Fold out-of-box coordinates back inside (triangle-wave reflection)."""
+    span = upper - lower
+    y = np.mod(X - lower, 2.0 * span)
+    y = np.where(y > span, 2.0 * span - y, y)
+    return lower + y
+
+
+def penalize(values, violations, valid, coeff):
+    """Quadratic exterior penalty ``value - coeff * violation**2``.
+
+    Equals the value on feasible points; rows marked invalid get -inf.
+    `coeff` may be an array broadcasting against the values (one per run).
+    """
+    if not (np.asarray(coeff) > 0).all():
+        raise ValueError("penalty coefficient must be positive")
+    with np.errstate(invalid="ignore"):
+        return np.where(valid, values - coeff * violations ** 2, -math.inf)
+
+
+class _Runs:
+    """State of K lockstep runs: bounds, generators, penalties, incumbents.
+
+    Populations and bounds are (K, NP, d) arrays; every per-run quantity
+    is a (K, ...) array that broadcasts against them, so each run sees
+    exactly the elementwise arithmetic it would see alone.  The
+    incumbent of run k is ``x[k]``, with its raw ``value``, ``violation``,
+    ``feasible`` flag and penalized fitness ``fit`` under ``coeff[k]``.
+    """
+
+    def __init__(self, spaces, config: OptimizerConfig, seeds):
+        config.validate()
+        spaces, seeds = list(spaces), list(seeds)
+        if not spaces or len(seeds) != len(spaces):
+            raise ValueError("need one seed per search space and at least one run")
+        # default_rng(None) would seed from the wall clock.
+        if not all(_is_number(seed, numbers.Integral) for seed in seeds):
+            raise ValueError("every run needs an integer seed")
+        if any(s.dim != spaces[0].dim for s in spaces):
+            raise ValueError("runs in one lockstep call must share the dimension")
+        self.config, self.seeds = config, seeds
+        self.K, self.NP, self.d = len(seeds), config.pop_size, spaces[0].dim
+        self.iters = config.resolved_iters()
+        # Bounds repeated per member: against a (K, 1, d) box NumPy loops
+        # over rows of d = 5, which makes the clip and the reflection slow.
+        self.lower = np.repeat(np.stack([s.lower for s in spaces])[:, None, :],
+                               self.NP, axis=1)
+        self.upper = np.repeat(np.stack([s.upper for s in spaces])[:, None, :],
+                               self.NP, axis=1)
+        self.rngs = [np.random.default_rng(seed) for seed in self.seeds]
+        self.coeff = np.full(self.K, config.penalty_coefficient, dtype=np.float64)
+        self.rows = np.arange(self.K)
+        self.x = np.zeros((self.K, self.d))
+        self.has_x = np.zeros(self.K, dtype=bool)
+        self.value = np.full(self.K, -math.inf)
+        self.violation = np.full(self.K, math.inf)
+        self.feasible = np.zeros(self.K, dtype=bool)
+        self.fit = np.full(self.K, -math.inf)
+        self.history, self.history_feasible = [], []   # one (K,) entry per call
+        self.evals = 0
+        self.start = time.perf_counter()
+
+    def initial_population(self, objective):
+        """Uniform draws in each box, evaluated: X and `evaluate`'s arrays."""
+        draws = np.stack([rng.random((self.NP, self.d)) for rng in self.rngs])
+        X = self.lower + draws * (self.upper - self.lower)
+        return (X, *self.evaluate(objective, X))
+
+    def evaluate(self, objective, X: np.ndarray):
+        """One objective call on the stacked (K*NP, d) rows, penalized under
+        each run's coefficient and offered to its incumbent.  Returns values,
+        violations, validity and fitness, each (K, NP)."""
+        shape = (self.K, self.NP)
+        values, violations, valid = (a.reshape(shape)
+                                     for a in objective(X.reshape(-1, self.d)))
+        self.evals += self.NP
+        fitness = penalize(values, violations, valid, self.coeff[:, None])
+        self._offer(X, values, violations, valid, fitness)
+        self.history.append(self.fit.copy())
+        self.history_feasible.append(self.feasible.copy())
+        return values, violations, valid, fitness
+
+    def _offer(self, X, values, violations, valid, fitness) -> None:
+        """Apply the incumbent rule to one generation of every run."""
+        rows = self.rows
+        best = np.where(valid & (violations <= 0.0), values, -math.inf)
+        top = best.argmax(axis=1)
+        settled = self.feasible.all()
+        # The value a feasible candidate must beat: -inf while infeasible.
+        found = best[rows, top] > (self.value if settled else
+                                   np.where(self.feasible, self.value, -math.inf))
+        if settled:
+            # Only a better feasible candidate can replace a feasible
+            # incumbent, and every feasible incumbent's violation is 0.
+            if not found.any():
+                return
+            changed, pick = found, top
+        else:
+            j = fitness.argmax(axis=1)
+            fitter = ~(self.feasible | found) & (fitness[rows, j] > self.fit)
+            changed = found | fitter
+            # A candidate fitter than the incumbent has fitness > -inf: it is valid.
+            pick = np.where(found, top, j)
+            self.violation = np.where(found, 0.0, np.where(fitter, violations[rows, pick],
+                                                           self.violation))
+        np.copyto(self.x, X[rows, pick], where=changed[:, None])
+        self.value = np.where(changed, values[rows, pick], self.value)
+        self.feasible |= found
+        self.has_x |= changed
+        self._rescore(changed)
+
+    def _rescore(self, runs: np.ndarray) -> None:
+        """Incumbent fitness of the masked runs; -inf without a finite value."""
+        value = self.value[runs]
+        self.fit[runs] = penalize(value, self.violation[runs], np.isfinite(value),
+                                  self.coeff[runs])
+
+    def double_penalties(self, gen: int, values, violations, valid, fitness):
+        """On a doubling generation, double the coefficient of each run still
+        infeasible, and return `fitness` with those runs' rows re-penalized."""
+        if gen % self.config.penalty_double_every or self.feasible.all():
+            return fitness
+        due = ~self.feasible
+        self.coeff = np.where(due, 2.0 * self.coeff, self.coeff)
+        self._rescore(due)
+        return np.where(due[:, None],
+                        penalize(values, violations, valid, self.coeff[:, None]), fitness)
+
+    def results(self, X: np.ndarray) -> list[RunResult]:
+        """One result per run; the fallback x_best is the final row 0."""
+        history = np.maximum.accumulate(self.history).T.copy()
+        history_feasible = np.array(self.history_feasible).T.copy()
+        x_best = np.where(self.has_x[:, None], self.x, X[:, 0])
+        wall_time = time.perf_counter() - self.start
+        return [RunResult(algorithm=self.config.algorithm, seed=seed, x_best=x_best[k],
+                          best_value=float(self.value[k]), best_fitness=float(self.fit[k]),
+                          best_violation=float(self.violation[k]),
+                          feasible=bool(self.feasible[k]), history=history[k],
+                          history_feasible=history_feasible[k],
+                          evaluations=self.evals, wall_time_s=wall_time)
+                for k, seed in enumerate(self.seeds)]
+
+
+def _de_run(runs: _Runs, objective) -> list[RunResult]:
+    """Differential evolution with greedy one-to-one selection, K runs in lockstep."""
+    K, NP, rows = runs.K, runs.NP, runs.rows
+    F, Pc = runs.config.F, runs.config.Pc
+
+    # The population's columns are updated in place, so they own their arrays.
+    X, values, violations, valid, fitness = (
+        a.copy() for a in runs.initial_population(objective))
+
+    n_aux = 2 if runs.config.algorithm == "de1" else 3
+    for gen in range(1, runs.iters + 1):
+        fitness = runs.double_penalties(gen, values, violations, valid, fitness)
+
+        idx = np.empty((K, NP, n_aux), dtype=np.int64)
+        R = np.empty((K, NP, 1))
+        for k, rng in enumerate(runs.rngs):
+            idx[k] = mutation_indices_reference(rng, NP, n_aux)
+            R[k, :, 0] = rng.random(NP)
+        picks = X[rows[:, None, None], idx]          # (K, NP, n_aux, d)
+        if runs.config.algorithm == "de1":
+            x_best = X[rows, np.argmax(fitness, axis=1)][:, None, :]
+            donors = de_mutate_rand_to_best(X, x_best, picks[:, :, 0],
+                                            picks[:, :, 1], F, R)
+        else:
+            donors = de_mutate_current_to_rand(X, picks[:, :, 0], picks[:, :, 1],
+                                               picks[:, :, 2], F, R)
+        crossed = np.stack([binomial_crossover(X[k], donors[k], Pc, runs.rngs[k])
+                            for k in range(K)])
+        trials = _reflect(crossed, runs.lower, runs.upper)
+
+        t_values, t_violations, t_valid, t_fitness = runs.evaluate(objective, trials)
+        improve = t_fitness >= fitness
+        np.copyto(X, trials, where=improve[:, :, None])
+        for column, trial in ((values, t_values), (violations, t_violations),
+                              (valid, t_valid), (fitness, t_fitness)):
+            np.copyto(column, trial, where=improve)
+
+    return runs.results(X)
+
+
+def _pso_run(runs: _Runs, objective) -> list[RunResult]:
+    """Particle swarm with clamp-to-bound and velocity zeroing, K runs in lockstep."""
+    K, NP, d, rows = runs.K, runs.NP, runs.d, runs.rows
+    w, c1, c2 = runs.config.m0, runs.config.c1, runs.config.c2
+
+    X, values, violations, valid, fitness = runs.initial_population(objective)
+    V = np.zeros((K, NP, d))
+    r = np.empty((K, 2, NP, d))
+    # r1 then r2 per run: one (2, NP, d) draw is the same stream.
+    draws = [(rng.random, r[k]) for k, rng in enumerate(runs.rngs)]
+
+    # The personal bests are updated in place, so they own their arrays.
+    pbest_X, pbest_values, pbest_violations, pbest_valid, pbest_fit = (
+        a.copy() for a in (X, values, violations, valid, fitness))
+
+    for gen in range(1, runs.iters + 1):
+        pbest_fit = runs.double_penalties(gen, pbest_values, pbest_violations,
+                                          pbest_valid, pbest_fit)
+
+        gbest = pbest_X[rows, pbest_fit.argmax(axis=1)][:, None, :]
+        for draw, out in draws:
+            draw(out=out)
+        X_new, V = pso_update(X, V, pbest_X, gbest, w, c1, c2, r[:, 0], r[:, 1])
+        X = np.clip(X_new, runs.lower, runs.upper)
+        # A clipped coordinate stops.  `!=` also stops a NaN coordinate,
+        # which the bound tests would not; its next velocity and position
+        # are NaN from the position alone, so nothing downstream differs.
+        np.copyto(V, 0.0, where=X != X_new)
+
+        values, violations, valid, fitness = runs.evaluate(objective, X)
+        improve = fitness > pbest_fit
+        np.copyto(pbest_X, X, where=improve[:, :, None])
+        for best, new in ((pbest_values, values), (pbest_violations, violations),
+                          (pbest_valid, valid), (pbest_fit, fitness)):
+            np.copyto(best, new, where=improve)
+
+    return runs.results(X)
+
+
+def run_many_reference(spaces, config: OptimizerConfig, seeds, objective
+                       ) -> list[RunResult]:
+    """``optimize.run_many`` by the loops above."""
+    runs = _Runs(spaces, config, seeds)
+    return (_pso_run if config.algorithm == "pso" else _de_run)(runs, objective)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from greenchain.optimize import (ALGORITHMS, OptimizerConfig, RunResult,
                                  de_mutate_rand_to_best, default_search_space,
                                  multi_seed_run, multi_seed_stats, pso_update,
                                  run, run_many)
-from greenchain.optimize import _mutation_indices
+from greenchain.optimize import _mutation_indices, _reflect
 from greenchain.policy import POLICY_IDS
-from oracles import incumbent_reference, mutation_indices_reference
+import oracles
+from oracles import (incumbent_reference, mutation_indices_reference,
+                     run_many_reference)
 
 
 def sphere_objective(X):
@@ -87,10 +90,10 @@ def test_mutation_indices_replay_the_scalar_stream(seed, NP, n_aux, calls):
 
 def test_mutation_indices_top_up_keeps_the_stream():
     # NP = 5 with three partners rejects often: this seed needs 32 draws,
-    # past the 20 drawn ahead and three top-ups of 5.
+    # more than twice the 15 the loop draws first, so it tops up repeatedly.
     counting = _CountingRng(np.random.default_rng(8))
     expected = mutation_indices_reference(counting, 5, 3)
-    assert counting.calls > 5 * (3 + 1) + 2 * 5
+    assert counting.calls > 2 * 5 * 3
     rng = np.random.default_rng(8)
     np.testing.assert_array_equal(_mutation_indices(rng, 5, 3), expected)
     assert rng.bit_generator.state == counting.rng.bit_generator.state
@@ -101,26 +104,57 @@ def test_mutation_indices_top_up_keeps_the_stream():
     assert bulk.bit_generator.state == scalar.bit_generator.state
 
 
+def crossover_draws(seed, shape):
+    """The crossover's draws for (..., n, d) populations, taken from one
+    generator as DE takes them: every uniform, then one forced column
+    per row."""
+    rng = np.random.default_rng(seed)
+    return rng.random(shape), rng.integers(shape[-1], size=shape[:-1])
+
+
 class TestCrossover:
     def test_full_crossover_copies_donor(self):
-        rng = np.random.default_rng(0)
         target, donor = np.zeros((3, 5)), np.arange(15.0).reshape(3, 5)
         np.testing.assert_array_equal(
-            binomial_crossover(target, donor, 1.0, rng), donor)
+            binomial_crossover(target, donor, 1.0, *crossover_draws(0, (3, 5))), donor)
 
     def test_zero_rate_forces_exactly_one_component(self):
-        rng = np.random.default_rng(0)
         target, donor = np.zeros((50, 6)), np.ones((50, 6))
-        trial = binomial_crossover(target, donor, 0.0, rng)
-        np.testing.assert_array_equal(trial.sum(axis=1), 1.0)
+        uniforms, forced = crossover_draws(0, (50, 6))
+        trial = binomial_crossover(target, donor, 0.0, uniforms, forced)
+        np.testing.assert_array_equal(trial, np.eye(6)[forced])
 
     def test_empirical_donor_rate(self):
-        rng = np.random.default_rng(42)
         d, n, Pc = 5, 20_000, 0.8
         target, donor = np.zeros((n, d)), np.ones((n, d))
-        taken = binomial_crossover(target, donor, Pc, rng).sum()
+        taken = binomial_crossover(target, donor, Pc, *crossover_draws(42, (n, d))).sum()
         rate = taken / (n * d)
         assert rate == pytest.approx(Pc + (1 - Pc) / d, abs=0.01)
+
+    def test_matches_the_generator_drawing_crossover(self):
+        # Draws taken ahead give the trial the generator-drawing crossover
+        # gives, and one call over stacked runs crosses each run alone.
+        rng = np.random.default_rng(3)
+        target, donor = rng.normal(size=(2, 3, 12, 5))
+        uniforms, forced = crossover_draws(8, (3, 12, 5))
+        stacked = binomial_crossover(target, donor, 0.6, uniforms, forced)
+        for k in range(3):
+            alone = binomial_crossover(target[k], donor[k], 0.6, uniforms[k], forced[k])
+            assert stacked[k].tobytes() == alone.tobytes()
+        one_run = np.random.default_rng(8)
+        reference = oracles.binomial_crossover(target[0], donor[0], 0.6, one_run)
+        assert binomial_crossover(target[0], donor[0], 0.6, *crossover_draws(
+            8, (12, 5))).tobytes() == reference.tobytes()
+
+
+def test_reflection_matches_the_per_call_spans():
+    rng = np.random.default_rng(5)
+    lower, upper = np.array([0.0, -1.0, 2.0]), np.array([1.0, 3.0, 2.5])
+    X = rng.uniform(-20.0, 20.0, (40, 3))
+    span = upper - lower
+    folded = _reflect(X, lower, span, 2.0 * span)
+    assert folded.tobytes() == oracles._reflect(X, lower, upper).tobytes()
+    assert np.all((folded >= lower) & (folded <= upper))
 
 
 class TestPsoUpdate:
@@ -477,6 +511,101 @@ def test_lockstep_results_do_not_depend_on_the_split(hypothesis_seed):
     check = given(case=lockstep_case())(_check_lockstep_invariance)
     seed(hypothesis_seed)(settings(max_examples=25, deadline=None,
                                    database=None)(check))()
+
+
+def scripted_objective(seed):
+    """A fresh objective over any box: values from the rows, rounded so
+    that ties are common, and validity and violations (feasible slack or
+    0, or positive) from a stream seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+
+    def objective(X):
+        n = len(X)
+        valid = rng.random(n) < 0.8
+        violations = np.where(rng.random(n) < 0.3, rng.choice([-0.5, 0.0], n),
+                              rng.choice([0.25, 1.0, 2.0], n))
+        values = np.round(-np.sum(X ** 2, axis=1), 1)
+        return (np.where(valid, values, np.nan), np.where(valid, violations, np.nan),
+                valid)
+
+    return objective
+
+
+@st.composite
+def reference_case(draw):
+    """One run_many call: the algorithm, K = 1-3 runs, 5-12 members, 0-15
+    generations, the penalty schedule, the run seeds, and either the
+    model's objective (sets that may start infeasible under `limited`) or
+    a scripted one on per-run boxes.  Returns (config, spaces, seeds,
+    make_objective)."""
+    K = draw(st.integers(1, 3))
+    config = OptimizerConfig(
+        algorithm=draw(st.sampled_from(ALGORITHMS)), pop_size=draw(st.integers(5, 12)),
+        max_iter=draw(st.integers(0, 15)),
+        penalty_coefficient=draw(st.sampled_from([1e-3, 1.0, 1e6])),
+        penalty_double_every=draw(st.integers(1, 5)))
+    seeds = draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=K, max_size=K))
+    if draw(st.booleans()):
+        base = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
+        sets = [base.replace(U2=draw(st.sampled_from([0.0, base.U2])),
+                             l3=draw(st.sampled_from([1.5, base.l3])))
+                for _ in range(K)]
+        policy = draw(st.sampled_from(sorted(POLICY_IDS)))
+        return (config, [default_search_space(p) for p in sets], seeds,
+                lambda: make_batch_objective(sets, policy))
+    widths = draw(st.lists(st.sampled_from([0.5, 1.0, 4.0]), min_size=K, max_size=K))
+    script = draw(st.integers(0, 2 ** 32 - 1))
+    return (config, [SearchSpace(-w * np.ones(3), w * np.ones(3)) for w in widths],
+            seeds, lambda: scripted_objective(script))
+
+
+def _check_reference_loops(case):
+    config, spaces, seeds, make_objective = case
+    found = run_many(spaces, config, seeds, make_objective())
+    expected = run_many_reference(spaces, config, seeds, make_objective())
+    for result, reference in zip(found, expected, strict=True):
+        for name in RUN_FIELDS + ("seed", "algorithm"):
+            assert (np.asarray(getattr(result, name)).tobytes()
+                    == np.asarray(getattr(reference, name)).tobytes()), name
+
+
+#: Hypothesis seeds of the reference-loop property, one test case each.
+REFERENCE_PROPERTY_SEEDS = range(3)
+
+
+@pytest.mark.parametrize("hypothesis_seed", REFERENCE_PROPERTY_SEEDS)
+def test_run_many_gives_the_reference_loops_results(hypothesis_seed):
+    """One draw pass per generator, one crossover and reflection over the
+    stacked runs and preallocated bookkeeping change no number: every
+    RunResult field but the wall time equals the reference loops' bit for
+    bit."""
+    check = given(case=reference_case())(_check_reference_loops)
+    seed(hypothesis_seed)(settings(max_examples=40, deadline=None,
+                                   database=None)(check))()
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_penalty_coefficient_stops_at_the_largest_float(algo):
+    # Doubled every generation from 1e6, the coefficient would pass the
+    # largest float after about 1,003 doublings; the rows turn feasible
+    # at call 1,011.
+    calls = []
+
+    def late_feasible(X):
+        calls.append(len(X))
+        n = len(X)
+        return (-np.sum(X ** 2, axis=1), np.full(n, 0.0 if len(calls) > 1010 else 1.0),
+                np.ones(n, dtype=bool))
+
+    config = OptimizerConfig(algorithm=algo, seed=1, pop_size=5, max_iter=1100,
+                             penalty_double_every=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(SearchSpace(-np.ones(2), np.ones(2)), config, late_feasible)
+    assert result.feasible and not result.history_feasible[1009]
+    assert result.best_fitness == result.best_value
+    assert np.isfinite(result.history).all()
+    assert np.all(np.diff(result.history) >= 0.0)
 
 
 @st.composite

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenchain import DecisionVector, ModelParameters
+from greenchain import DecisionVector, DomainError, ModelParameters
 from greenchain.optimize import (OptimizerConfig, default_search_space, run,
                                  run_many)
+from greenchain.params import ParameterError
 from greenchain.policy import evaluate_policy, make_batch_objective
 from greenchain.sensitivity import (DEFAULT_CALIBRATION_TARGET,
                                     STATIONARITY_WEIGHT, CalibrationTarget,
@@ -83,6 +84,35 @@ class TestSweep:
         by_level = {r.level: r.pct_change for r in rows}
         assert by_level[40.0] == pytest.approx(2 * by_level[20.0], rel=1e-2)
         assert by_level[-40.0] == pytest.approx(-by_level[40.0], rel=1e-2)
+
+
+@pytest.mark.parametrize("policy", ["tax", "cap_trade", "limited"])
+def test_sweep_rows_are_evaluate_policy_rows(params, policy):
+    """Every row of a batch of sweeps is evaluate_policy's at its level,
+    bit for bit.  At W_r = 280 the model refuses `a` below its base
+    (demand a - b W_r < 0), and f_d = 0.8 * 1.4 does not build."""
+    p = params.replace(f_d=0.8)
+    dec = DecisionVector(T0=0.6, xi1=50.0, xi2=50.0, G=2.0, W_r=280.0)
+    names = ["a", "f_d", "C_p", "kappa1", "omega"]
+    fixed = SweepSpec(parameter="a", policy=policy, reoptimize=False, decisions=dec)
+    reoptimized = SweepSpec(parameter="a", policy=policy,
+                            optimizer=dataclasses.replace(QUICK_PSO, max_iter=10))
+    for spec in (fixed, reoptimized):
+        for name, rows in zip(names, _run_sweeps(spec, names, p)):
+            for row in rows:
+                try:
+                    level = p.replace(**{name: getattr(p, name) * (1.0 + row.level / 100.0)})
+                    outcome = evaluate_policy(level, row.decisions or dec, policy)
+                except (DomainError, ParameterError):
+                    assert not row.feasible and row.decisions is None
+                    assert math.isnan(row.phi_T)
+                    continue
+                assert row.feasible, (name, row.level)
+                assert [row.Z_m.hex(), row.Z_r.hex(), row.phi_T.hex()] == [
+                    outcome.phi_m.hex(), outcome.phi_r.hex(), outcome.value.hex()]
+    rows = dict(zip(names, _run_sweeps(fixed, names, p)))
+    assert [r.feasible for r in rows["a"]] == [False, False, True, True, True]
+    assert [r.feasible for r in rows["f_d"]] == [True, True, True, True, False]
 
 
 class TestCalibration:
