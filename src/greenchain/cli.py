@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -315,11 +316,9 @@ def cmd_sensitivity(args, config) -> int:
         raise UsageError("sensitivity reoptimize must be true or false, "
                          f"got {reoptimize!r}")
     reoptimize = reoptimize and not args.no_reoptimize
-    decisions = None
-    if not reoptimize:
-        decisions = _decisions(config, section)
+    decisions = None if reoptimize else _decisions(config, section)
     spec = SweepSpec(parameter=parameter, levels=tuple(levels), policy=policy,
-                     optimizer=cfg, reoptimize=reoptimize, decisions=decisions)
+                     optimizer=cfg, decisions=decisions)
     with refusing_overflow():
         rows = run_sweep(spec, params)
     for row in rows:
@@ -477,7 +476,10 @@ def cmd_calibrate(args, config) -> int:
     return EXIT_OK if result.ok else EXIT_CALIBRATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and reused: each `parse_args`
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="greenchain",
         description="Green supply chain profit model: evaluation, "

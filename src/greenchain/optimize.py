@@ -2,10 +2,10 @@
 
 Both optimizers maximize a batch objective ``f(X) -> (values, violations,
 valid)`` over a box, with constraint handling by a quadratic exterior
-penalty: ``fitness = value - c * violation**2``.  The coefficient doubles
-every `penalty_double_every` generations while the incumbent best is still
-infeasible.  Candidates the model rejects outright get fitness -inf and
-never abort a run.
+penalty: ``fitness = value - c * max(violation, 0)**2``.  The coefficient
+doubles every `penalty_double_every` generations while the incumbent best
+is still infeasible.  Candidates the model rejects outright get fitness
+-inf and never abort a run.
 
 Incumbent rule (Deb's feasibility rule): a valid candidate with violation
 <= 0 is feasible and beats every infeasible point; among feasible points
@@ -15,22 +15,16 @@ history is the running maximum of the incumbent fitness.
 
 Lockstep: ``run_many(spaces, config, seeds, objective)`` advances K runs
 of one optimizer config together and makes one objective call per
-generation on their stacked (K*NP, d) populations; ``run`` is ``run_many``
-with one entry, seeded with ``config.seed``.  Each run keeps its own
-generator, search box, parameter set, penalty coefficient, incumbent and
-history, the per-run state held in (K, ...) arrays.
+generation on their stacked (K*NP, d) populations; ``multi_seed_run``
+seeds them ``config.seed, config.seed+1, ...`` and ``run`` is its first.
 
-Determinism: run k has its own PCG64 generator seeded from ``seeds[k]``
-(``config.seed`` seeds no run of ``run_many``); draws happen in a fixed
-order per generation (DE: mutation indices row by row by rejection, then
-the per-individual blend factor R, then the crossover uniforms, then one
-forced column per row; PSO: the two acceleration factors, per particle
-and dimension).  That order is unchanged, and each generator now takes a
-generation's draws in one pass into buffers allocated once per call;
-crossover, reflection and selection then act on all K runs at once.
-Fitness evaluation is vectorised, so results do not depend on evaluation
-scheduling or on which runs share a lockstep call.  Multi-seed helpers
-use seeds ``seed, seed+1, ...``.
+Determinism: run k has its own PCG64 generator seeded from ``seeds[k]``.
+Each generation it takes its draws in one pass, in a fixed order (DE:
+mutation indices row by row by rejection, then the per-individual blend
+factor R, then the crossover uniforms, then one forced column per row;
+PSO: the two acceleration factors, per particle and dimension).  The rest
+is elementwise per run (`_Runs`), so a run's result does not depend on
+which runs share its call.
 """
 
 from __future__ import annotations
@@ -236,21 +230,16 @@ def _reflect(X: np.ndarray, lower: np.ndarray, span: np.ndarray,
 
 
 def penalize(values, violations, valid, coeff):
-    """Quadratic exterior penalty ``value - coeff * violation**2``.
+    """Quadratic exterior penalty ``value - coeff * max(violation, 0)**2``.
 
-    Equals the value on feasible points; rows marked invalid get -inf.
-    `coeff` may be an array broadcasting against the values (one per run).
-    A penalty too large for a float gives -inf, which keeps the order.
+    Equals the value on feasible points, slack included; invalid rows get
+    -inf.  `coeff` is positive: a scalar, or one per run broadcasting
+    against the values.  A penalty too large for a float gives -inf,
+    which keeps the order.
     """
-    if not (np.asarray(coeff) > 0).all():
-        raise ValueError("penalty coefficient must be positive")
-    return _penalized(values, violations, valid, coeff)
-
-
-def _penalized(values, violations, valid, coeff):
-    """`penalize` for a coefficient already known to be positive."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(valid, values - coeff * violations ** 2, -math.inf)
+        return np.where(valid, values - coeff * np.maximum(violations, 0.0) ** 2,
+                        -math.inf)
 
 
 def _mutation_indices(rng: np.random.Generator, NP: int, n_aux: int) -> np.ndarray:
@@ -286,7 +275,8 @@ def _mutation_indices(rng: np.random.Generator, NP: int, n_aux: int) -> np.ndarr
 
 
 class _Runs:
-    """State of K lockstep runs: bounds, generators, penalties, incumbents.
+    """State of K lockstep runs: bounds, generators, penalties, incumbents
+    and the remembered population.
 
     Populations and bounds are (K, NP, d) arrays; every per-run quantity
     is a (K, ...) array that broadcasts against them, so each run sees
@@ -295,6 +285,8 @@ class _Runs:
     ``feasible`` flag and penalized fitness ``fit`` under ``coeff[k]``.
     Once every incumbent is feasible the runs are ``settled``: no coefficient
     doubles again, and only a better feasible candidate replaces one.
+    The remembered population (DE's population, PSO's personal bests) is
+    ``kept_X`` and its (K, NP) ``kept_*`` arrays from `evaluate`.
     """
 
     def __init__(self, spaces, config: OptimizerConfig, seeds):
@@ -335,11 +327,14 @@ class _Runs:
         self.calls = 0
         self.start = time.perf_counter()
 
-    def initial_population(self, objective):
-        """Uniform draws in each box, evaluated: X and `evaluate`'s arrays."""
+    def initial_population(self, objective) -> np.ndarray:
+        """Uniform draws in each box, evaluated and remembered; returns them."""
         draws = np.stack([rng.random((self.NP, self.d)) for rng in self.rngs])
         X = self.lower + draws * self.span
-        return (X, *self.evaluate(objective, X))
+        # The memory is written in place, so it owns its arrays.
+        (self.kept_X, self.kept_values, self.kept_violations, self.kept_valid,
+         self.kept_fit) = (a.copy() for a in (X, *self.evaluate(objective, X)))
+        return X
 
     def evaluate(self, objective, X: np.ndarray):
         """One objective call on the stacked (K*NP, d) rows, penalized under
@@ -348,7 +343,7 @@ class _Runs:
         shape = (self.K, self.NP)
         values, violations, valid = (a.reshape(shape)
                                      for a in objective(X.reshape(-1, self.d)))
-        fitness = _penalized(values, violations, valid, self.coeff[:, None])
+        fitness = penalize(values, violations, valid, self.coeff[:, None])
         self._offer(X, values, violations, valid, fitness)
         self.history[self.calls] = self.fit
         self.history_feasible[self.calls] = self.feasible
@@ -385,21 +380,32 @@ class _Runs:
 
     def _rescore(self, runs: np.ndarray) -> None:
         """Incumbent fitness of the masked runs; -inf without a finite value."""
-        np.copyto(self.fit, _penalized(self.value, self.violation, np.isfinite(self.value),
-                                       self.coeff), where=runs)
+        np.copyto(self.fit, penalize(self.value, self.violation, np.isfinite(self.value),
+                                     self.coeff), where=runs)
 
-    def double_penalties(self, gen: int, values, violations, valid, fitness):
+    def keep(self, X: np.ndarray, scored, improve: np.ndarray) -> None:
+        """Write the rows of X that `improve` marks, (K, NP), and their
+        `evaluate` arrays `scored` over the remembered population."""
+        np.copyto(self.kept_X, X, where=improve[:, :, None])
+        np.copyto(self.kept_fit, scored[3], where=improve)
+        if not self.settled:    # else no doubling reads them
+            for kept, new in zip((self.kept_values, self.kept_violations,
+                                  self.kept_valid), scored):
+                np.copyto(kept, new, where=improve)
+
+    def double_penalties(self, gen: int) -> None:
         """On a doubling generation, double the coefficient of each run still
-        infeasible, and return `fitness` with those runs' rows re-penalized.
+        infeasible and re-penalize its incumbent and remembered population.
         A coefficient stops at the largest finite float, where a feasible
         row's fitness is still its value."""
         if self.settled or gen % self.config.penalty_double_every:
-            return fitness
+            return
         due = ~self.feasible
         self.coeff[due] = np.minimum(self.coeff[due], sys.float_info.max / 2.0) * 2.0
         self._rescore(due)
-        return np.where(due[:, None],
-                        _penalized(values, violations, valid, self.coeff[:, None]), fitness)
+        np.copyto(self.kept_fit, penalize(self.kept_values, self.kept_violations,
+                                          self.kept_valid, self.coeff[:, None]),
+                  where=due[:, None])
 
     def results(self, X: np.ndarray) -> list[RunResult]:
         """One result per run; the fallback x_best is the final row 0."""
@@ -421,9 +427,8 @@ def _de_run(runs: _Runs, objective) -> list[RunResult]:
     K, NP, d, rows = runs.K, runs.NP, runs.d, runs.rows
     F, Pc = runs.config.F, runs.config.Pc
 
-    # The population's columns are updated in place, so they own their arrays.
-    X, values, violations, valid, fitness = (
-        a.copy() for a in runs.initial_population(objective))
+    runs.initial_population(objective)
+    X, fitness = runs.kept_X, runs.kept_fit     # the population, kept in place
 
     n_aux = 2 if runs.config.algorithm == "de1" else 3
     # Run k's draws of one generation, in one pass: its partners, then one
@@ -434,7 +439,7 @@ def _de_run(runs: _Runs, objective) -> list[RunResult]:
     forced = np.empty((K, NP), dtype=np.int64)
     offsets = NP * rows[:, None, None]      # run k's members are rows k*NP... of X
     for gen in range(1, runs.iters + 1):
-        fitness = runs.double_penalties(gen, values, violations, valid, fitness)
+        runs.double_penalties(gen)
 
         for k, rng in enumerate(runs.rngs):
             idx[k] = _mutation_indices(rng, NP, n_aux)
@@ -451,14 +456,8 @@ def _de_run(runs: _Runs, objective) -> list[RunResult]:
         trials = _reflect(binomial_crossover(X, donors, Pc, crossover, forced),
                           runs.lower, runs.span, runs.period)
 
-        t_values, t_violations, t_valid, t_fitness = runs.evaluate(objective, trials)
-        improve = t_fitness >= fitness
-        np.copyto(X, trials, where=improve[:, :, None])
-        np.copyto(fitness, t_fitness, where=improve)
-        if not runs.settled:    # else no penalty doubles again to read them
-            for column, trial in ((values, t_values), (violations, t_violations),
-                                  (valid, t_valid)):
-                np.copyto(column, trial, where=improve)
+        scored = runs.evaluate(objective, trials)
+        runs.keep(trials, scored, scored[3] >= fitness)
 
     return runs.results(X)
 
@@ -468,19 +467,15 @@ def _pso_run(runs: _Runs, objective) -> list[RunResult]:
     K, NP, d, rows = runs.K, runs.NP, runs.d, runs.rows
     w, c1, c2 = runs.config.m0, runs.config.c1, runs.config.c2
 
-    X, values, violations, valid, fitness = runs.initial_population(objective)
+    X = runs.initial_population(objective)
+    pbest_X, pbest_fit = runs.kept_X, runs.kept_fit     # kept in place
     V = np.zeros((K, NP, d))
     r = np.empty((K, 2, NP, d))
     # r1 then r2 per run: one (2, NP, d) draw is the same stream.
     draws = [(rng.random, r[k]) for k, rng in enumerate(runs.rngs)]
 
-    # The personal bests are updated in place, so they own their arrays.
-    pbest_X, pbest_values, pbest_violations, pbest_valid, pbest_fit = (
-        a.copy() for a in (X, values, violations, valid, fitness))
-
     for gen in range(1, runs.iters + 1):
-        pbest_fit = runs.double_penalties(gen, pbest_values, pbest_violations,
-                                          pbest_valid, pbest_fit)
+        runs.double_penalties(gen)
 
         gbest = pbest_X[rows, pbest_fit.argmax(axis=1)][:, None, :]
         for draw, out in draws:
@@ -492,14 +487,8 @@ def _pso_run(runs: _Runs, objective) -> list[RunResult]:
         # are NaN from the position alone, so nothing downstream differs.
         np.copyto(V, 0.0, where=X != X_new)
 
-        values, violations, valid, fitness = runs.evaluate(objective, X)
-        improve = fitness > pbest_fit
-        np.copyto(pbest_X, X, where=improve[:, :, None])
-        np.copyto(pbest_fit, fitness, where=improve)
-        if not runs.settled:    # else no penalty doubles again to read them
-            for best, new in ((pbest_values, values), (pbest_violations, violations),
-                              (pbest_valid, valid)):
-                np.copyto(best, new, where=improve)
+        scored = runs.evaluate(objective, X)
+        runs.keep(X, scored, scored[3] > pbest_fit)
 
     return runs.results(X)
 
@@ -511,33 +500,28 @@ def run_many(spaces, config: OptimizerConfig, seeds, objective) -> list[RunResul
     Run k searches `spaces[k]` from a generator seeded with the integer
     `seeds[k]`; `config.seed` seeds no run.  The objective receives the K
     populations stacked as (K*NP, d) rows, run k in block k, and must
-    evaluate each row on its own.  Every run keeps its own generator, box,
-    penalty coefficient and incumbent, so its result does not depend on
-    which runs share the call.
+    evaluate each row on its own.
     """
     runs = _Runs(spaces, config, seeds)
     return (_pso_run if config.algorithm == "pso" else _de_run)(runs, objective)
 
 
-def _config_seed(config: OptimizerConfig) -> int:
-    if config.seed is None:
-        raise ValueError("seed is mandatory for optimizer runs")
-    return config.seed
-
-
 def run(space: SearchSpace, config: OptimizerConfig, objective) -> RunResult:
-    """One run seeded with `config.seed`: `run_many` with a single entry."""
-    return run_many([space], config, [_config_seed(config)], objective)[0]
+    """One run seeded with `config.seed`."""
+    return multi_seed_run(space, config, objective, 1)[0]
 
 
 def multi_seed_run(space: SearchSpace, config: OptimizerConfig, objective,
                    n_seeds: int) -> list[RunResult]:
     """Seeds config.seed, config.seed+1, ... run in lockstep."""
-    seed = _config_seed(config)
+    seed = config.seed
+    if seed is None:
+        raise ValueError("seed is mandatory for optimizer runs")
     if n_seeds < 1:
         raise ValueError("n_seeds must be positive")
-    return run_many([space] * n_seeds, config, range(seed, seed + n_seeds),
-                    objective)
+    # The first run takes config.seed as given, so `run_many` checks it.
+    return run_many([space] * n_seeds, config,
+                    [seed, *(seed + i for i in range(1, n_seeds))], objective)
 
 
 def multi_seed_stats(results: list[RunResult]) -> tuple[float, float, float]:

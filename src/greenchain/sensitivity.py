@@ -48,16 +48,13 @@ class SweepSpec:
     policy: str = "tax"
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(algorithm="pso", seed=0))
-    reoptimize: bool = True
-    decisions: DecisionVector | None = None   # required when reoptimize=False
+    decisions: DecisionVector | None = None   # None: re-optimize every level
 
     def validate(self) -> None:
         if self.parameter not in PARAM_ORDER:
             raise ValueError(f"unknown parameter {self.parameter!r}")
         if 0.0 not in self.levels:
             raise ValueError("sweep levels must include 0")
-        if not self.reoptimize and self.decisions is None:
-            raise ValueError("fixed-decision sweeps need a decision vector")
 
 
 @dataclass
@@ -74,7 +71,8 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec, params: ModelParameters) -> list[SweepRow]:
-    """One row per level, each re-optimized from the same seed.
+    """One row per level: re-optimized from the same seed, or evaluated at
+    `spec.decisions` when those are given.
 
     The re-optimized levels run in lockstep (``optimize.run_many``).
     """
@@ -122,7 +120,8 @@ def _run_sweeps(spec: SweepSpec, names, params: ModelParameters) -> list[list[Sw
     pending = [(i, j, level_params) for i, plan in enumerate(plans)
                for j, (_, level_params) in enumerate(plan) if level_params is not None]
     results = {}
-    if spec.reoptimize and pending:
+    fixed = spec.decisions
+    if fixed is None and pending:
         found = run_many(
             [default_search_space(lp) for _, _, lp in pending], spec.optimizer,
             [spec.optimizer.seed] * len(pending),
@@ -131,9 +130,9 @@ def _run_sweeps(spec: SweepSpec, names, params: ModelParameters) -> list[list[Sw
 
     # Each level is evaluated at its re-optimized incumbent (none where the
     # model rejected every candidate) or at the fixed decisions.
-    points = {(i, j): (lp, results[(i, j)].decisions if spec.reoptimize else spec.decisions)
+    points = {(i, j): (lp, results[(i, j)].decisions if fixed is None else fixed)
               for i, j, lp in pending
-              if not spec.reoptimize or np.isfinite(results[(i, j)].best_value)}
+              if fixed is not None or np.isfinite(results[(i, j)].best_value)}
     evaluated = _evaluate_levels(spec.policy, points)
     sweeps = []
     for i, plan in enumerate(plans):

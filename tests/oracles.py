@@ -707,7 +707,7 @@ def _reflect(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def penalize(values, violations, valid, coeff):
-    """Quadratic exterior penalty ``value - coeff * violation**2``.
+    """Quadratic exterior penalty ``value - coeff * max(violation, 0)**2``.
 
     Equals the value on feasible points; rows marked invalid get -inf.
     `coeff` may be an array broadcasting against the values (one per run).
@@ -715,7 +715,7 @@ def penalize(values, violations, valid, coeff):
     if not (np.asarray(coeff) > 0).all():
         raise ValueError("penalty coefficient must be positive")
     with np.errstate(invalid="ignore"):
-        return np.where(valid, values - coeff * violations ** 2, -math.inf)
+        return np.where(valid, values - coeff * np.maximum(violations, 0.0) ** 2, -math.inf)
 
 
 class _Runs:

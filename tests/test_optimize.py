@@ -252,7 +252,8 @@ class TestRuns:
         {"penalty_double_every": 2.0}, {"penalty_coefficient": "big"},
         {"penalty_coefficient": float("inf")}, {"Pc": "0.5"}, {"m0": None},
         {"F": float("nan")}, {"c1": True}, {"c2": 10 ** 400},
-        {"pop_size": 10 ** 15}, {"max_iter": 10 ** 15}])
+        {"pop_size": 10 ** 15}, {"max_iter": 10 ** 15},
+        {"penalty_coefficient": 0.0}, {"penalty_coefficient": -1.0}])
     def test_out_of_range_schedule_rejected(self, cube, bad):
         with pytest.raises(ValueError):
             run(cube, OptimizerConfig(algorithm="de1", seed=1, **bad),

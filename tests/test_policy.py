@@ -156,9 +156,11 @@ class TestPenalize:
     def test_quadratic_arithmetic(self):
         assert penalize(100.0, 2.0, True, 10.0) == 60.0
 
-    def test_coefficient_must_be_positive(self):
-        with pytest.raises(ValueError):
-            penalize(1.0, 0.0, True, 0.0)
+    @pytest.mark.parametrize("slack", [-2.0, -1.0, -0.5, -1e200])
+    def test_slack_is_not_penalized(self, slack):
+        # violation <= 0 is feasible (Deb's rule): the fitness is the value.
+        assert penalize(5.0, slack, True, 1.0) == 5.0
+        assert penalize(5.0, slack, True, 1e6) == 5.0
 
     def test_feasible_outranks_sufficiently_violating_points(self):
         rng = np.random.default_rng(11)

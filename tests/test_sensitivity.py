@@ -41,7 +41,7 @@ class TestSweep:
     def test_fixed_decision_sweep(self, params):
         dec = DecisionVector(T0=0.6, xi1=50.0, xi2=50.0, G=2.0, W_r=280.0)
         spec = SweepSpec(parameter="C_p", optimizer=QUICK_PSO,
-                         reoptimize=False, decisions=dec)
+                         decisions=dec)
         rows = run_sweep(spec, params)
         # fixed decisions: production cost hits profit exactly linearly
         deltas = np.diff([r.phi_T for r in rows])
@@ -51,7 +51,7 @@ class TestSweep:
     def test_fixed_decision_sweeps_run_together_as_alone(self, params):
         dec = DecisionVector(T0=0.6, xi1=50.0, xi2=50.0, G=2.0, W_r=280.0)
         spec = SweepSpec(parameter="C_p", optimizer=QUICK_PSO,
-                         reoptimize=False, decisions=dec)
+                         decisions=dec)
         together = _run_sweeps(spec, ["C_p", "f_d"], params)
         alone = [run_sweep(dataclasses.replace(spec, parameter=name), params)
                  for name in ("C_p", "f_d")]
@@ -79,7 +79,7 @@ class TestSweep:
     def test_antisymmetric_response_for_affine_parameter(self, params):
         dec = DecisionVector(T0=0.6, xi1=50.0, xi2=50.0, G=2.0, W_r=280.0)
         spec = SweepSpec(parameter="i_c", optimizer=QUICK_PSO,
-                         reoptimize=False, decisions=dec)
+                         decisions=dec)
         rows = run_sweep(spec, params)
         by_level = {r.level: r.pct_change for r in rows}
         assert by_level[40.0] == pytest.approx(2 * by_level[20.0], rel=1e-2)
@@ -94,7 +94,7 @@ def test_sweep_rows_are_evaluate_policy_rows(params, policy):
     p = params.replace(f_d=0.8)
     dec = DecisionVector(T0=0.6, xi1=50.0, xi2=50.0, G=2.0, W_r=280.0)
     names = ["a", "f_d", "C_p", "kappa1", "omega"]
-    fixed = SweepSpec(parameter="a", policy=policy, reoptimize=False, decisions=dec)
+    fixed = SweepSpec(parameter="a", policy=policy, decisions=dec)
     reoptimized = SweepSpec(parameter="a", policy=policy,
                             optimizer=dataclasses.replace(QUICK_PSO, max_iter=10))
     for spec in (fixed, reoptimized):
