@@ -206,12 +206,11 @@ def _optimizer_config(args, config, seed: int) -> OptimizerConfig:
         section["pop_size"] = args.pop
     if getattr(args, "iters", None) is not None:
         section["max_iter"] = args.iters
-    section["seed"] = seed
-    known = {f.name for f in dataclasses.fields(OptimizerConfig)}
+    known = {f.name for f in dataclasses.fields(OptimizerConfig)} - {"seed"}
     unknown = sorted(set(section) - known)
     if unknown:
         raise UsageError("unknown optimizer options: " + ", ".join(unknown))
-    return OptimizerConfig(**section)
+    return OptimizerConfig(**section, seed=seed)
 
 
 def cmd_evaluate(args, config) -> int:

@@ -61,7 +61,7 @@ ERR_NEGATIVE_DEMAND = 3
 ERR_ZERO_DEMAND = 4
 ERR_NET_REPLENISHMENT = 5
 ERR_BACKLOG = 6
-ERR_OVERFLOW = 7    # admissible, but a value, violation or term is not finite
+ERR_OVERFLOW = 7    # passes every check, but a value, violation or term is not finite
 
 STATUS_MESSAGES = {
     OK: "ok",
@@ -178,9 +178,8 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
     not the rows, so the body makes as few as it can: one errstate scope,
     each echelon's three phi arguments in one (3, n) array whose expm1
     serves both phi1 and phi2 (the series only when some argument needs
-    it), the placeholders for inadmissible rows only when some row is
-    inadmissible, the zero-deterioration limits only when some row is
-    below THETA_FLOOR, and only the emission reductions the policy reads.
+    it), the zero-deterioration limits only when some row is below
+    THETA_FLOOR, and only the emission reductions the policy reads.
     Parameter-only products are scalar arithmetic where the slots are
     scalars.  Large batches (the CLI's ``surface`` passes blocks of about
     8k rows) reuse memory: the retailer's phi arguments are written over
@@ -203,9 +202,9 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
      C_s, f_r, E_p, E_t, E_h1, E_h2, E_hr, E_d1, E_d2, E_dr, d1_km, l1, l2,
      l3, l4, kappa1, kappa2, omega, U1, U2, C_Tax, C_CT) = p
 
-    # Placeholders keep invalid rows away from the domain edges; one scope
-    # silences what is left of their NaN and division noise, and the
-    # overflow of extreme inputs, whose rows are refused at the end.
+    # Every row computes from its own inputs: refused and extreme rows run
+    # the same arithmetic under this one scope, which silences their NaN,
+    # division and overflow noise, and are masked at the end.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fW = a - b * W_r
         # Each investment in [0, inf): NaN propagates through np.minimum
@@ -213,64 +212,57 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         invested = (np.minimum(np.minimum(xi1, xi2), G) >= 0.0) \
             & (np.maximum(np.maximum(xi1, xi2), G) < np.inf)
         valid = (T0 > 0.0) & (fW > 0.0) & invested
-        admissible = valid.all()   # then no row needs a placeholder
-        T0s = T0 if admissible else np.where(valid, T0, 1.0)
-        fWs = fW if admissible else np.where(valid, fW, 1.0)
 
         P_e = (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1
         P_de = (1.0 - f_d) * P * beta1 + f_d * P - f_d * P * beta2
-        theta_m = theta1 * np.exp(-v1 * (xi1 if admissible else np.where(valid, xi1, 0.0)))
-        theta_r = theta2 * np.exp(-v2 * (xi2 if admissible else np.where(valid, xi2, 0.0)))
+        theta_m = theta1 * np.exp(-v1 * xi1)
+        theta_r = theta2 * np.exp(-v2 * xi2)
 
         small = theta_m < THETA_FLOOR
         limits = small.any()
-        th = np.where(small, 1.0, theta_m) if limits else theta_m
-        # th * (-T0, dm1, dm2): the phi arguments -x0, x1 and x2, with one
-        # expm1 each.  Rows below the floor take the limits instead.
-        x = np.empty((3, len(T0s)))
+        # theta_m * (-T0, dm1, dm2): the phi arguments -x0, x1 and x2, with
+        # one expm1 each.  Rows below the floor take the limits instead.
+        x = np.empty((3, len(T0)))
         e = np.empty_like(x)
-        np.multiply(th, -T0s, out=x[0])
+        np.multiply(theta_m, -T0, out=x[0])
         np.expm1(x[0], out=e[0])
         u = -e[0]
-        # T1 = T0 + log1p(P_de u / P_r) / th; Q_m is the regrouping of
-        # (P_r/th)(1 + (P_e u - P_r)/(P_de u + P_r)) that does not cancel
-        # for small th.
-        T1 = T0s + np.log1p(P_de * u / P_r) / th
-        Q_m = P * P_r * u / (th * (P_de * u + P_r))
-        T2 = T1 + np.log1p(Q_m * th / D_r) / th
+        # T1 = T0 + log1p(P_de u / P_r) / theta_m; Q_m is the regrouping
+        # of (P_r/theta_m)(1 + (P_e u - P_r)/(P_de u + P_r)) that does not
+        # cancel for small theta_m.
+        T1 = T0 + np.log1p(P_de * u / P_r) / theta_m
+        Q_m = P * P_r * u / (theta_m * (P_de * u + P_r))
+        T2 = T1 + np.log1p(Q_m * theta_m / D_r) / theta_m
         if limits:
-            T1_l = T0s * (1.0 + P_de / P_r)
-            Qm_l = P * T0s
+            T1_l = T0 * (1.0 + P_de / P_r)
+            Qm_l = P * T0
             T2 = np.where(small, T1_l + Qm_l / D_r, T2)
             T1 = np.where(small, T1_l, T1)
             Q_m = np.where(small, Qm_l, Q_m)
 
-        dm1 = T1 - T0s
+        dm1 = T1 - T0
         dm2 = T2 - T1
-        np.multiply(th, dm1, out=x[1])
-        np.multiply(th, dm2, out=x[2])
+        np.multiply(theta_m, dm1, out=x[1])
+        np.multiply(theta_m, dm2, out=x[2])
         np.expm1(x[1:], out=e[1:])
         phi2_0, phi2_1, phi2_2 = _np_phi2(x, e)
         rework = P_r * dm1 * dm1 * phi2_1
-        int_I = P_e * T0s * T0s * phi2_0 + Q_m * dm1 * _np_phi1(x[1], e[1]) - rework \
+        int_I = P_e * T0 * T0 * phi2_0 + Q_m * dm1 * _np_phi1(x[1], e[1]) - rework \
             + D_r * dm2 * dm2 * phi2_2
-        int_Id = P_de * T0s * T0s * phi2_0 + rework
+        int_Id = P_de * T0 * T0 * phi2_0 + rework
         if limits:
-            int_I = np.where(small, 0.5 * P_e * T0s * T0s + P_e * T0s * dm1
+            int_I = np.where(small, 0.5 * P_e * T0 * T0 + P_e * T0 * dm1
                              + 0.5 * P_r * dm1 * dm1 + 0.5 * D_r * dm2 * dm2, int_I)
-            int_Id = np.where(small, 0.5 * P_de * T0s * T0s
+            int_Id = np.where(small, 0.5 * P_de * T0 * T0
                               + 0.5 * P_r * dm1 * dm1, int_Id)
 
         B1 = eta + theta_r
-        B2 = D_r - fWs
-        s = fWs * T1
+        B2 = D_r - fW
+        s = fW * T1
         replenished = B2 > 0.0
         clears = B2 - s * eta > 0.0
         valid &= replenished & clears
-        admissible = valid.all()
-        B2s = B2 if admissible else np.where(valid, B2, 1.0)
-        ss = s if admissible else np.where(valid, s, 0.0)
-        T11 = T1 + np.log1p(-ss * eta / B2s) / eta
+        T11 = T1 + np.log1p(-s * eta / B2) / eta
         d0 = T11 - T1
         dA = T2 - T11
         # (-eta d0, -B1 dA, B1 dB), with -B1 dA = B1 (T11 - T2), and their
@@ -280,27 +272,27 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         np.multiply(-eta, d0, out=y[0])
         np.multiply(-B1, dA, out=y[1])
         np.expm1(y[:2], out=e[:2])
-        Q_r = -(B2s / B1) * e[1]
-        T3 = T2 + np.log1p(B1 * Q_r / fWs) / B1
+        Q_r = -(B2 / B1) * e[1]
+        T3 = T2 + np.log1p(B1 * Q_r / fW) / B1
         dB = T3 - T2
         np.multiply(B1, dB, out=y[2])
         np.expm1(y[2], out=e[2])
         q = -e[0] / eta
         phi2_0, phi2_1, phi2_2 = _np_phi2(y, e)
-        piece1 = B2s * d0 * d0 * phi2_0 + ss * q
-        piece2 = B2s * dA * dA * phi2_1
-        piece3 = fWs * dB * dB * phi2_2
+        piece1 = B2 * d0 * d0 * phi2_0 + s * q
+        piece2 = B2 * dA * dA * phi2_1
+        piece3 = fW * dB * dB * phi2_2
         int_r = piece2 + piece3
         int_r_sr = piece1 + piece2 + piece3
 
         # The manufacturer's sales are the retailer's purchases.
         shipped = W_m * D_r * dm2
-        PC_m = C_p * P * T0s
+        PC_m = C_p * P * T0
         StC_m = C_op + C_or
-        PeC_m = C_g * f_d * P * beta2 * T0s
+        PeC_m = C_g * f_d * P * beta2 * T0
         RC_m = C_r * P_r * dm1
         PreC_m = xi1 * T2
-        ScC_m = i_c * P * T0s
+        ScC_m = i_c * P * T0
         HC_m1 = h_p * int_I
         HC_m2 = h_d * int_Id
         DC_m1 = d_cp * theta1 * int_I
@@ -313,11 +305,11 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         e_m6 = d1_km * E_t * D_r * dm2
         CarC_m = e_m1 + e_m2 + e_m3 + e_m4 + e_m5 + e_m6
 
-        SR_r = W_r * (fWs * (T3 - T1) + eta * int_r_sr)
+        SR_r = W_r * (fW * (T3 - T1) + eta * int_r_sr)
         HC_r = h_r * int_r
         DC_r = d_cr * theta2 * int_r
         PreC_r = xi2 * T2
-        SC_r = 0.5 * ss * T1 * C_s
+        SC_r = 0.5 * s * T1 * C_s
         CarC_r = (E_hr + E_dr * theta2) * int_r
 
         phi_m = (shipped - (PC_m + StC_m + PeC_m + RC_m + PreC_m + ScC_m
@@ -353,7 +345,7 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
 
         if terms:
             phi_r = (1.0 - f_r) * phi_r_raw
-            table = np.empty((N_TERMS, len(T0s)))
+            table = np.empty((N_TERMS, len(T0)))
             for slot, row in enumerate((
                     T1, T2, Q_m, theta_m, theta_r, s, T11, Q_r, T3,
                     B1, B2, fW, int_I, int_Id, int_r, int_r_sr,

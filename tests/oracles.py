@@ -6,7 +6,7 @@ integration of the inventory ODEs, composite Simpson quadrature, bisection
 root finding, and direct vectorised evaluations of the printed trajectory
 branches.  The tests compare the package against these.  The exceptions
 are the scalar kernel, the model's closed forms written one decision row
-at a time in plain Python math (step formulas, inventory trajectories,
+at a time in plain Python arithmetic (step formulas, inventory trajectories,
 `evaluate_terms` and `policy_value_from_terms`), which the NumPy twin,
 the package's only model code, is checked against through
 `evaluate_policy_batch`, its row-by-row loop; `surface_csv_reference`,
@@ -120,23 +120,39 @@ def stock_drain(t, end_t, demand, theta):
 
 
 # The scalar kernel: every schedule, cost, emission and profit term of one
-# decision row, in plain Python math.  Cycle formulas route the
+# decision row, in plain Python arithmetic.  Cycle formulas route the
 # ill-conditioned (e^x - 1 - x) / x**2 style terms through the
 # series-protected phi1/phi2, and below THETA_FLOOR the explicit
 # zero-deterioration limits are used.
+#
+# expm1, log1p and exp are NumPy's, on one float64 at a time: they round as
+# the twin's array loops do, where math's differ in the last bit on a few
+# percent of arguments, enough to flip the backlog check B2 - s eta > 0 at
+# its boundary.  Like math's they raise on overflow and on log1p(x <= -1);
+# underflow to zero is no error.
+
+def _numpy_scalar(ufunc):
+    def call(x):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return float(ufunc(x))
+    return call
+
+
+expm1, log1p, exp = (_numpy_scalar(f) for f in (np.expm1, np.log1p, np.exp))
+
 
 def phi1(x):
     """(e^x - 1) / x, series-protected near zero."""
     if abs(x) < 1e-4:
         return 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
-    return math.expm1(x) / x
+    return expm1(x) / x
 
 
 def phi2(x):
     """(e^x - 1 - x) / x^2, series-protected near zero."""
     if abs(x) < 1e-3:
         return 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
-    return (math.expm1(x) - x) / (x * x)
+    return (expm1(x) - x) / (x * x)
 
 
 def effective_rates(P, f_d, beta1, beta2):
@@ -148,7 +164,7 @@ def effective_rates(P, f_d, beta1, beta2):
 
 def preserved_rate(theta_base, v, xi):
     """Deterioration rate after a preservation investment xi at efficiency v."""
-    return theta_base * math.exp(-v * xi)
+    return theta_base * exp(-v * xi)
 
 
 def manufacturer_cycle(P, P_e, P_de, P_r, D_r, theta_m, T0):
@@ -162,12 +178,12 @@ def manufacturer_cycle(P, P_e, P_de, P_r, D_r, theta_m, T0):
         Q_m = P * T0
         T2 = T1 + Q_m / D_r
     else:
-        u = -math.expm1(-theta_m * T0)
-        T1 = T0 + math.log1p(P_de * u / P_r) / theta_m
+        u = -expm1(-theta_m * T0)
+        T1 = T0 + log1p(P_de * u / P_r) / theta_m
         # algebraically identical to (P_r/th)*(1 + (P_e*u - P_r)/(P_de*u + P_r))
         # but free of the cancellation that form suffers for small theta_m
         Q_m = P * P_r * u / (theta_m * (P_de * u + P_r))
-        T2 = T1 + math.log1p(Q_m * theta_m / D_r) / theta_m
+        T2 = T1 + log1p(Q_m * theta_m / D_r) / theta_m
     return T1, T2, Q_m
 
 
@@ -199,12 +215,12 @@ def manufacturer_stock(t, P_e, P_r, D_r, Q_m, theta_m, T0, T1, T2):
             return P_e * T0 + P_r * (t - T0)
         return D_r * (T2 - t)
     if t <= T0:
-        return -(P_e / theta_m) * math.expm1(-theta_m * t)
+        return -(P_e / theta_m) * expm1(-theta_m * t)
     if t <= T1:
         # stable regrouping of P_r/th + (Q_m - P_r/th) e^{th (T1-t)}
         x = theta_m * (T1 - t)
-        return Q_m * math.exp(x) - P_r * math.expm1(x) / theta_m
-    return (D_r / theta_m) * math.expm1(theta_m * (T2 - t))
+        return Q_m * exp(x) - P_r * expm1(x) / theta_m
+    return (D_r / theta_m) * expm1(theta_m * (T2 - t))
 
 
 def defective_stock(t, P_de, P_r, theta_m, T0, T1):
@@ -214,8 +230,8 @@ def defective_stock(t, P_de, P_r, theta_m, T0, T1):
             return P_de * t
         return P_r * (T1 - t)
     if t <= T0:
-        return -(P_de / theta_m) * math.expm1(-theta_m * t)
-    return (P_r / theta_m) * math.expm1(theta_m * (T1 - t))
+        return -(P_de / theta_m) * expm1(-theta_m * t)
+    return (P_r / theta_m) * expm1(theta_m * (T1 - t))
 
 
 def retailer_cycle(fW, D_r, eta, theta_r, T1, T2):
@@ -226,9 +242,9 @@ def retailer_cycle(fW, D_r, eta, theta_r, T1, T2):
     B1 = eta + theta_r
     B2 = D_r - fW
     s = fW * T1
-    T11 = T1 + math.log1p(-s * eta / B2) / eta
-    Q_r = -(B2 / B1) * math.expm1(B1 * (T11 - T2))
-    T3 = T2 + math.log1p(B1 * Q_r / fW) / B1
+    T11 = T1 + log1p(-s * eta / B2) / eta
+    Q_r = -(B2 / B1) * expm1(B1 * (T11 - T2))
+    T3 = T2 + log1p(B1 * Q_r / fW) / B1
     return s, T11, Q_r, T3, B1, B2
 
 
@@ -243,7 +259,7 @@ def retailer_integrals(fW, s, eta, B1, B2, T1, T11, T2, T3):
     piece2 = B2 * dA * dA * phi2(-B1 * dA)
     piece3 = fW * dB * dB * phi2(B1 * dB)
     d0 = T11 - T1
-    q = -math.expm1(-eta * d0) / eta
+    q = -expm1(-eta * d0) / eta
     piece1 = B2 * d0 * d0 * phi2(-eta * d0) + s * q
     return piece2 + piece3, piece1 + piece2 + piece3
 
@@ -258,10 +274,10 @@ def retailer_stock(t, fW, s, eta, B1, B2, Q_r, T1, T11, T2, T3):
         return fW * t
     if t <= T11:
         x = eta * (T1 - t)
-        return s * math.exp(x) - B2 * math.expm1(x) / eta
+        return s * exp(x) - B2 * expm1(x) / eta
     if t <= T2:
-        return -(B2 / B1) * math.expm1(B1 * (T11 - t))
-    return (fW / B1) * math.expm1(B1 * (T3 - t))
+        return -(B2 / B1) * expm1(B1 * (T11 - t))
+    return (fW / B1) * expm1(B1 * (T3 - t))
 
 
 def green_reduction_terms(G, omega, l1, l2, kappa1, l3, l4, kappa2):

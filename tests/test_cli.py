@@ -158,6 +158,17 @@ class TestOptimize:
         assert code == 2 and "error:" in err and next(iter(option)) in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", [OPTIMIZE, SENSITIVITY])
+    def test_seed_in_optimizer_section_is_usage_error(self, capsys, tmp_path,
+                                                      command):
+        # The seed is top-level only; the run would otherwise ignore it.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters": PARAMS, "seed": 1,
+                                    "optimizer": {"seed": 99}}))
+        code, out, err = run_cli(capsys, "--config", str(path), *command)
+        assert code == 2 and "unknown optimizer options: seed" in err
+        assert out == ""
+
     def test_limited_policy_reports_feasibility(self, capsys, config_path,
                                                 tmp_path):
         out_dir = tmp_path / "art"

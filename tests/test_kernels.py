@@ -60,16 +60,17 @@ def test_batch_matches_rich_evaluation(policy):
                                               rel=1e-9, abs=1e-12)
 
 
-def _mixed_batch(rng, n, kinds=6):
+def _mixed_batch(rng, n, kinds=8):
     """n rows at the reference point: ordinary ones, ones below THETA_FLOOR
-    (large xi1), and ones refused for a negative T0 or xi2, a price past a/b
-    or a backlog that never clears; every kind appears once n >= 6.  With
-    kinds=2 only the first two appear, priced clear of a/b = 300 so that
-    every row stays admissible under parameters within 5 % of these."""
+    (large xi1), and ones refused for a negative T0 or xi2, a price past a/b,
+    a backlog that never clears, an infinite xi1 or a NaN G; every kind
+    appears once n >= 8.  With kinds=2 only the first two appear.  The
+    first two kinds are priced below 270, clear of a/b = 300 under
+    parameters within 5 % of these, so that they stay admissible there."""
     X = np.column_stack([
         rng.uniform(0.05, 2.0, n), rng.uniform(0.0, 500.0, n),
         rng.uniform(0.0, 500.0, n), rng.uniform(0.01, 50.0, n),
-        rng.uniform(80.0, 300.0 if kinds > 2 else 280.0, n)])
+        rng.uniform(80.0, 270.0, n)])
     kind = rng.permutation(np.arange(n) % kinds)
     X[kind == 1, 1] = rng.uniform(1e3, 2e3, (kind == 1).sum())
     X[kind == 2, 0] = -0.5
@@ -77,6 +78,8 @@ def _mixed_batch(rng, n, kinds=6):
     X[kind == 4, 4] = 400.0
     X[kind == 5, 0] = 30.0
     X[kind == 5, 4] = rng.uniform(80.0, 100.0, (kind == 5).sum())
+    X[kind == 6, 1] = np.inf
+    X[kind == 7, 3] = np.nan
     return X, kind
 
 
@@ -88,13 +91,16 @@ PER_ROW_SLOTS = (K.P_P_R, K.P_ETA, K.P_C_P, K.P_KAPPA1)
 
 @pytest.mark.parametrize("policy", sorted(POLICY_IDS))
 @pytest.mark.parametrize("layout", ["vector", "per_row", "shared"])
-@pytest.mark.parametrize("n, kinds", [(1, 6), (7, 6), (50, 6), (250, 6), (50, 2)],
+@pytest.mark.parametrize("n, kinds", [(1, 8), (7, 8), (50, 8), (250, 8), (50, 2)],
                          ids=["1", "7", "50", "250", "50_admissible"])
 def test_twin_rows_do_not_depend_on_their_batch(n, kinds, layout, policy):
     """Each row of a batch call equals a one-row call on that row, bit for
-    bit, although the batch skips the zero-deterioration limits unless some
-    row needs them and the placeholders for refused rows unless some row is
-    refused (kinds=2: every row admissible)."""
+    bit: the value, violation and validity of every row, and with the term
+    output the status of every row and the term column and the policy's
+    phi_m and phi_r of every OK row.  Refused rows run the same arithmetic
+    as the others, and the batch skips the zero-deterioration limits unless
+    some row needs them (a refused row with xi1 = inf does; kinds=2: every
+    row admissible)."""
     rng = np.random.default_rng(n)
     params = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
     X, kind = _mixed_batch(rng, n, kinds)
@@ -107,10 +113,11 @@ def test_twin_rows_do_not_depend_on_their_batch(n, kinds, layout, policy):
         assert all(type(v) is np.float64 for v in p if np.ndim(v) == 0)
     pid = POLICY_IDS[policy]
     values, violations, valid = K.evaluate_policy_batch_numpy(pid, X, p)
-    if n >= 6:
-        assert valid[kind == 0].all() and valid[kind == 1].all()
-        assert not valid[kind >= 2].any()
+    *_, status, table, phi_m, phi_r = K.evaluate_terms(pid, X, p)
+    assert valid[kind == 0].all() and valid[kind == 1].all()
+    assert not valid[kind >= 2].any()
     assert valid.all() == (kinds == 2 or n == 1)
+    assert np.array_equal(status == K.OK, valid)
     for i in range(n):
         if layout == "per_row":
             row_p = p[:, i:i + 1]
@@ -122,6 +129,12 @@ def test_twin_rows_do_not_depend_on_their_batch(n, kinds, layout, policy):
         assert one[2][0] == valid[i]
         assert one[0].view(np.int64)[0] == values[i:i + 1].view(np.int64)[0]
         assert one[1].view(np.int64)[0] == violations[i:i + 1].view(np.int64)[0]
+        *_, one_status, one_table, one_m, one_r = K.evaluate_terms(pid, X[i:i + 1], row_p)
+        assert one_status[0] == status[i]
+        if status[i] == K.OK:
+            assert one_table[:, 0].tobytes() == table[:, i].tobytes()
+            assert one_m.tobytes() == phi_m[i:i + 1].tobytes()
+            assert one_r.tobytes() == phi_r[i:i + 1].tobytes()
 
 
 @pytest.mark.parametrize("policy", sorted(POLICY_IDS))
