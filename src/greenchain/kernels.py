@@ -26,6 +26,11 @@ NUMBA_ENABLED = False
 # Deterioration rates below this floor switch to the analytic zero-rate limits.
 THETA_FLOOR = 1e-10
 
+# The twin's literals as 0-d arrays: NumPy takes a 0-d array operand about
+# 190 ns faster than a Python float or a NumPy scalar, with the same bits.
+_ZERO, _HALF, _INF, _NAN, _FLOOR, _PHI1_SMALL, _PHI2_SMALL = map(
+    np.array, (0.0, 0.5, np.inf, np.nan, THETA_FLOOR, 1e-4, 1e-3))
+
 # The parameter vector, in slot order.  This tuple is the only ordered list
 # of the parameter names: the slot constants below and the ModelParameters
 # fields are generated from it, and ModelParameters packs in this order.
@@ -101,34 +106,74 @@ def abatement(x, linear, scale, kappa):
     return x * linear - scale * x ** kappa
 
 
-def slot_layout(vectors, n):
-    """The twin's `p` for n rows in len(vectors) equal blocks, block k
-    evaluated under the parameter vector ``vectors[k]``.
+class Operands(tuple):
+    """The twin's prepared `p`: see `_prepare`."""
 
-    A slot whose bits are equal in every vector is one float64 scalar that
-    the twin broadcasts, so a parameter-only product costs no array call;
-    the others hold one value per row.  Compared by bits: NaN prices are
-    shared, -0.0 and 0.0 are not.  Kept as NumPy scalars, whose division by
-    zero follows the errstate scope where a Python float's would raise.
-    The exponents are never scalars: `**` takes a square, sqrt or
-    reciprocal fast path for a scalar 2.0, 0.5 or -1.0 that a per-row
-    exponent does not, so a row would depend on whether the other vectors
-    share its kappa.
+
+def slot_layout(vectors, n):
+    """The twin's prepared operands for n rows in len(vectors) equal blocks,
+    block k evaluated under the parameter vector ``vectors[k]``; built once
+    per row count (`make_batch_objective`), they do the parameter-only
+    arithmetic once, not per call.  A slot whose bits are equal in every
+    vector is one 0-d array that the twin broadcasts, the others hold one
+    value per row.  Compared by bits: NaN prices are shared, -0.0 and 0.0
+    are not.
     """
     bits = vectors.view(np.int64)
-    shared = (bits == bits[0]).all(axis=0)
-    shared[[P_KAPPA1, P_KAPPA2]] = False
-    return [vectors[0, slot] if shared[slot]
-            else np.repeat(vectors[:, slot], n // len(vectors))
-            for slot in range(N_PARAMS)]
+    shared = (bits == bits[0]).all(axis=0).tolist()
+    first = vectors[0].tolist()
+    return _prepare([first[slot] if shared[slot]
+                     else np.repeat(vectors[:, slot], n // len(vectors))
+                     for slot in range(N_PARAMS)], n)
+
+
+def _prepare(p, n):
+    """`Operands` from a raw `p` of N_PARAMS slots for n rows: the slots the
+    body reads and its parameter-only quantities, each computed once with
+    the body's operations in its order and errstate scope (an overflow
+    refuses rows, raising nothing).  Shared values compute as Python
+    floats (NumPy's bits for +, - and *) and reach the body as 0-d views
+    of one buffer, which divide by zero under the scope where a float
+    raises; a buffer per value, on every model-layer call, fragments the
+    heap.  The exponents are per-row: a 0-d 2.0, 0.5 or -1.0 takes a `**`
+    fast path (square, sqrt, reciprocal) that a per-row one does not, so a
+    row would depend on its batch.
+    """
+    # Unpacked by position, apart from PARAM_ORDER and the slot constants,
+    # so that the layout is checked against the oracle's slot reads.
+    (P, P_r, f_d, beta1, beta2, theta1, theta2, v1, v2, D_r, a, b, eta, W_m,
+     C_p, C_r, C_g, C_op, C_or, i_c, h_p, h_d, h_r, d_cp, d_cd, d_cr, O_r,
+     C_s, f_r, E_p, E_t, E_h1, E_h2, E_hr, E_d1, E_d2, E_dr, d1_km, l1, l2,
+     l3, l4, kappa1, kappa2, omega, U1, U2, C_Tax, C_CT) = (
+        p.tolist() if isinstance(p, np.ndarray) and p.ndim == 1 else p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e_r2_k = E_dr * theta2
+        ops = [P, P_r, theta1, theta2, D_r, a, b, eta, h_p, h_d, h_r, O_r, C_s,
+               E_p, E_h1, E_h2, E_hr, l1, l2, l3, l4, omega, U1, U2, C_Tax, C_CT,
+               (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1,
+               (1.0 - f_d) * P * beta1 + f_d * P - f_d * P * beta2,
+               -v1, -v2, -eta, P * P_r, W_m * D_r, C_p * P, C_op + C_or,
+               C_g * f_d * P * beta2, C_r * P_r, i_c * P,
+               d_cp * theta1, d_cd * theta1, E_d1 * theta1, E_d2 * theta1,
+               d1_km * E_t * D_r, d_cr * theta2, e_r2_k, E_hr + e_r2_k,
+               1.0 - f_r, 1.0 - omega, np.full(n, kappa1), np.full(n, kappa2)]
+    shared = [k for k, v in enumerate(ops) if not isinstance(v, np.ndarray)]
+    buffer = np.array([ops[k] for k in shared], dtype=np.float64)
+    for j, k in enumerate(shared):
+        ops[k] = buffer[j, ...]
+    return Operands(ops)
 
 
 def _np_phi1(x, e):
     """phi1 = (e^x - 1) / x elementwise from e = expm1(x); the caller holds
     the errstate scope (the direct form divides by zero where the series
-    is taken)."""
+    is taken).  The series is computed only when some element needs it."""
+    direct = e / x
+    small = np.abs(x) < _PHI1_SMALL
+    if not np.count_nonzero(small):
+        return direct
     series = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)))
-    return np.where(np.abs(x) < 1e-4, series, e / x)
+    return np.where(small, series, direct)
 
 
 def _np_phi2(x, e):
@@ -136,8 +181,8 @@ def _np_phi2(x, e):
     holds the errstate scope.  The series is computed only when some
     element needs it."""
     direct = (e - x) / (x * x)
-    small = np.abs(x) < 1e-3
-    if not small.any():
+    small = np.abs(x) < _PHI2_SMALL
+    if not np.count_nonzero(small):
         return direct
     series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
     return np.where(small, series, direct)
@@ -155,11 +200,10 @@ def evaluate_terms(policy_id, X, p):
 def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
     """Evaluate a population X (n, 5) under one policy, vectorised.
 
-    Returns (values, violations, valid); invalid rows carry NaN.  `p` holds
-    the N_PARAMS parameters in slot order, each a float64 scalar shared by
-    every row or an (n,) array with one value per row: one parameter
-    vector, an (N_PARAMS, n) matrix, or a sequence that mixes the two
-    kinds (`slot_layout`).  `policy_id` None evaluates no carbon policy:
+    Returns (values, violations, valid); invalid rows carry NaN.  `p` is
+    `slot_layout`'s `Operands`, or raw parameters in slot order that the
+    call prepares: a vector, an (N_PARAMS, n) matrix, or a sequence of
+    scalars and (n,) arrays.  `policy_id` None evaluates no carbon policy:
     the values are the base joint profits phi_T, with no violation.
 
     With `terms` (the model layer's `evaluate_terms`; the optimizers do
@@ -179,14 +223,16 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
     each echelon's three phi arguments in one (3, n) array whose expm1
     serves both phi1 and phi2 (the series only when some argument needs
     it), the zero-deterioration limits only when some row is below
-    THETA_FLOOR, and only the emission reductions the policy reads.
-    Parameter-only products are scalar arithmetic where the slots are
-    scalars.  Large batches (the CLI's ``surface`` passes blocks of about
-    8k rows) reuse memory: the retailer's phi arguments are written over
-    the manufacturer's (3, n) arrays.  The terms are the expressions the
-    values are computed from, so asking for them changes no value.
-    Every expression keeps its association, and each row's result does not
-    depend on the other rows of the batch.
+    THETA_FLOOR, and only the emission reductions the policy reads.  It
+    reads only prepared operands: the parameter-only products are computed
+    once per layout, and every shared slot and literal is a 0-d array,
+    which NumPy takes faster than a scalar.  Large batches (the CLI's
+    ``surface`` passes blocks of about 8k rows) reuse memory: the
+    retailer's phi arguments are written over the manufacturer's (3, n)
+    arrays.  The terms are the expressions the values are computed from,
+    so asking for them changes no value.  Every expression keeps its
+    association, and each row's result does not depend on the other rows
+    of the batch.
     """
     X = np.asarray(X, dtype=np.float64)
     T0 = X[:, 0]
@@ -195,12 +241,14 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
     G = X[:, 3]
     W_r = X[:, 4]
 
-    # Unpacked by position, apart from PARAM_ORDER and the slot constants,
-    # so that the layout is checked against the oracle's slot reads.
-    (P, P_r, f_d, beta1, beta2, theta1, theta2, v1, v2, D_r, a, b, eta, W_m,
-     C_p, C_r, C_g, C_op, C_or, i_c, h_p, h_d, h_r, d_cp, d_cd, d_cr, O_r,
-     C_s, f_r, E_p, E_t, E_h1, E_h2, E_hr, E_d1, E_d2, E_dr, d1_km, l1, l2,
-     l3, l4, kappa1, kappa2, omega, U1, U2, C_Tax, C_CT) = p
+    if type(p) is not Operands:
+        p = _prepare(p, len(T0))
+    # The operands in `_prepare` order; a *_k is the coefficient of its term.
+    (P, P_r, theta1, theta2, D_r, a, b, eta, h_p, h_d, h_r, O_r, C_s, E_p, E_h1,
+     E_h2, E_hr, l1, l2, l3, l4, omega, U1, U2, C_Tax, C_CT, P_e, P_de, minus_v1,
+     minus_v2, minus_eta, PP_r, shipped_k, PC_m_k, StC_m, PeC_m_k, RC_m_k,
+     ScC_m_k, DC_m1_k, DC_m2_k, e_m4_k, e_m5_k, e_m6_k, DC_r_k, e_r2_k,
+     CarC_r_k, keep_r, share_r, kappa1, kappa2) = p
 
     # Every row computes from its own inputs: refused and extreme rows run
     # the same arithmetic under this one scope, which silences their NaN,
@@ -209,17 +257,15 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         fW = a - b * W_r
         # Each investment in [0, inf): NaN propagates through np.minimum
         # and np.maximum and fails both tests.
-        invested = (np.minimum(np.minimum(xi1, xi2), G) >= 0.0) \
-            & (np.maximum(np.maximum(xi1, xi2), G) < np.inf)
-        valid = (T0 > 0.0) & (fW > 0.0) & invested
+        invested = (np.minimum(np.minimum(xi1, xi2), G) >= _ZERO) \
+            & (np.maximum(np.maximum(xi1, xi2), G) < _INF)
+        valid = (T0 > _ZERO) & (fW > _ZERO) & invested
 
-        P_e = (1.0 - f_d) * P + f_d * P * beta2 - (1.0 - f_d) * P * beta1
-        P_de = (1.0 - f_d) * P * beta1 + f_d * P - f_d * P * beta2
-        theta_m = theta1 * np.exp(-v1 * xi1)
-        theta_r = theta2 * np.exp(-v2 * xi2)
+        theta_m = theta1 * np.exp(minus_v1 * xi1)
+        theta_r = theta2 * np.exp(minus_v2 * xi2)
 
-        small = theta_m < THETA_FLOOR
-        limits = small.any()
+        small = theta_m < _FLOOR
+        limits = np.count_nonzero(small)
         # theta_m * (-T0, dm1, dm2): the phi arguments -x0, x1 and x2, with
         # one expm1 each.  Rows below the floor take the limits instead.
         x = np.empty((3, len(T0)))
@@ -231,7 +277,7 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         # of (P_r/theta_m)(1 + (P_e u - P_r)/(P_de u + P_r)) that does not
         # cancel for small theta_m.
         T1 = T0 + np.log1p(P_de * u / P_r) / theta_m
-        Q_m = P * P_r * u / (theta_m * (P_de * u + P_r))
+        Q_m = PP_r * u / (theta_m * (P_de * u + P_r))
         T2 = T1 + np.log1p(Q_m * theta_m / D_r) / theta_m
         if limits:
             T1_l = T0 * (1.0 + P_de / P_r)
@@ -259,8 +305,8 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         B1 = eta + theta_r
         B2 = D_r - fW
         s = fW * T1
-        replenished = B2 > 0.0
-        clears = B2 - s * eta > 0.0
+        replenished = B2 > _ZERO
+        clears = B2 - s * eta > _ZERO
         valid &= replenished & clears
         T11 = T1 + np.log1p(-s * eta / B2) / eta
         d0 = T11 - T1
@@ -269,7 +315,7 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         # expm1: written over the manufacturer's spent x and e.  The
         # [T1, T11] piece is signed: T11 < T1 is admitted as printed.
         y = x
-        np.multiply(-eta, d0, out=y[0])
+        np.multiply(minus_eta, d0, out=y[0])
         np.multiply(-B1, dA, out=y[1])
         np.expm1(y[:2], out=e[:2])
         Q_r = -(B2 / B1) * e[1]
@@ -286,31 +332,30 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         int_r_sr = piece1 + piece2 + piece3
 
         # The manufacturer's sales are the retailer's purchases.
-        shipped = W_m * D_r * dm2
-        PC_m = C_p * P * T0
-        StC_m = C_op + C_or
-        PeC_m = C_g * f_d * P * beta2 * T0
-        RC_m = C_r * P_r * dm1
+        shipped = shipped_k * dm2
+        PC_m = PC_m_k * T0
+        PeC_m = PeC_m_k * T0
+        RC_m = RC_m_k * dm1
         PreC_m = xi1 * T2
-        ScC_m = i_c * P * T0
+        ScC_m = ScC_m_k * T0
         HC_m1 = h_p * int_I
         HC_m2 = h_d * int_Id
-        DC_m1 = d_cp * theta1 * int_I
-        DC_m2 = d_cd * theta1 * int_Id
+        DC_m1 = DC_m1_k * int_I
+        DC_m2 = DC_m2_k * int_Id
         e_m1 = Q_m * E_p
         e_m2 = E_h1 * int_I
         e_m3 = E_h2 * int_Id
-        e_m4 = E_d1 * theta1 * int_I
-        e_m5 = E_d2 * theta1 * int_Id
-        e_m6 = d1_km * E_t * D_r * dm2
+        e_m4 = e_m4_k * int_I
+        e_m5 = e_m5_k * int_Id
+        e_m6 = e_m6_k * dm2
         CarC_m = e_m1 + e_m2 + e_m3 + e_m4 + e_m5 + e_m6
 
         SR_r = W_r * (fW * (T3 - T1) + eta * int_r_sr)
         HC_r = h_r * int_r
-        DC_r = d_cr * theta2 * int_r
+        DC_r = DC_r_k * int_r
         PreC_r = xi2 * T2
-        SC_r = 0.5 * s * T1 * C_s
-        CarC_r = (E_hr + E_dr * theta2) * int_r
+        SC_r = _HALF * s * T1 * C_s
+        CarC_r = CarC_r_k * int_r
 
         phi_m = (shipped - (PC_m + StC_m + PeC_m + RC_m + PreC_m + ScC_m
                             + HC_m1 + HC_m2 + DC_m1 + DC_m2)) / T2
@@ -320,16 +365,16 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
         # with G < 0 are overwritten with NaN at the end.
         if policy_id is None or policy_id == POLICY_LIMITED:
             phi_m_pol = phi_m
-            phi_r_pol = (1.0 - f_r) * phi_r_raw
+            phi_r_pol = keep_r * phi_r_raw
             values = phi_m + phi_r_pol
-            violations = 0.0
+            violations = _ZERO
             if policy_id == POLICY_LIMITED:
                 values = values - G
                 violations = np.maximum(CarC_m + CarC_r - abatement(G, l3, l4, kappa2)
-                                        - U2, 0.0)
+                                        - U2, _ZERO)
         else:
             gm = omega * G
-            gr = (1.0 - omega) * G
+            gr = share_r * G
             rho_m = abatement(gm, l1, l2, kappa1)
             rho_r = abatement(gr, l1, l2, kappa1)
             if policy_id == POLICY_TAX:
@@ -339,12 +384,12 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
                 charge_m = C_CT * (CarC_m - rho_m - U1)
                 charge_r = C_CT * (CarC_r - rho_r - U1)
             phi_m_pol = phi_m - (charge_m + gm * T2) / T2
-            phi_r_pol = (1.0 - f_r) * (phi_r_raw - (charge_r + gr * (T3 - T11)) / T3)
+            phi_r_pol = keep_r * (phi_r_raw - (charge_r + gr * (T3 - T11)) / T3)
             values = phi_m_pol + phi_r_pol
-            violations = 0.0
+            violations = _ZERO
 
         if terms:
-            phi_r = (1.0 - f_r) * phi_r_raw
+            phi_r = keep_r * phi_r_raw
             table = np.empty((N_TERMS, len(T0)))
             for slot, row in enumerate((
                     T1, T2, Q_m, theta_m, theta_r, s, T11, Q_r, T3,
@@ -353,7 +398,7 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
                     HC_m1, HC_m2, DC_m1, DC_m2,
                     e_m1, e_m2, e_m3, e_m4, e_m5, e_m6, CarC_m,
                     SR_r, HC_r, DC_r, shipped, O_r, PreC_r, SC_r,
-                    E_hr * int_r, E_dr * theta2 * int_r, CarC_r,
+                    E_hr * int_r, e_r2_k * int_r, CarC_r,
                     phi_m, phi_r_raw, phi_r, phi_m + phi_r, P_e, P_de)):
                 table[slot] = row
             # The first failed check.  The manufacturer's cycle and its
@@ -361,7 +406,7 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
             # what the backlog check reads: where those are not finite the
             # row fails with ERR_OVERFLOW there.
             status = np.select(
-                [~((T0 > 0.0) & (T0 < np.inf)), ~invested, ~(fW >= 0.0), fW == 0.0,
+                [~((T0 > _ZERO) & (T0 < _INF)), ~invested, ~(fW >= _ZERO), fW == _ZERO,
                  ~np.isfinite([T1, T2, Q_m, int_I, int_Id]).all(axis=0),
                  ~replenished, ~np.isfinite(s * eta), ~clears],
                 [ERR_BAD_T0, ERR_BAD_INVESTMENT, ERR_NEGATIVE_DEMAND, ERR_ZERO_DEMAND,
@@ -371,8 +416,8 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
     finite = np.isfinite(values) & np.isfinite(violations)
     if not terms:
         valid &= finite
-        return np.where(valid, values, np.nan), np.where(valid, violations, np.nan), valid
+        return np.where(valid, values, _NAN), np.where(valid, violations, _NAN), valid
     status[(status == OK) & ~(finite & np.isfinite(table).all(axis=0))] = ERR_OVERFLOW
     valid = status == OK
-    return (np.where(valid, values, np.nan), np.where(valid, violations, np.nan), valid,
+    return (np.where(valid, values, _NAN), np.where(valid, violations, _NAN), valid,
             status, table, phi_m_pol, phi_r_pol)

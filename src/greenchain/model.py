@@ -107,12 +107,12 @@ def evaluate_row(params: ModelParameters, decisions: DecisionVector,
                  policy_id=None) -> tuple:
     """(value, violation, phi_m, phi_r, terms) of one decision vector under
     a kernel policy code (None: no carbon policy), from a one-row twin call
-    with the parameter layout of ``policy.make_batch_objective``, so the
-    value is the optimizer's for that row bit for bit.  DomainError with
-    the twin's status if the row is refused."""
+    on the parameter vector, which the twin prepares as
+    ``policy.make_batch_objective`` does, so the value is the optimizer's
+    for that row bit for bit.  DomainError with the twin's status if the
+    row is refused."""
     values, violations, _, status, terms, phi_m, phi_r = K.evaluate_terms(
-        policy_id, decisions.as_array()[None, :],
-        K.slot_layout(params.as_array()[None, :], 1))
+        policy_id, decisions.as_array()[None, :], params.as_array())
     if status[0] != K.OK:
         raise DomainError(int(status[0]))
     return (values[0].item(), violations[0].item(), phi_m[0].item(),

@@ -355,10 +355,11 @@ class _Runs:
         rows = self.rows
         best = np.where(valid & (violations <= 0.0), values, -math.inf)
         top = best.argmax(axis=1)
-        if self.settled:
+        settled = self.settled
+        if settled:
             # Every incumbent is feasible, with violation 0.
             changed = best[rows, top] > self.value
-            if not changed.any():
+            if not np.count_nonzero(changed):
                 return
             pick = top
         else:
@@ -376,7 +377,10 @@ class _Runs:
             self.has_x |= changed
         np.copyto(self.x, X[rows, pick], where=changed[:, None])
         np.copyto(self.value, values[rows, pick], where=changed)
-        self._rescore(changed)
+        if settled:     # value - coeff * 0.0**2 is the value, bit for bit
+            np.copyto(self.fit, self.value, where=changed)
+        else:
+            self._rescore(changed)
 
     def _rescore(self, runs: np.ndarray) -> None:
         """Incumbent fitness of the masked runs; -inf without a finite value."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from greenchain import (DecisionVector, DomainError, ModelParameters,
                         compute_schedule, evaluate_policy)
 from greenchain import kernels as K
+from greenchain.model import refusing_overflow
 from greenchain.params import TABLE_DEFAULTS
 from greenchain.policy import POLICY_IDS, make_batch_objective
 from conftest import sample_admissible
@@ -137,6 +138,43 @@ def test_twin_rows_do_not_depend_on_their_batch(n, kinds, layout, policy):
             assert one_r.tobytes() == phi_r[i:i + 1].tobytes()
 
 
+#: Parameter edits at the edges of the prepared quantities: P_r = 0 divides
+#: by zero (P_de u / P_r), C_g f_d P beta2 and d1 E_t D_r overflow, and
+#: exponents that `**` would square or take the root of as scalars, with
+#: the powers weighted so that they set the values.
+PREPARED_EDGES = {"reference": {}, "P_r_zero": {"P_r": 0.0},
+                  "C_g_P_overflow": {"C_g": 1e307, "P": 1e4},
+                  "d1_E_t_overflow": {"d1": 1e200, "E_t": 1e200},
+                  "kappa_fast_paths": {"kappa1": 2.0, "kappa2": 0.5, "l1": 1e-3,
+                                       "l2": 1e3, "l3": 1e-3, "l4": 1e3}}
+
+
+@pytest.mark.parametrize("policy", [None, *sorted(POLICY_IDS)])
+@pytest.mark.parametrize("edge", sorted(PREPARED_EDGES))
+@pytest.mark.parametrize("n", [1, 50])
+def test_twin_prepares_every_layout_to_the_same_bits(n, edge, policy):
+    """The twin gives the same bits on the prepared `slot_layout`, on the
+    raw parameter vector, on a fully per-row (N_PARAMS, n) matrix, on a
+    sequence of float64 scalars and on a sequence that mixes scalars and
+    per-row arrays: values, violations, valid, status, the term table and
+    the policy's phi rows, refused rows included."""
+    p = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108).as_array()
+    for name, value in PREPARED_EDGES[edge].items():
+        p[K.PARAM_ORDER.index(name)] = value
+    X, _ = _mixed_batch(np.random.default_rng(n), n)
+    pid = None if policy is None else POLICY_IDS[policy]
+
+    def outputs(layout):
+        return (*K.evaluate_policy_batch_numpy(pid, X, layout),
+                *K.evaluate_terms(pid, X, layout)[3:])
+
+    expected = outputs(K.slot_layout(p[None, :], n))
+    for layout in (p, np.repeat(p[:, None], n, axis=1), list(p),
+                   [np.full(n, v) if slot % 2 else v for slot, v in enumerate(p)]):
+        for got, want in zip(outputs(layout), expected):
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("policy", sorted(POLICY_IDS))
 @pytest.mark.parametrize("kappa", [2.0, 0.5])
 @pytest.mark.parametrize("slot", ["kappa1", "kappa2"])
@@ -199,11 +237,17 @@ def test_backlog_status():
     *((policy, {"C_p": 1e308}) for policy in sorted(POLICY_IDS)),
     *((policy, {"P": 1e308}) for policy in sorted(POLICY_IDS)),
     ("tax", {"C_Tax": 1e308}), ("cap_trade", {"C_CT": 1e308}),
-    ("limited", {"E_p": 1e308})])
+    ("limited", {"E_p": 1e308}),
+    # Parameter-only products that overflow.
+    *((policy, {"C_g": 1e307, "P": 1e4}) for policy in sorted(POLICY_IDS)),
+    *((policy, {"d1": 1e200, "E_t": 1e200}) for policy in sorted(POLICY_IDS))])
 def test_overflow_is_refused_not_answered(policy, extreme):
     """Finite but extreme parameters whose arithmetic leaves the float
     range: the model layer raises ERR_OVERFLOW and the twin refuses the
-    row; neither answers inf or NaN."""
+    row; neither answers inf or NaN.  The optimizers' objective, called
+    where an overflow raises (as `optimize` runs it), refuses all 50 rows
+    of a batch and raises nothing, alone and in lockstep with a set that
+    halves the extreme values (which makes them per-row slots)."""
     params = ModelParameters(**{"v1": 0.05, "v2": 0.05, "C_Tax": 1.0, "C_CT": 1.0,
                                 **extreme})
     decisions = DecisionVector(T0=0.6626, xi1=167.8651, xi2=93.6741, G=7.7565,
@@ -214,6 +258,16 @@ def test_overflow_is_refused_not_answered(policy, extreme):
     values, violations, valid = K.evaluate_policy_batch_numpy(
         POLICY_IDS[policy], decisions.as_array()[None, :], params.as_array())
     assert not valid[0] and np.isnan(values[0]) and np.isnan(violations[0])
+
+    X = decisions.as_array() * np.random.default_rng(3).uniform(0.9, 1.02, (50, 5))
+    halved = params.replace(**{name: value / 2 for name, value in extreme.items()})
+    with refusing_overflow():
+        alone = make_batch_objective(params, policy)(X)
+        lockstep = make_batch_objective([params, halved], policy)(np.concatenate([X, X]))
+    for values, violations, valid in (alone, lockstep):
+        assert not valid.any() and np.isnan(values).all() and np.isnan(violations).all()
+    status = K.evaluate_terms(POLICY_IDS[policy], X, params.as_array())[3]
+    assert (status == K.ERR_OVERFLOW).all()
 
 
 def test_series_helpers_continuous_at_switch():
