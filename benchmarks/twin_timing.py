@@ -9,7 +9,7 @@ first in odd rounds and B first in even ones; an interpreter imports
 greenchain from its tree and nowhere else, and times every case once.
 A case's time in one interpreter is the least, over five repeats, of
 the mean time of a call in a loop of calls that lasts about 20 ms
-(0.5 s for ``calibrate``).
+(0.5 s for ``calibrate`` and ``anfis``).
 
 Cases:
 
@@ -21,7 +21,10 @@ Cases:
   down to a multiple of five (no 1-row case);
 - ``model/<policy>``: one ``evaluate_policy`` call, the model layer's
   one-row twin call, which prepares its operands on every call;
-- ``calibrate``: one ``calibrate_missing_defaults`` on its built-in target.
+- ``calibrate``: one ``calibrate_missing_defaults`` on its built-in target;
+- ``anfis``: one 100-epoch ``train_hybrid`` from a fresh five-rule
+  ``grid_partition(0.05, 1.5)`` on ``generate_dataset``'s 61-point T0
+  sweep over [0.05, 1.5] at the reference optimum.
 
 The decision rows are drawn with a fixed seed around the reference optimum,
 all admissible; the parameters are the table defaults with the
@@ -68,6 +71,7 @@ def measure(src: str) -> dict:
     import numpy as np
     from greenchain import (DecisionVector, ModelParameters, evaluate_policy,
                             make_batch_objective)
+    from greenchain.anfis import generate_dataset, grid_partition, train_hybrid
     from greenchain.sensitivity import calibrate_missing_defaults
 
     params = ModelParameters(v1=0.0386, v2=0.0549, C_Tax=2.108, C_CT=2.108)
@@ -91,6 +95,11 @@ def measure(src: str) -> dict:
         times[f"model/{policy}"] = _best_us(
             lambda: evaluate_policy(params, decisions, policy))
     times["calibrate"] = _best_us(calibrate_missing_defaults, budget=0.5)
+    x, y, _ = generate_dataset(params, DecisionVector.from_array(optimum), "T0",
+                               61, (0.05, 1.5))
+    times["anfis"] = _best_us(
+        lambda: train_hybrid(grid_partition(0.05, 1.5, 5), x, y, epochs=100),
+        budget=0.5)
     return times
 
 

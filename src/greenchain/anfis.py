@@ -70,7 +70,8 @@ def corner_gradients(corners, x) -> np.ndarray:
 
 
 def _solve(corners, x, y, pq=None):
-    """(p, q, y_hat) at `corners` from one membership evaluation.
+    """(p, q, y_hat, w, total, rule_out) at `corners` from one membership
+    evaluation; the last three are its forward pass (rule_out is p x + q).
 
     The consequents (p, q) are the least-squares fit to `y` (ridge 1e-8 when
     the design matrix loses rank) unless `pq` gives them.
@@ -88,8 +89,9 @@ def _solve(corners, x, y, pq=None):
             beta = np.linalg.solve(A.T @ A + 1e-8 * np.eye(2 * n), A.T @ y)
         pq = beta[:n], beta[n:]
     p, q = pq
-    y_hat = (w * (p[:, None] * x[None, :] + q[:, None])).sum(axis=0) / total
-    return p, q, y_hat
+    rule_out = p[:, None] * x[None, :] + q[:, None]
+    y_hat = (w * rule_out).sum(axis=0) / total
+    return p, q, y_hat, w, total, rule_out
 
 
 @dataclass
@@ -175,27 +177,20 @@ def grid_partition(lo: float, hi: float, n: int = 5,
                       labels=labels)
 
 
-def fit_consequents(model: AnfisModel, x: np.ndarray, y: np.ndarray) -> None:
-    """Least-squares solve of (p, q) at fixed premises, ridge on rank loss."""
-    model.p, model.q, _ = _solve(model.corners, x, y)
-
-
 def _rmse(y_hat: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y_hat - y) ** 2)))
 
 
-def _premise_gradients(model: AnfisModel, x: np.ndarray, y: np.ndarray
-                       ) -> np.ndarray:
-    """Analytic d(SSE)/d(corner), shape (n_rules, 4)."""
-    w = memberships(model.corners, x)
-    total = w.sum(axis=0)
-    rule_out = model.p[:, None] * x[None, :] + model.q[:, None]
-    y_hat = (w * rule_out).sum(axis=0) / total
+def _premise_gradients(corners: np.ndarray, x: np.ndarray, y: np.ndarray,
+                       fit: tuple) -> np.ndarray:
+    """Analytic d(SSE)/d(corner), shape (n_rules, 4), from `fit`, the
+    ``_solve`` result at `corners`."""
+    _, _, y_hat, _, total, rule_out = fit
     common = 2.0 * (y_hat - y) * ((rule_out - y_hat) / total)
-    g = corner_gradients(model.corners, x)
+    g = corner_gradients(corners, x)
     # one matrix-vector product per rule: a batched matmul may sum in
     # another order
-    return np.array([g[k] @ common[k] for k in range(model.n_rules)])
+    return np.array([g[k] @ common[k] for k in range(len(corners))])
 
 
 def train_hybrid(model: AnfisModel, x, y, epochs: int = 100,
@@ -207,9 +202,9 @@ def train_hybrid(model: AnfisModel, x, y, epochs: int = 100,
     sorted back into order, and the consequents are re-solved exactly at
     the trial corners.  A step that raises the RMSE (or leaves an input
     outside the fuzzy support) is dropped and the learning rate halves;
-    the gradient is recomputed only after an accepted step.  Returns the
-    model and the nonincreasing RMSE history (one entry per epoch, after
-    the least-squares solve).
+    the gradient is recomputed only after an accepted step, from that
+    step's forward pass.  Returns the model and the nonincreasing RMSE
+    history (one entry per epoch, after the least-squares solve).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -220,27 +215,28 @@ def train_hybrid(model: AnfisModel, x, y, epochs: int = 100,
     width = model.domain[1] - model.domain[0]
     lr = learning_rate
 
-    model.p, model.q, y_hat = _solve(model.corners, x, y)
-    history = [_rmse(y_hat, y)]
+    fit = _solve(model.corners, x, y)
+    history = [_rmse(fit[2], y)]
     grads = None
     for _ in range(max(epochs - 1, 0)):
         if grads is None:
-            grads = _premise_gradients(model, x, y)
+            grads = _premise_gradients(model.corners, x, y, fit)
             norm = float(np.linalg.norm(grads))
         rmse = history[-1]
         if norm > 0.0:
             trial = np.sort(model.corners - lr * width * grads / norm, axis=1)
             try:
-                p, q, y_hat = _solve(trial, x, y)
-                trial_rmse = _rmse(y_hat, y)
+                trial_fit = _solve(trial, x, y)
+                trial_rmse = _rmse(trial_fit[2], y)
             except FuzzySupportError:
                 trial_rmse = np.inf
             if trial_rmse > rmse:
                 lr *= 0.5
             else:
-                model.corners, model.p, model.q = trial, p, q
+                model.corners, fit = trial, trial_fit
                 rmse, grads = trial_rmse, None
         history.append(rmse)
+    model.p, model.q = fit[:2]
     return model, history
 
 

@@ -74,16 +74,21 @@ class UsageError(ValueError):
 
 def _atomic_write(path: Path, content) -> None:
     """Write `content`, a str or a function of the open file, to a
-    temporary sibling and rename it over `path`.  Line ends are written
-    as given."""
+    temporary sibling and rename it over `path`; if anything raises, the
+    sibling is removed and `path` is left as it was.  Line ends are
+    written as given."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        if callable(content):
-            content(fh)
-        else:
-            fh.write(content)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _meta() -> dict:

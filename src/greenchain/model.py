@@ -119,15 +119,9 @@ def evaluate_row(params: ModelParameters, decisions: DecisionVector,
             phi_r[0].item(), terms[:, 0])
 
 
-def _terms_or_raise(params: ModelParameters, decisions: DecisionVector
-                    ) -> np.ndarray:
-    """Term vector of one decision vector; DomainError if it is refused."""
-    return evaluate_row(params, decisions)[4]
-
-
 def compute_schedule(params: ModelParameters, decisions: DecisionVector
                      ) -> CycleSchedule:
-    t = _terms_or_raise(params, decisions)
+    t = evaluate_row(params, decisions)[4]
     return CycleSchedule(decisions.T0, *t[K.T_T1:K.T_F_WR + 1],
                          *t[K.T_P_E:], bool(t[K.T_T11] < t[K.T_T1]))
 
@@ -139,11 +133,11 @@ def _breakdown_from_terms(t: np.ndarray) -> CostBreakdown:
 def compute_breakdown(params: ModelParameters, decisions: DecisionVector
                       ) -> CostBreakdown:
     """All cost and emission components for one decision vector."""
-    return _breakdown_from_terms(_terms_or_raise(params, decisions))
+    return _breakdown_from_terms(evaluate_row(params, decisions)[4])
 
 
 def base_profits(params: ModelParameters, decisions: DecisionVector
                  ) -> ProfitResult:
     """Cycle-averaged profits before carbon charges."""
-    t = _terms_or_raise(params, decisions)
+    t = evaluate_row(params, decisions)[4]
     return ProfitResult(*t[K.T_PHI_M:K.T_PHI_T + 1])

@@ -338,34 +338,30 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
         usable = ok & ((v > 1e-6) & (v < 10.0)).all(axis=1) & (f < 1e6)
         return r, np.where(usable, f, 1e6), c_tax, ss
 
-    def loss(lv) -> float:
-        return float(project(lv)[1][0])
-
     axis = np.log(np.geomspace(2e-3, 0.5, 28))
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     best = grid[np.argmin(project(grid)[1])]
-    lv = sciopt.minimize(loss, best, method="Nelder-Mead",
-                         options={"xatol": 1e-10, "fatol": math.inf}).x
-    if loss(lv) >= 1e6:
+    polish = sciopt.minimize(lambda lv: float(project(lv)[1][0]), best,
+                             method="Nelder-Mead",
+                             options={"xatol": 1e-10, "fatol": math.inf})
+    if polish.fun >= 1e6:
         raise ValueError("calibration target: the model rejects its decisions, "
                          "or their profits are not finite, at every v1, v2 tried")
-    r, f0, c_tax, ss = (a[0] for a in project(lv))
-    f0, c_tax = float(f0), float(c_tax)
+    # Row 0 is the fit; rows 1-4 step log v1, then log v2, by +0.05 and -0.05.
+    lv = polish.x
+    r, f, c_tax, ss = project(lv + np.array([[0.0, 0.0], [0.05, 0.0], [-0.05, 0.0],
+                                             [0.0, 0.05], [0.0, -0.05]]))
+    f0, c_tax = float(f[0]), float(c_tax[0])
     v1, v2 = math.exp(lv[0]), math.exp(lv[1])
-    errors = dict(zip(("Z_m", "Z_r", "phi_T"), r[:3].tolist()))
+    errors = dict(zip(("Z_m", "Z_r", "phi_T"), r[0, :3].tolist()))
     residual = max(abs(e) for e in errors.values())
 
     identifiable = {}
-    for name, k in (("v1", 0), ("v2", 1)):
-        moved = 0.0
-        for step in (0.05, -0.05):
-            probe = lv.copy()
-            probe[k] += step
-            f_probe = loss(probe)
-            if f_probe < 1e6:
-                moved = max(moved, abs(f_probe - f0))
+    for name, probes in (("v1", f[1:3]), ("v2", f[3:5])):
+        moved = max((abs(f_probe - f0) for f_probe in probes.tolist()
+                     if f_probe < 1e6), default=0.0)
         identifiable[name] = bool(moved > 1e-12 * (1.0 + abs(f0)))
-    identifiable["C_Tax"] = bool(ss > 0.0)
+    identifiable["C_Tax"] = bool(ss[0] > 0.0)
 
     return CalibrationResult(
         v1=v1, v2=v2, C_Tax=c_tax, residual=residual,

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from greenchain import DecisionVector, DomainError, ModelParameters
 from greenchain import kernels as K
-from greenchain.model import _terms_or_raise
+from greenchain.model import evaluate_row
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ def sample_admissible(rng: np.random.Generator, n: int):
             G=rng.uniform(0.0, 20.0),
             W_r=rng.uniform(lo, 0.97 * price_cap))
         try:
-            terms = _terms_or_raise(p, d)
+            terms = evaluate_row(p, d)[4]
         except DomainError:
             continue
         # keep clear of the backlog-degeneracy boundary B2 = s*eta

@@ -19,7 +19,7 @@ import pytest
 from greenchain import (DecisionVector, base_profits, evaluate_policy,
                         green_reduction, make_batch_objective)
 from greenchain import kernels as K
-from greenchain.model import _terms_or_raise
+from greenchain.model import evaluate_row
 from greenchain.anfis import generate_dataset, grid_partition, train_hybrid
 from greenchain.optimize import (OptimizerConfig, SearchSpace,
                                  default_search_space, multi_seed_run,
@@ -47,7 +47,7 @@ def announce(name: str, ok: bool, detail: str) -> None:
 def samples():
     rng = np.random.default_rng(20240817)
     pairs = sample_admissible(rng, N_SAMPLES)
-    return [(p, d, _terms_or_raise(p, d)) for p, d in pairs]
+    return [(p, d, evaluate_row(p, d)[4]) for p, d in pairs]
 
 
 def _per_sample(rows, key):
@@ -310,7 +310,7 @@ def test_a8_surrogate_quality(calibration):
                           "linear_parameters": 10, "nonlinear_parameters": 20}
 
     # analytic premise gradients against central differences
-    from greenchain.anfis import _premise_gradients
+    from greenchain.anfis import _premise_gradients, _solve
 
     rng = np.random.default_rng(4)
     gm = grid_partition(0.0, 1.0, 5)
@@ -318,7 +318,8 @@ def test_a8_surrogate_quality(calibration):
     gm.q = rng.normal(size=5)
     xs = rng.uniform(0.02, 0.98, 50)
     ys = np.sin(3.0 * xs)
-    analytic = _premise_gradients(gm, xs, ys)
+    analytic = _premise_gradients(gm.corners, xs, ys,
+                                  _solve(gm.corners, xs, None, (gm.p, gm.q)))
     h = 1e-6
     grad_ok = True
     for k in range(gm.n_rules):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from greenchain import DecisionVector, ModelParameters, evaluate_policy
-from greenchain.anfis import (AnfisModel, FuzzySupportError,
-                              corner_gradients, fit_consequents,
-                              generate_dataset, grid_partition, memberships,
-                              train_hybrid)
+from greenchain import anfis
+from greenchain.anfis import (AnfisModel, FuzzySupportError, _solve,
+                              corner_gradients, generate_dataset,
+                              grid_partition, memberships, train_hybrid)
 
 from oracles import anfis_training_reference
 
@@ -145,7 +145,8 @@ class TestTraining:
         m.q = rng.normal(size=5)
         x = rng.uniform(0.03, 0.97, 60)
         y = np.cos(2.0 * x)
-        analytic = _premise_gradients(m, x, y)
+        analytic = _premise_gradients(m.corners, x, y,
+                                      _solve(m.corners, x, None, (m.p, m.q)))
 
         def sse(model):
             return float(np.sum((model.forward(x) - y) ** 2))
@@ -167,7 +168,7 @@ class TestTraining:
         m = grid_partition(0.0, 1.0, 5)
         x = np.full(12, 0.5)
         y = np.full(12, 2.0)
-        fit_consequents(m, x, y)
+        m.p, m.q = _solve(m.corners, x, y)[:2]
         assert np.all(np.isfinite(m.p)) and np.all(np.isfinite(m.q))
         assert m.forward(0.5) == pytest.approx(2.0, rel=1e-6)
 
@@ -205,6 +206,20 @@ def test_training_matches_rule_by_rule_reference(case):
     assert model.p.tobytes() == p.tobytes() and model.q.tobytes() == q.tobytes()
     if case == "reference":
         assert sum(b == a for a, b in zip(history, history[1:])) == 13
+
+
+def test_training_evaluates_memberships_once_per_solve(monkeypatch):
+    # The premise gradient reads the forward pass of the accepted solve.
+    calls = {"memberships": 0, "_solve": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(anfis, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(anfis, name, counted)
+    _, x, y, epochs = next(c for c in _training_cases() if c[0] == "reference")
+    train_hybrid(grid_partition(float(x.min()), float(x.max()), 5), x, y,
+                 epochs=epochs)
+    assert calls == {"memberships": epochs, "_solve": epochs}
 
 
 class TestDataset:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greenchain import DecisionVector, ModelParameters
+from greenchain import DecisionVector, ModelParameters, cli
 from greenchain.cli import build_parser, main
 from greenchain.model import DECISION_NAMES
 from greenchain.policy import make_batch_objective
@@ -337,6 +337,29 @@ class TestSurface:
         assert code == 0 and peak <= 16e6
         with open(out_dir / "surface_T0_W_r.csv", newline="") as fh:
             assert sum(1 for _ in fh) == 320 * 320 + 1
+
+    def test_failed_write_leaves_no_file(self, capsys, config_path, tmp_path,
+                                         monkeypatch):
+        def failing_on_second_call(params, policy):
+            objective, calls = make_batch_objective(params, policy), []
+
+            def call(X):
+                calls.append(len(X))
+                if len(calls) == 2:
+                    raise RuntimeError("objective failed")
+                return objective(X)
+            return call
+
+        monkeypatch.setattr(cli, "make_batch_objective", failing_on_second_call)
+        out_dir = tmp_path / "art"
+        # 81 grid rows per block: five blocks, the second one raises.
+        code, _, err = run_cli(capsys, "--config", config_path, "--out",
+                               str(out_dir), "surface", "--vars", "T0", "W_r",
+                               "--range1", "0.05", "12", "--range2", "80", "320",
+                               "--n2", "100", "--n1", "400")
+        assert code == 1 and "objective failed" in err
+        assert not (out_dir / "surface_T0_W_r.csv").exists()
+        assert list(out_dir.glob("*.tmp")) == []
 
     def test_reference_covers_empty_cells_and_exponents(self):
         mixed = expected_surface("T0", "W_r", (0.2, 0.8), (290.0, 310.0), 3, 5)

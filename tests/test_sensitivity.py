@@ -144,6 +144,20 @@ class TestCalibration:
         fit = calibrate_missing_defaults(target, base_values=zeros)
         assert fit.identifiable["C_Tax"] is False
 
+    @pytest.mark.parametrize("idle", ["xi1", "xi2"])
+    def test_one_idle_investment_flags_only_its_efficiency(self, idle):
+        # With xi1 = 0 no value of v1 moves a profit, and likewise xi2, v2.
+        p = ModelParameters(v1=0.03, v2=0.05, C_Tax=2.0)
+        dec = DecisionVector(**{**DEFAULT_CALIBRATION_TARGET.decisions.to_dict(),
+                                idle: 0.0})
+        outcome = evaluate_policy(p, dec, "tax")
+        fit = calibrate_missing_defaults(CalibrationTarget(
+            decisions=dec, Z_m=outcome.phi_m, Z_r=outcome.phi_r,
+            phi_T=outcome.value))
+        assert fit.ok
+        assert fit.identifiable == {"v1": idle != "xi1", "v2": idle != "xi2",
+                                    "C_Tax": True}
+
     def test_unreachable_target_reported_not_silenced(self):
         target = CalibrationTarget(
             decisions=DecisionVector(T0=0.6626, xi1=167.8651, xi2=93.6741,
