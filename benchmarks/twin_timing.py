@@ -1,5 +1,5 @@
 """Time the NumPy twin per call on two source trees, in alternated fresh
-interpreters, and print the best of N rounds for each side.
+interpreters, and print each side's spread over N rounds.
 
     python3 benchmarks/twin_timing.py SRC_A SRC_B [--rounds N]
 
@@ -28,7 +28,14 @@ Cases:
 
 The decision rows are drawn with a fixed seed around the reference optimum,
 all admissible; the parameters are the table defaults with the
-reference triple.  Times are in microseconds; the last column is B / A.
+reference triple.
+
+Every interpreter's time is kept.  Per case and side the table gives the
+best, the lower quartile, the median and the upper quartile over the
+rounds, in microseconds; then B/A, the ratio of the medians, and how many
+rounds B beat A (each round's B time against the same round's A time).
+One interpreter's time of a case varies by several percent, so read a
+small difference from the quartiles and the round count, not the best.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ import json
 import subprocess
 import sys
 import time
+
+import numpy as np
 
 POLICIES = ("tax", "cap_trade", "limited")
 ROWS = (1, 50, 250, 8192)
@@ -68,7 +77,6 @@ def _best_us(call, budget=LOOP_SECONDS) -> float:
 def measure(src: str) -> dict:
     """Every case's time (us) with greenchain imported from `src`."""
     sys.path.insert(0, os.path.abspath(src))
-    import numpy as np
     from greenchain import (DecisionVector, ModelParameters, evaluate_policy,
                             make_batch_objective)
     from greenchain.anfis import generate_dataset, grid_partition, train_hybrid
@@ -116,7 +124,7 @@ def main(argv=None) -> int:
         return 0
     if args.src_b is None or args.rounds < 1:
         parser.error("give SRC_A and SRC_B, and --rounds of at least 1")
-    best = {"A": {}, "B": {}}
+    times = {"A": {}, "B": {}}     # side -> case -> one time per round
     for r in range(args.rounds):
         for side in ("AB" if r % 2 == 0 else "BA"):
             src = args.src_a if side == "A" else args.src_b
@@ -124,11 +132,18 @@ def main(argv=None) -> int:
                 [sys.executable, os.path.abspath(__file__), "--worker", src],
                 check=True, capture_output=True, text=True).stdout
             for case, us in json.loads(out).items():
-                best[side][case] = min(us, best[side].get(case, float("inf")))
-    print(f"{'case':28s} {'A us':>11s} {'B us':>11s} {'B/A':>6s}")
-    for case, a in best["A"].items():
-        b = best["B"][case]
-        print(f"{case:28s} {a:11.1f} {b:11.1f} {b / a:6.3f}")
+                times[side].setdefault(case, []).append(us)
+    columns = [f"{side} {stat}" for side in "AB"
+               for stat in ("best", "q1", "median", "q3")]
+    print(f"{'case':28s}" + "".join(f" {c:>10s}" for c in columns)
+          + f" {'B/A':>6s} {'B won':>6s}")
+    for case, a in times["A"].items():
+        a, b = np.array(a), np.array(times["B"][case])
+        cells = [v for side in (a, b)
+                 for v in (side.min(), *np.percentile(side, [25, 50, 75]))]
+        won = f"{np.count_nonzero(b < a)}/{len(a)}"
+        print(f"{case:28s}" + "".join(f" {v:10.1f}" for v in cells)
+              + f" {np.median(b) / np.median(a):6.3f} {won:>6s}")
     return 0
 
 

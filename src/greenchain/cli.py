@@ -31,13 +31,17 @@ from pathlib import Path
 
 import numpy as np
 
+# Not called here (`evaluate` reads its views from one twin call); they stay
+# importable from this module for callers that wrap them by attribute.
+from . import (base_profits, compute_breakdown,  # noqa: F401
+               compute_schedule, evaluate_policy)
 from .anfis import generate_dataset, grid_partition, train_hybrid
-from .model import (DECISION_NAMES, DecisionVector, DomainError, base_profits,
-                    compute_breakdown, compute_schedule, refusing_overflow)
+from .model import (DECISION_NAMES, DecisionVector, DomainError, evaluate_row,
+                    refusing_overflow, term_views)
 from .optimize import (ALGORITHMS, OptimizerConfig, default_search_space,
                        multi_seed_run, multi_seed_stats, require_allocatable)
 from .params import ModelParameters, ParameterError, to_real
-from .policy import POLICY_IDS, evaluate_policy, make_batch_objective
+from .policy import POLICY_IDS, PolicyObjective, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
                           DEFAULT_LEVELS, SWEEP_CSV_COLUMNS, SweepSpec,
                           calibrate_missing_defaults, direction_report,
@@ -50,8 +54,9 @@ EXIT_CALIBRATION = 3
 
 CONFIG_ENV = "GREENCHAIN_CONFIG"
 # `surface` evaluates and writes whole grid rows, about this many cells at
-# a time, so its memory does not grow with the number of rows.
-SURFACE_BLOCK_CELLS = 8192
+# a time: memory stays flat in the rows, and a block's temporaries (about
+# 650 bytes a cell) leave no large freed heap region for later data to pin.
+SURFACE_BLOCK_CELLS = 2048
 # The keys of each subcommand's own section; a config holds at most one.
 SECTION_KEYS = {
     "evaluate": ("decisions",),
@@ -91,8 +96,29 @@ def _atomic_write(path: Path, content) -> None:
         raise
 
 
-def _meta() -> dict:
-    return {"timestamp": datetime.now(timezone.utc).isoformat()}
+_json = functools.partial(json.dumps, indent=2, sort_keys=True)
+
+
+def _write_json(out: Path | None, name: str, doc: dict, **meta) -> None:
+    """Write `doc` to out/name with a `meta` object: the UTC timestamp and
+    `meta`.  Nothing without an output directory."""
+    if out:
+        meta = {"timestamp": datetime.now(timezone.utc).isoformat(), **meta}
+        _atomic_write(out / name, _json({"meta": meta, **doc}))
+
+
+def _write_csv(out: Path | None, name: str, header, rows) -> None:
+    """Write `header` and `rows` to out/name by csv.writer, each number that
+    is not an int as its float repr.  Nothing without an output directory."""
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, (int, str)) else repr(float(v))
+                             for v in row])
+
+    if out:
+        _atomic_write(out / name, write)
 
 
 def load_config(path: str | None) -> dict:
@@ -222,27 +248,24 @@ def cmd_evaluate(args, config) -> int:
     policy = _policy(args, config)
     params = _load_parameters(config, policy)
     decisions = _decisions(config, config.get("evaluate"), args)
-    outcome = evaluate_policy(params, decisions, policy)
+    # One twin call serves every section: the term column does not depend
+    # on the policy, and a row the policy admits is admitted with none.
+    value, violation, phi_m, phi_r, terms = evaluate_row(
+        params, decisions, POLICY_IDS[policy])
+    schedule, breakdown, profits = term_views(decisions, terms)
+    outcome = PolicyObjective(policy, value, phi_m, phi_r, violation, breakdown)
     doc = {
         "policy": policy,
         "decisions": decisions.to_dict(),
-        "schedule": compute_schedule(params, decisions).to_dict(),
-        "costs_and_emissions": compute_breakdown(params, decisions).to_dict(),
-        "base_profits": base_profits(params, decisions).to_dict(),
+        "schedule": schedule.to_dict(),
+        "costs_and_emissions": breakdown.to_dict(),
+        "base_profits": profits.to_dict(),
         "policy_result": {
-            "value": outcome.value,
-            "phi_m": outcome.phi_m,
-            "phi_r": outcome.phi_r,
-            "constraint_violation": outcome.constraint_violation,
-            "feasible": outcome.feasible,
-        },
+            "value": value, "phi_m": phi_m, "phi_r": phi_r,
+            "constraint_violation": violation, "feasible": outcome.feasible},
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    out = _out_dir(args, config)
-    if out:
-        _atomic_write(out / "evaluate.json",
-                      json.dumps({"meta": _meta(), **doc}, indent=2, sort_keys=True))
+    print(_json(doc))
+    _write_json(_out_dir(args, config), "evaluate.json", doc)
     return EXIT_OK
 
 
@@ -262,40 +285,31 @@ def cmd_optimize(args, config) -> int:
 
     out = _out_dir(args, config)
     for result in results:
-        line = (f"{result.algorithm} policy={policy} seed={result.seed} "
-                f"best={result.best_fitness:.6f} feasible={result.feasible} "
-                f"evals={result.evaluations}")
-        print(line)
-        if out:
-            doc = {
-                "meta": {**_meta(), "wall_time_s": result.wall_time_s},
-                "algorithm": result.algorithm,
-                "policy": policy,
-                "seed": result.seed,
-                "best_decisions": result.decisions.to_dict(),
-                "best_value": result.best_value,
-                "best_fitness": result.best_fitness,
-                "constraint_violation": result.best_violation,
-                "feasible": result.feasible,
-                "evaluations": result.evaluations,
-            }
-            stem = f"{result.algorithm}_{policy}_seed{result.seed}"
-            _atomic_write(out / f"best_{stem}.json",
-                          json.dumps(doc, indent=2, sort_keys=True))
-            history = [(i, fit, int(feas)) for i, (fit, feas) in enumerate(
-                zip(result.history, result.history_feasible))]
-            _atomic_write(out / f"history_{stem}.csv",
-                          lambda fh: _write_rows(
-                              fh, ["iteration", "best_fitness", "feasible"], history))
+        print(f"{result.algorithm} policy={policy} seed={result.seed} "
+              f"best={result.best_fitness:.6f} feasible={result.feasible} "
+              f"evals={result.evaluations}")
+        stem = f"{result.algorithm}_{policy}_seed{result.seed}"
+        _write_json(out, f"best_{stem}.json", {
+            "algorithm": result.algorithm,
+            "policy": policy,
+            "seed": result.seed,
+            "best_decisions": result.decisions.to_dict(),
+            "best_value": result.best_value,
+            "best_fitness": result.best_fitness,
+            "constraint_violation": result.best_violation,
+            "feasible": result.feasible,
+            "evaluations": result.evaluations,
+        }, wall_time_s=result.wall_time_s)
+        _write_csv(out, f"history_{stem}.csv",
+                   ["iteration", "best_fitness", "feasible"],
+                   ((i, fit, int(feas)) for i, (fit, feas) in enumerate(
+                       zip(result.history, result.history_feasible))))
     if n_seeds > 1:
         best, mean, std = multi_seed_stats(results)
         print(f"summary: max={best:.6f} mean={mean:.6f} std={std:.6e}")
-        if out:
-            _atomic_write(out / f"summary_{cfg.algorithm}_{policy}.json",
-                          json.dumps({"meta": _meta(), "algorithm": cfg.algorithm,
-                                      "policy": policy, "seeds": n_seeds,
-                                      "max": best, "mean": mean, "std": std},
-                                     indent=2, sort_keys=True))
+        _write_json(out, f"summary_{cfg.algorithm}_{policy}.json",
+                    {"algorithm": cfg.algorithm, "policy": policy,
+                     "seeds": n_seeds, "max": best, "mean": mean, "std": std})
     return EXIT_OK
 
 
@@ -334,11 +348,8 @@ def cmd_sensitivity(args, config) -> int:
                   f"({row.pct_change:+.4f}%)")
         else:
             print(f"{parameter} {row.level:+6.1f}%  infeasible")
-    out = _out_dir(args, config)
-    if out:
-        _atomic_write(out / f"sweep_{parameter}.csv",
-                      lambda fh: _write_rows(fh, SWEEP_CSV_COLUMNS,
-                                             sweep_table(parameter, rows)))
+    _write_csv(_out_dir(args, config), f"sweep_{parameter}.csv",
+               SWEEP_CSV_COLUMNS, sweep_table(parameter, rows))
     return EXIT_OK
 
 
@@ -377,21 +388,11 @@ def cmd_anfis(args, config) -> int:
     out = _out_dir(args, config)
     if out:
         _atomic_write(out / f"anfis_{variable}.json", model.to_json())
-        _atomic_write(out / f"anfis_{variable}_predictions.csv",
-                      lambda fh: _write_rows(fh, ["x", "y_true", "y_pred"],
-                                             zip(x, y, y_pred)))
-        _atomic_write(out / f"anfis_{variable}_rmse.csv",
-                      lambda fh: _write_rows(fh, ["epoch", "rmse"],
-                                             enumerate(history)))
+    _write_csv(out, f"anfis_{variable}_predictions.csv", ["x", "y_true", "y_pred"],
+               zip(x, y, y_pred))
+    _write_csv(out, f"anfis_{variable}_rmse.csv", ["epoch", "rmse"],
+               enumerate(history))
     return EXIT_OK
-
-
-def _write_rows(fh, header, rows):
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([v if isinstance(v, (int, str)) else repr(float(v))
-                         for v in row])
 
 
 def cmd_surface(args, config) -> int:
@@ -470,13 +471,8 @@ def cmd_calibrate(args, config) -> int:
         seed = _seed(args, config, required=True)
         cfg = _optimizer_config(args, config, seed)
         report["sign_checks"] = direction_report(result.params, cfg)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    out = _out_dir(args, config)
-    if out:
-        _atomic_write(out / "reproduction_report.json",
-                      json.dumps({"meta": _meta(), **report},
-                                 indent=2, sort_keys=True))
+    print(_json(report))
+    _write_json(_out_dir(args, config), "reproduction_report.json", report)
     return EXIT_OK if result.ok else EXIT_CALIBRATION
 
 

@@ -119,25 +119,27 @@ def evaluate_row(params: ModelParameters, decisions: DecisionVector,
             phi_r[0].item(), terms[:, 0])
 
 
+def term_views(decisions: DecisionVector, t: np.ndarray) -> tuple:
+    """(CycleSchedule, CostBreakdown, ProfitResult) of `decisions` from its
+    term column `t`, the last item of `evaluate_row`."""
+    return (CycleSchedule(decisions.T0, *t[K.T_T1:K.T_F_WR + 1], *t[K.T_P_E:],
+                          bool(t[K.T_T11] < t[K.T_T1])),
+            CostBreakdown(*t[K.T_SR_M:K.T_CARC_R + 1]),
+            ProfitResult(*t[K.T_PHI_M:K.T_PHI_T + 1]))
+
+
 def compute_schedule(params: ModelParameters, decisions: DecisionVector
                      ) -> CycleSchedule:
-    t = evaluate_row(params, decisions)[4]
-    return CycleSchedule(decisions.T0, *t[K.T_T1:K.T_F_WR + 1],
-                         *t[K.T_P_E:], bool(t[K.T_T11] < t[K.T_T1]))
-
-
-def _breakdown_from_terms(t: np.ndarray) -> CostBreakdown:
-    return CostBreakdown(*t[K.T_SR_M:K.T_CARC_R + 1])
+    return term_views(decisions, evaluate_row(params, decisions)[4])[0]
 
 
 def compute_breakdown(params: ModelParameters, decisions: DecisionVector
                       ) -> CostBreakdown:
     """All cost and emission components for one decision vector."""
-    return _breakdown_from_terms(evaluate_row(params, decisions)[4])
+    return term_views(decisions, evaluate_row(params, decisions)[4])[1]
 
 
 def base_profits(params: ModelParameters, decisions: DecisionVector
                  ) -> ProfitResult:
     """Cycle-averaged profits before carbon charges."""
-    t = evaluate_row(params, decisions)[4]
-    return ProfitResult(*t[K.T_PHI_M:K.T_PHI_T + 1])
+    return term_views(decisions, evaluate_row(params, decisions)[4])[2]

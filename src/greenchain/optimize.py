@@ -523,6 +523,7 @@ def multi_seed_run(space: SearchSpace, config: OptimizerConfig, objective,
         raise ValueError("seed is mandatory for optimizer runs")
     if n_seeds < 1:
         raise ValueError("n_seeds must be positive")
+    require_allocatable("n_seeds", n_seeds)
     # The first run takes config.seed as given, so `run_many` checks it.
     return run_many([space] * n_seeds, config,
                     [seed, *(seed + i for i in range(1, n_seeds))], objective)

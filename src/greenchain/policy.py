@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as K
-from .model import (CostBreakdown, DecisionVector, DomainError,
-                    _breakdown_from_terms, evaluate_row)
+from .model import (CostBreakdown, DecisionVector, DomainError, evaluate_row,
+                    term_views)
 from .params import ModelParameters
 
 # Kernel policy codes.  Indexed only after `require_policy_price`, which
@@ -83,7 +83,7 @@ def evaluate_policy(params: ModelParameters, decisions: DecisionVector,
         params, decisions, POLICY_IDS[policy])
     return PolicyObjective(kind=policy, value=value, phi_m=phi_m,
                            phi_r=phi_r, constraint_violation=violation,
-                           diagnostics=_breakdown_from_terms(terms))
+                           diagnostics=term_views(decisions, terms)[1])
 
 
 def make_batch_objective(params, policy: str):

@@ -11,11 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greenchain import DecisionVector, ModelParameters, cli
+from greenchain import (DecisionVector, ModelParameters, base_profits, cli,
+                        compute_breakdown, compute_schedule, evaluate_policy)
+from greenchain import kernels as K
 from greenchain.cli import build_parser, main
 from greenchain.model import DECISION_NAMES
 from greenchain.policy import make_batch_objective
 
+from conftest import sample_admissible
 from oracles import surface_csv_reference
 
 PARAMS = {"v1": 0.04, "v2": 0.06, "C_Tax": 2.1, "C_CT": 2.1}
@@ -92,6 +95,39 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "--config", str(path), "evaluate")
         assert code == 2 and "decision" in err
 
+    @pytest.mark.parametrize("policy", ["tax", "cap_trade", "limited"])
+    def test_one_twin_call_gives_the_public_views(self, capsys, tmp_path,
+                                                  monkeypatch, policy):
+        """Each section is the matching public view, bit for bit, at the
+        reference point and at drawn admissible points, from one twin call."""
+        twin, calls = K.evaluate_terms, []
+        monkeypatch.setattr(K, "evaluate_terms",
+                            lambda *a, **kw: calls.append(a) or twin(*a, **kw))
+        pairs = [(ModelParameters.from_dict(PARAMS), DecisionVector(**DECISIONS)),
+                 *sample_admissible(np.random.default_rng(25), 4)]
+        path = tmp_path / "c.json"
+        for params, decisions in pairs:
+            path.write_text(json.dumps({"parameters": params.to_dict(),
+                                        "decisions": decisions.to_dict()}))
+            calls.clear()
+            code, out, _ = run_cli(capsys, "--config", str(path),
+                                   "--policy", policy, "evaluate")
+            assert code == 0 and len(calls) == 1
+            outcome = evaluate_policy(params, decisions, policy)
+            views = {
+                "schedule": compute_schedule(params, decisions).to_dict(),
+                "costs_and_emissions": compute_breakdown(params, decisions).to_dict(),
+                "base_profits": base_profits(params, decisions).to_dict(),
+                "policy_result": {
+                    "value": outcome.value, "phi_m": outcome.phi_m,
+                    "phi_r": outcome.phi_r, "feasible": outcome.feasible,
+                    "constraint_violation": outcome.constraint_violation},
+            }
+            doc = json.loads(out)
+            for section, view in views.items():
+                assert (json.dumps(doc[section], sort_keys=True)
+                        == json.dumps(view, sort_keys=True)), section
+
 
 class TestOptimize:
     def test_zero_iterations_reports_initial_best(self, capsys, config_path,
@@ -134,10 +170,11 @@ class TestOptimize:
         assert code == 2 and "error:" in err
         assert out == ""
 
-    @pytest.mark.parametrize("flag", ["--pop", "--iters"])
+    @pytest.mark.parametrize("flag", ["--pop", "--iters", "--seeds"])
     def test_count_too_large_to_allocate_is_usage_error(self, capsys, config_path,
                                                         flag):
-        # Refused by OptimizerConfig.validate, before the runs allocate.
+        # Refused before the runs allocate: --pop and --iters by
+        # OptimizerConfig.validate, --seeds by multi_seed_run.
         count = str(10 ** 15)
         code, out, err = run_cli(capsys, "--config", config_path, "optimize",
                                  "--algo", "pso", flag, count)
@@ -655,13 +692,48 @@ class TestConfigValidation:
         assert code == 2
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _env_with_src(**changes) -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = {**os.environ, **changes}
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = _env_with_src()
     probe = ("import sys, greenchain.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """`evaluate` and a two-seed `optimize`, each run in fresh interpreters
+    under two PYTHONHASHSEED values: the same stdout, and the same files
+    once `meta` is dropped from every JSON document."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"parameters": PARAMS, "policy": "tax",
+                                  "seed": 7, "decisions": DECISIONS}))
+    commands = (["evaluate"], ["optimize", "--algo", "de1", "--pop", "5",
+                               "--iters", "2", "--seeds", "2"])
+    runs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        stdout = [subprocess.run(
+            [sys.executable, "-m", "greenchain.cli", "--config", str(config),
+             "--out", str(out), *argv], env=_env_with_src(PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, check=True).stdout for argv in commands]
+        files = {}
+        for path in sorted(out.iterdir()):
+            text = path.read_bytes().decode()
+            if path.suffix == ".json":
+                doc = json.loads(text)
+                doc.pop("meta")
+                text = json.dumps(doc, indent=2, sort_keys=True)
+            files[path.name] = text
+        runs.append((stdout, files))
+    assert len(runs[0][1]) == 6
+    assert runs[0] == runs[1]

@@ -377,8 +377,13 @@ def test_scalar_kernel_matches_twin_over_whole_table(case):
 
 def _assert_model_layer_raises_twin_status(params, X):
     """compute_schedule raises DomainError with the twin's status for every
-    row of X the twin refuses, and answers the others."""
-    status = K.evaluate_terms(None, X, params.as_array())[3]
+    row of X the twin refuses, and answers the others.  Under each policy,
+    a row the model layer admits is admitted with no policy, with the same
+    term column bit for bit (`evaluate` reads every section from one call
+    under its policy), and the optimizers' objective admits exactly the
+    rows the model layer does."""
+    p = params.as_array()
+    _, _, _, status, terms, _, _ = K.evaluate_terms(None, X, p)
     for row, code in zip(X, status.tolist()):
         if code == K.OK:
             compute_schedule(params, DecisionVector.from_array(row))
@@ -386,6 +391,13 @@ def _assert_model_layer_raises_twin_status(params, X):
             with pytest.raises(DomainError) as info:
                 compute_schedule(params, DecisionVector.from_array(row))
             assert info.value.status == code
+    layout = K.slot_layout(p[None, :], len(X))
+    for pid in POLICY_IDS.values():
+        _, _, _, under_policy, policy_terms, _, _ = K.evaluate_terms(pid, X, p)
+        ok = under_policy == K.OK
+        assert (status[ok] == K.OK).all()
+        assert policy_terms[:, ok].tobytes() == terms[:, ok].tobytes()
+        assert np.array_equal(K.evaluate_policy_batch_numpy(pid, X, layout)[2], ok)
 
 
 @settings(max_examples=100, deadline=None)
