@@ -227,7 +227,7 @@ def evaluate_policy_batch_numpy(policy_id, X, p, terms=False):
     reads only prepared operands: the parameter-only products are computed
     once per layout, and every shared slot and literal is a 0-d array,
     which NumPy takes faster than a scalar.  Large batches (the CLI's
-    ``surface`` passes blocks of about 8k rows) reuse memory: the
+    ``surface`` passes blocks of about 2,048 cells) reuse memory: the
     retailer's phi arguments are written over the manufacturer's (3, n)
     arrays.  The terms are the expressions the values are computed from,
     so asking for them changes no value.  Every expression keeps its

@@ -6,9 +6,9 @@ the same seed, and reports the re-optimized decisions, per-player profits
 and the joint-profit percent change against the 0 % row.
 
 ``calibrate_missing_defaults`` fits the constants that the published
-default table omits (v1, v2 and the carbon tax price) so that the model
-reproduces a reference operating point: a known decision vector together
-with its per-player and joint profits under the tax policy.
+default table omits (v1, v2 and the carbon tax price), in NumPy alone, so
+that the model reproduces a reference operating point: a known decision
+vector together with its per-player and joint profits under the tax policy.
 """
 
 from __future__ import annotations
@@ -294,9 +294,11 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     (see `calibration_residuals`).  Every residual is affine in C_Tax, so
     at each (v1, v2) the best C_Tax is a clipped least-squares step
     (variable projection, Golub & Pereyra 1973) and only (log v1, log v2)
-    is searched: a 28 x 28 grid, then a Nelder-Mead polish.  Never silently
-    succeeds: the result carries the residual (profit errors only), a
-    pass/fail verdict at CALIBRATION_TOLERANCE, and per-coordinate
+    is searched: a 28 x 28 grid, then a pattern search (Hooke & Jeeves
+    1961) from the grid spacing down to 1e-10, one 5 x 5 stencil per twin
+    call.  Never silently succeeds: a fit whose loss is unusable (1e6) is
+    refused, and the result carries the residual (profit errors only), a
+    pass/fail verdict at CALIBRATION_TOLERANCE and per-coordinate
     identifiability flags.  A zero or non-finite target profit has no
     relative error and is refused.  `base_values` is a parameter document
     (``ModelParameters.from_dict``); its v1, v2 and C_Tax are not read.
@@ -309,10 +311,6 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
     if unusable:
         raise ValueError("calibration target profits must be finite and "
                          "nonzero: " + ", ".join(unusable))
-    # scipy is loaded here, not at import: nothing else in the package
-    # needs it, and it is most of the start-up time.
-    from scipy import optimize as sciopt
-
     # Validated once; the search writes only the v1, v2 and C_Tax slots,
     # inside the box v1, v2 in (1e-6, 10), C_Tax in [0, 1e3].
     start = ModelParameters.from_dict(
@@ -324,7 +322,6 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
         """(residuals, loss, C_Tax, <s, s>) at the best C_Tax for each row
         (log v1, log v2) of `lv`.  The loss is 1e6 outside the box, outside
         the model's domain and where the profits are not finite."""
-        lv = np.atleast_2d(lv)
         with np.errstate(all="ignore"):
             v = np.exp(lv)
             vectors = np.tile(base, (len(lv), 1))
@@ -340,17 +337,20 @@ def calibrate_missing_defaults(target: CalibrationTarget = DEFAULT_CALIBRATION_T
 
     axis = np.log(np.geomspace(2e-3, 0.5, 28))
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    best = grid[np.argmin(project(grid)[1])]
-    polish = sciopt.minimize(lambda lv: float(project(lv)[1][0]), best,
-                             method="Nelder-Mead",
-                             options={"xatol": 1e-10, "fatol": math.inf})
-    if polish.fun >= 1e6:
-        raise ValueError("calibration target: the model rejects its decisions, "
-                         "or their profits are not finite, at every v1, v2 tried")
+    lv = grid[np.argmin(project(grid)[1])]
+    # Move to the stencil's best point, or quarter the step if it is the centre.
+    stencil = np.array([(0, 0)] + [(i, j) for i in range(-2, 3)
+                                   for j in range(-2, 3) if i or j], dtype=float)
+    step = axis[1] - axis[0]
+    while step > 1e-10:
+        k = int(np.argmin(project(lv + step * stencil)[1]))
+        lv, step = lv + step * stencil[k], (step if k else step / 4.0)
     # Row 0 is the fit; rows 1-4 step log v1, then log v2, by +0.05 and -0.05.
-    lv = polish.x
     r, f, c_tax, ss = project(lv + np.array([[0.0, 0.0], [0.05, 0.0], [-0.05, 0.0],
                                              [0.0, 0.05], [0.0, -0.05]]))
+    if f[0] >= 1e6:
+        raise ValueError("calibration target: the model rejects its decisions, "
+                         "or their profits are not finite, at every v1, v2 tried")
     f0, c_tax = float(f[0]), float(c_tax[0])
     v1, v2 = math.exp(lv[0]), math.exp(lv[1])
     errors = dict(zip(("Z_m", "Z_r", "phi_T"), r[0, :3].tolist()))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenchain import DecisionVector, DomainError, ModelParameters
+from greenchain import DecisionVector, DomainError, ModelParameters, kernels
 from greenchain.optimize import (OptimizerConfig, default_search_space, run,
                                  run_many)
 from greenchain.params import ParameterError
@@ -168,6 +168,21 @@ class TestCalibration:
         assert fit.residual > 0.01
         report = fit.report()
         assert report["ok"] is False and "relative_errors" in report
+
+    def test_fit_makes_few_twin_calls(self, monkeypatch):
+        # The grid, each pattern-search step and the fit with its probes
+        # are one twin call apiece.
+        calls = 0
+        evaluate_terms = kernels.evaluate_terms
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return evaluate_terms(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "evaluate_terms", counted)
+        calibrate_missing_defaults()
+        assert calls <= 35
 
     def test_report_is_json_serialisable(self, calibration):
         doc = json.loads(json.dumps(calibration.report()))
