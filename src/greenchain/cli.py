@@ -3,9 +3,9 @@
 One JSON configuration file feeds every subcommand (shared sections:
 ``parameters``/``parameters_file``, ``policy``, ``seed``, ``out_dir``,
 ``decisions``, ``optimizer``; at most one exclusive section, holding only
-its subcommand's keys).  An unknown key exits 2.  Flags override the
-file.  The default config path comes from the ``GREENCHAIN_CONFIG``
-environment variable.
+its subcommand's keys).  An unknown key exits 2.  A flag is its config key
+given on the command line and replaces it.  The default config path comes
+from the ``GREENCHAIN_CONFIG`` environment variable.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input or domain error,
 3 calibration failed in reproduction mode.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import os
@@ -40,7 +39,7 @@ from .model import (DECISION_NAMES, DecisionVector, DomainError, evaluate_row,
                     refusing_overflow, term_views)
 from .optimize import (ALGORITHMS, OptimizerConfig, default_search_space,
                        multi_seed_run, multi_seed_stats, require_allocatable)
-from .params import ModelParameters, ParameterError, to_real
+from .params import ModelParameters, ParameterError, to_count, to_real
 from .policy import POLICY_IDS, PolicyObjective, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
                           DEFAULT_LEVELS, SWEEP_CSV_COLUMNS, SweepSpec,
@@ -71,6 +70,8 @@ EXCLUSIVE_SECTIONS = tuple(SECTION_KEYS)
 CONFIG_TYPES = {"parameters": dict, "parameters_file": str, "policy": str,
                 "out_dir": str, "optimizer": dict, "decisions": dict,
                 **dict.fromkeys(EXCLUSIVE_SECTIONS, dict)}
+# The `optimizer` options; the seed is top-level only.
+OPTIMIZER_KEYS = tuple(k for k in OptimizerConfig.__dataclass_fields__ if k != "seed")
 
 
 class UsageError(ValueError):
@@ -177,19 +178,19 @@ def _load_parameters(config: dict, policy: str | None) -> ModelParameters:
     return ModelParameters.from_dict(doc, policy=policy)
 
 
-def _policy(args, config) -> str:
-    policy = args.policy or config.get("policy")
-    policy = "tax" if policy is None else policy   # only null counts as absent
+def _given(args, doc: dict | None, keys) -> dict:
+    """`doc` (None reads as {}) with each of `keys` given as a flag laid
+    over it: a flag's dest is its key, and a given flag is taken as given."""
+    flags = vars(args)
+    return {**(doc or {}), **{k: flags[k] for k in keys if flags.get(k) is not None}}
+
+
+def _policy(config) -> str:
+    # Only null counts as absent.
+    policy = "tax" if config.get("policy") is None else config["policy"]
     if policy not in POLICY_IDS:
         raise UsageError(f"unknown policy {policy!r}")
     return policy
-
-
-def _count(value, name: str) -> int:
-    """`value` itself if it is an integer; floats, bools and null are refused."""
-    if type(value) is not int:
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _range(value, name: str) -> tuple[float, float]:
@@ -202,52 +203,34 @@ def _range(value, name: str) -> tuple[float, float]:
     return low, high
 
 
-def _seed(args, config, required: bool) -> int | None:
-    seed = args.seed if args.seed is not None else config.get("seed")
-    if seed is None and required:
-        raise UsageError("a seed is required (flag --seed or config 'seed')")
-    return None if seed is None else _count(seed, "seed")
+def _out_dir(config) -> Path | None:
+    return Path(config["out_dir"]) if config.get("out_dir") else None
 
 
-def _out_dir(args, config) -> Path | None:
-    out = args.out or config.get("out_dir")
-    return Path(out) if out else None
-
-
-def _decisions(config: dict, section: dict | None, args=None) -> DecisionVector:
+def _decisions(args, config: dict) -> DecisionVector:
     """Decision vector from top-level config, section override, then flags."""
-    doc = dict(config.get("decisions") or {})
-    override = (section or {}).get("decisions") or {}
+    override = config[args.command].get("decisions") or {}
     if not isinstance(override, dict):
         raise UsageError("section 'decisions' must hold a JSON object")
-    doc.update(override)
-    if args is not None:
-        for name in DECISION_NAMES:
-            flag = getattr(args, name, None)
-            if flag is not None:
-                doc[name] = flag
-    return DecisionVector.from_dict(doc)
+    doc = {**(config.get("decisions") or {}), **override}
+    return DecisionVector.from_dict(_given(args, doc, DECISION_NAMES))
 
 
-def _optimizer_config(args, config, seed: int) -> OptimizerConfig:
-    section = dict(config.get("optimizer") or {})
-    if getattr(args, "algo", None):
-        section["algorithm"] = args.algo
-    if getattr(args, "pop", None) is not None:
-        section["pop_size"] = args.pop
-    if getattr(args, "iters", None) is not None:
-        section["max_iter"] = args.iters
-    known = {f.name for f in dataclasses.fields(OptimizerConfig)} - {"seed"}
-    unknown = sorted(set(section) - known)
+def _optimizer_config(config) -> OptimizerConfig:
+    """The `optimizer` options with the top-level seed, which every run needs."""
+    if config.get("seed") is None:
+        raise UsageError("a seed is required (flag --seed or config 'seed')")
+    options = config["optimizer"]
+    unknown = sorted(set(options) - set(OPTIMIZER_KEYS))
     if unknown:
         raise UsageError("unknown optimizer options: " + ", ".join(unknown))
-    return OptimizerConfig(**section, seed=seed)
+    return OptimizerConfig(**options, seed=to_count(config["seed"], "seed"))
 
 
 def cmd_evaluate(args, config) -> int:
-    policy = _policy(args, config)
+    policy = _policy(config)
     params = _load_parameters(config, policy)
-    decisions = _decisions(config, config.get("evaluate"), args)
+    decisions = _decisions(args, config)
     # One twin call serves every section: the term column does not depend
     # on the policy, and a row the policy admits is admitted with none.
     value, violation, phi_m, phi_r, terms = evaluate_row(
@@ -265,15 +248,14 @@ def cmd_evaluate(args, config) -> int:
             "constraint_violation": violation, "feasible": outcome.feasible},
     }
     print(_json(doc))
-    _write_json(_out_dir(args, config), "evaluate.json", doc)
+    _write_json(_out_dir(config), "evaluate.json", doc)
     return EXIT_OK
 
 
 def cmd_optimize(args, config) -> int:
-    policy = _policy(args, config)
+    policy = _policy(config)
     params = _load_parameters(config, policy)
-    seed = _seed(args, config, required=True)
-    cfg = _optimizer_config(args, config, seed)
+    cfg = _optimizer_config(config)
     objective = make_batch_objective(params, policy)
     space = default_search_space(params)
     n_seeds = args.seeds if args.seeds is not None else 1
@@ -283,7 +265,7 @@ def cmd_optimize(args, config) -> int:
         raise ValueError("the model rejects every candidate the optimizer tried; "
                          "there is no best point to report")
 
-    out = _out_dir(args, config)
+    out = _out_dir(config)
     for result in results:
         print(f"{result.algorithm} policy={policy} seed={result.seed} "
               f"best={result.best_fitness:.6f} feasible={result.feasible} "
@@ -314,27 +296,23 @@ def cmd_optimize(args, config) -> int:
 
 
 def cmd_sensitivity(args, config) -> int:
-    policy = _policy(args, config)
+    policy = _policy(config)
     params = _load_parameters(config, policy)
-    section = dict(config.get("sensitivity") or {})
-    parameter = args.param or section.get("parameter")
+    section = config["sensitivity"]
+    parameter = section.get("parameter")
     if not parameter:
         raise UsageError("sensitivity needs a parameter (--param or config)")
     levels = section.get("levels", list(DEFAULT_LEVELS))
-    if args.levels:
-        levels = [float(v) for v in args.levels.split(",")]
     if not isinstance(levels, list):
         raise UsageError("sensitivity levels must be a list of numbers, "
                          f"got {levels!r}")
     levels = [to_real(v, "sensitivity levels") for v in levels]
-    seed = _seed(args, config, required=True)
-    cfg = _optimizer_config(args, config, seed)
+    cfg = _optimizer_config(config)
     reoptimize = section.get("reoptimize", True)
     if type(reoptimize) is not bool:
         raise UsageError("sensitivity reoptimize must be true or false, "
                          f"got {reoptimize!r}")
-    reoptimize = reoptimize and not args.no_reoptimize
-    decisions = None if reoptimize else _decisions(config, section)
+    decisions = None if reoptimize else _decisions(args, config)
     spec = SweepSpec(parameter=parameter, levels=tuple(levels), policy=policy,
                      optimizer=cfg, decisions=decisions)
     with refusing_overflow():
@@ -348,25 +326,26 @@ def cmd_sensitivity(args, config) -> int:
                   f"({row.pct_change:+.4f}%)")
         else:
             print(f"{parameter} {row.level:+6.1f}%  infeasible")
-    _write_csv(_out_dir(args, config), f"sweep_{parameter}.csv",
+    _write_csv(_out_dir(config), f"sweep_{parameter}.csv",
                SWEEP_CSV_COLUMNS, sweep_table(parameter, rows))
     return EXIT_OK
 
 
 def cmd_anfis(args, config) -> int:
-    policy = _policy(args, config)
+    policy = _policy(config)
     params = _load_parameters(config, policy)
-    section = dict(config.get("anfis") or {})
-    variable = args.variable or section.get("variable", "T0")
-    n_points = args.points if args.points is not None else section.get("n_points", 61)
-    n_points = _count(n_points, "anfis n_points")
+    section = config["anfis"]
+    variable = section.get("variable", "T0")
+    n_points = to_count(section.get("n_points", 61), "anfis n_points")
     require_allocatable("anfis n_points", n_points)
-    bounds = _range(args.range or section.get("range"), "anfis range")
-    epochs = args.epochs if args.epochs is not None else section.get("epochs", 100)
-    if _count(epochs, "anfis epochs") < 1:
+    bounds = _range(section.get("range"), "anfis range")
+    epochs = to_count(section.get("epochs", 100), "anfis epochs")
+    if epochs < 1:
         raise UsageError("anfis needs at least one training epoch")
+    # The RMSE history holds one float per epoch.
+    require_allocatable("anfis epochs", epochs)
     lr = to_real(section.get("learning_rate", 0.01), "anfis learning_rate")
-    decisions = _decisions(config, section)
+    decisions = _decisions(args, config)
 
     x, y, skipped = generate_dataset(params, decisions, variable,
                                      n_points, bounds, policy)
@@ -385,7 +364,7 @@ def cmd_anfis(args, config) -> int:
     print(f"anfis {variable}: {x.size} points (skipped {skipped}), "
           f"final RMSE {history[-1]:.4f} ({100 * history[-1] / rng:.3f}% of range)")
     print(f"architecture: {model.architecture()}")
-    out = _out_dir(args, config)
+    out = _out_dir(config)
     if out:
         _atomic_write(out / f"anfis_{variable}.json", model.to_json())
     _write_csv(out, f"anfis_{variable}_predictions.csv", ["x", "y_true", "y_pred"],
@@ -396,10 +375,10 @@ def cmd_anfis(args, config) -> int:
 
 
 def cmd_surface(args, config) -> int:
-    policy = _policy(args, config)
+    policy = _policy(config)
     params = _load_parameters(config, policy)
-    section = dict(config.get("surface") or {})
-    variables = args.vars or section.get("variables")
+    section = config["surface"]
+    variables = section.get("variables")
     if not isinstance(variables, list) or len(variables) != 2:
         raise UsageError("surface needs exactly two decision variable names")
     v1, v2 = variables
@@ -408,24 +387,22 @@ def cmd_surface(args, config) -> int:
             raise UsageError(f"unknown decision variable {v!r}")
     if v1 == v2:
         raise UsageError(f"surface needs two different variables, got {v1!r} twice")
-    range1 = _range(args.range1 or section.get("range1"), "surface range1")
-    range2 = _range(args.range2 or section.get("range2"), "surface range2")
-    n1 = _count(args.n1 if args.n1 is not None else section.get("n1", 25),
-                "surface n1")
-    n2 = _count(args.n2 if args.n2 is not None else section.get("n2", 25),
-                "surface n2")
+    range1 = _range(section.get("range1"), "surface range1")
+    range2 = _range(section.get("range2"), "surface range2")
+    n1 = to_count(section.get("n1", 25), "surface n1")
+    n2 = to_count(section.get("n2", 25), "surface n2")
     if n1 < 1 or n2 < 1:
         raise UsageError("surface needs at least one grid point per variable")
     require_allocatable("surface n1", n1)
     require_allocatable("surface n2", n2)
-    decisions = _decisions(config, section)
+    decisions = _decisions(args, config)
 
     xs = np.linspace(range1[0], range1[1], n1)
     ys = np.linspace(range2[0], range2[1], n2)
     objective = make_batch_objective(params, policy)
     i1, i2 = DECISION_NAMES.index(v1), DECISION_NAMES.index(v2)
     block_rows = max(1, SURFACE_BLOCK_CELLS // n2)
-    out = _out_dir(args, config)
+    out = _out_dir(config)
     target = (out / f"surface_{v1}_{v2}.csv") if out else None
 
     def write(fh):
@@ -454,13 +431,16 @@ def cmd_surface(args, config) -> int:
 
 
 def cmd_calibrate(args, config) -> int:
-    section = dict(config.get("calibrate") or {})
+    section = config["calibrate"]
     target = DEFAULT_CALIBRATION_TARGET
     if "target" in section:
         doc = section["target"]
         if not isinstance(doc, dict) or not isinstance(doc.get("decisions"), dict):
             raise UsageError("calibrate target must be a JSON object with a "
                              "'decisions' object")
+        unknown = sorted(set(doc) - set(CalibrationTarget.__dataclass_fields__))
+        if unknown:
+            raise UsageError("unknown calibrate target keys: " + ", ".join(unknown))
         target = CalibrationTarget(
             decisions=DecisionVector.from_dict(doc["decisions"]),
             **{k: to_real(doc.get(k), f"calibrate target {k}")
@@ -468,12 +448,16 @@ def cmd_calibrate(args, config) -> int:
     result = calibrate_missing_defaults(target, _parameter_document(config))
     report = result.report()
     if args.check_directions:
-        seed = _seed(args, config, required=True)
-        cfg = _optimizer_config(args, config, seed)
-        report["sign_checks"] = direction_report(result.params, cfg)
+        report["sign_checks"] = direction_report(result.params,
+                                                 _optimizer_config(config))
     print(_json(report))
-    _write_json(_out_dir(args, config), "reproduction_report.json", report)
+    _write_json(_out_dir(config), "reproduction_report.json", report)
     return EXIT_OK if result.ok else EXIT_CALIBRATION
+
+
+def _percents(text: str) -> list[float]:
+    """The value of `--levels`: comma-separated percents."""
+    return [float(v) for v in text.split(",")]
 
 
 @functools.cache
@@ -486,15 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "metaheuristic optimization, sensitivity sweeps, "
                     "neuro-fuzzy surrogate.")
     parser.add_argument("--config", help=f"JSON config path (default: ${CONFIG_ENV})")
-    parser.add_argument("--out", help="output directory for artifacts")
+    parser.add_argument("--out", dest="out_dir", help="output directory for artifacts")
     parser.add_argument("--policy", choices=sorted(POLICY_IDS))
     parser.add_argument("--seed", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
     # The optimizer flags of every subcommand that runs the optimizers.
     optimizer_flags = argparse.ArgumentParser(add_help=False)
-    optimizer_flags.add_argument("--algo", choices=ALGORITHMS)
-    optimizer_flags.add_argument("--pop", type=int)
-    optimizer_flags.add_argument("--iters", type=int)
+    optimizer_flags.add_argument("--algo", dest="algorithm", choices=ALGORITHMS)
+    optimizer_flags.add_argument("--pop", dest="pop_size", type=int)
+    optimizer_flags.add_argument("--iters", dest="max_iter", type=int)
 
     p_eval = sub.add_parser("evaluate", help="evaluate one decision vector")
     for name in DECISION_NAMES:
@@ -506,18 +490,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sens = sub.add_parser("sensitivity", parents=[optimizer_flags],
                             help="one-at-a-time parameter sweep")
-    p_sens.add_argument("--param")
-    p_sens.add_argument("--levels", help="comma-separated percents, e.g. --levels=-40,-20,0,20,40")
-    p_sens.add_argument("--no-reoptimize", action="store_true")
+    p_sens.add_argument("--param", dest="parameter")
+    p_sens.add_argument("--levels", type=_percents,
+                        help="comma-separated percents, e.g. --levels=-40,-20,0,20,40")
+    p_sens.add_argument("--no-reoptimize", dest="reoptimize",
+                        action="store_const", const=False)
 
     p_anfis = sub.add_parser("anfis", help="train the neuro-fuzzy surrogate")
     p_anfis.add_argument("--variable", choices=DECISION_NAMES)
-    p_anfis.add_argument("--points", type=int)
+    p_anfis.add_argument("--points", dest="n_points", type=int)
     p_anfis.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"))
     p_anfis.add_argument("--epochs", type=int)
 
     p_surf = sub.add_parser("surface", help="profit grid over two decisions")
-    p_surf.add_argument("--vars", nargs=2, metavar=("VAR1", "VAR2"))
+    p_surf.add_argument("--vars", dest="variables", nargs=2, metavar=("VAR1", "VAR2"))
     p_surf.add_argument("--range1", type=float, nargs=2, metavar=("LO", "HI"))
     p_surf.add_argument("--range2", type=float, nargs=2, metavar=("LO", "HI"))
     p_surf.add_argument("--n1", type=int)
@@ -544,7 +530,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
+        # The shared flags over the root, the optimizer's over `optimizer`,
+        # the subcommand's over its section; `evaluate`'s decision flags
+        # last, in `_decisions`.
+        config = _given(args, load_config(args.config), ("policy", "seed", "out_dir"))
+        config["optimizer"] = _given(args, config.get("optimizer"), OPTIMIZER_KEYS)
+        config[args.command] = _given(args, config.get(args.command),
+                                      SECTION_KEYS.get(args.command, ()))
         return COMMANDS[args.command](args, config)
     except (UsageError, ParameterError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,6 +53,9 @@ class DecisionVector:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionVector":
+        unknown = sorted(set(doc) - set(DECISION_NAMES))
+        if unknown:
+            raise ParameterError("unknown decision keys: " + ", ".join(unknown))
         missing = [k for k in DECISION_NAMES if k not in doc]
         if missing:
             raise ParameterError("missing decision components: " + ", ".join(missing))

@@ -30,7 +30,6 @@ which runs share its call.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 import time
@@ -41,7 +40,7 @@ import numpy as np
 
 # DECISION_NAMES stays importable from here for callers of the optimizers.
 from .model import DECISION_NAMES, DecisionVector  # noqa: F401
-from .params import ModelParameters
+from .params import ModelParameters, ParameterError, to_count, to_real
 
 #: The optimizer names `OptimizerConfig.algorithm` accepts.
 ALGORITHMS = ("de1", "de2", "pso")
@@ -103,12 +102,6 @@ def require_allocatable(name: str, count: int) -> None:
                          f"fit in this machine's {memory / 2 ** 30:.1f} GiB")
 
 
-def _is_number(value, kind) -> bool:
-    """A finite `kind` (numbers.Integral or numbers.Real) other than a bool."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 @dataclass
 class OptimizerConfig:
     """Knobs for one optimizer run.
@@ -139,11 +132,13 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         integers = ("pop_size", "penalty_double_every") + (
             () if self.max_iter is None else ("max_iter",))
-        wrong = [f"{name} must be an integer" for name in integers
-                 if not _is_number(getattr(self, name), numbers.Integral)]
-        wrong += [f"{name} must be a finite real number"
-                  for name in ("F", "Pc", "c1", "c2", "m0", "penalty_coefficient")
-                  if not _is_number(getattr(self, name), numbers.Real)]
+        reals = ("F", "Pc", "c1", "c2", "m0", "penalty_coefficient")
+        wrong = []
+        for name in integers + reals:
+            try:
+                (to_count if name in integers else to_real)(getattr(self, name), name)
+            except ParameterError as exc:
+                wrong.append(str(exc))
         if wrong:
             raise ValueError("; ".join(wrong))
         if self.pop_size < 5:
@@ -295,8 +290,8 @@ class _Runs:
         if not spaces or len(seeds) != len(spaces):
             raise ValueError("need one seed per search space and at least one run")
         # default_rng(None) would seed from the wall clock.
-        if not all(_is_number(seed, numbers.Integral) for seed in seeds):
-            raise ValueError("every run needs an integer seed")
+        for seed in seeds:
+            to_count(seed, "run seed")
         if any(s.dim != spaces[0].dim for s in spaces):
             raise ValueError("runs in one lockstep call must share the dimension")
         self.config, self.seeds = config, seeds

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 import warnings
 
 import numpy as np
@@ -76,6 +77,14 @@ def to_real(value, name: str) -> float:
             if math.isfinite(real):
                 return real
     raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+
+
+def to_count(value, name: str) -> int:
+    """`value` itself if it is an Integral, not a bool, within the float range."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return value
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 class _ParameterSet:

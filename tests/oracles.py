@@ -23,15 +23,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import time
 
 import numpy as np
 
 from greenchain import kernels as K
-from greenchain.optimize import (OptimizerConfig, RunResult, _is_number,
+from greenchain.optimize import (OptimizerConfig, RunResult,
                                  de_mutate_current_to_rand, de_mutate_rand_to_best,
                                  pso_update)
+from greenchain.params import to_count
 
 
 def rk4_path(rhs, t0: float, y0, t1: float, n_steps: int):
@@ -750,8 +750,8 @@ class _Runs:
         if not spaces or len(seeds) != len(spaces):
             raise ValueError("need one seed per search space and at least one run")
         # default_rng(None) would seed from the wall clock.
-        if not all(_is_number(seed, numbers.Integral) for seed in seeds):
-            raise ValueError("every run needs an integer seed")
+        for seed in seeds:
+            to_count(seed, "run seed")
         if any(s.dim != spaces[0].dim for s in spaces):
             raise ValueError("runs in one lockstep call must share the dimension")
         self.config, self.seeds = config, seeds

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -297,13 +298,15 @@ class TestAnfis:
 
 @pytest.mark.parametrize("argv", [
     ["anfis", "--range", "0.2", "1.0", "--points"],
+    ["anfis", "--range", "0.2", "1.0", "--epochs"],
     ["surface", "--vars", "T0", "W_r", "--range1", "0.05", "12", "--range2",
      "80", "320", "--n1", "2", "--n2"],
     ["surface", "--vars", "T0", "W_r", "--range1", "0.05", "12", "--range2",
-     "80", "320", "--n2", "2", "--n1"]], ids=["anfis_points", "surface_n2",
-                                              "surface_n1"])
+     "80", "320", "--n2", "2", "--n1"]], ids=["anfis_points", "anfis_epochs",
+                                              "surface_n2", "surface_n1"])
 def test_grid_count_too_large_to_allocate_is_usage_error(capsys, config_path, argv):
-    # Refused by the optimizers' memory check, before the grid allocates.
+    # Refused by the optimizers' memory check, before the grid (or the
+    # ANFIS RMSE history, one float per epoch) allocates.
     count = str(10 ** 15)
     tracemalloc.start()
     try:
@@ -654,6 +657,9 @@ class TestConfigValidation:
         (["surface"], {"surface": {**SURFACE, "n_1": 3}}),
         (["calibrate"], {"calibrate": {"target": {
             **CALIBRATION_TARGET, "decisions": {**DECISIONS, "G": 1e200}}}}),
+        (["evaluate"], {"decisions": {**DECISIONS, "g": 99}}),
+        (["calibrate"], {"calibrate": {"target": {**CALIBRATION_TARGET,
+                                                  "bogus": 1}}}),
     ], ids=["seed_float", "seed_bool", "n1_float", "n1_bool", "epochs_float",
             "n_points_null", "decisions_list", "optimizer_list",
             "sensitivity_list", "policy_list", "parameters_list",
@@ -668,7 +674,8 @@ class TestConfigValidation:
             "target_inadmissible", "calibrate_unknown_key", "parameters_null",
             "policy_empty",
             "unknown_top_level_key", "unknown_anfis_key", "unknown_surface_key",
-            "target_overflow_warning"])
+            "target_overflow_warning", "unknown_decision_key",
+            "unknown_target_key"])
     def test_malformed_config_value_is_usage_error(self, capsys, tmp_path,
                                                    command, change):
         path = tmp_path / "c.json"
@@ -685,6 +692,26 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "--config", str(path), "optimize",
                                "--iters", "1")
         assert code == 2 and "inertia_final" in err
+
+    @pytest.mark.parametrize("command, change, message", [
+        (["evaluate"], {"decisions": {**DECISIONS, "g": 99}},
+         "unknown decision keys: g"),
+        (["surface"], {"surface": {**SURFACE, "decisions": {"g": 99}}},
+         "unknown decision keys: g"),
+        (["calibrate"], {"calibrate": {"target": {**CALIBRATION_TARGET,
+                                                  "bogus": 1}}},
+         "unknown calibrate target keys: bogus"),
+        (["calibrate"], {"calibrate": {"target": {
+            **CALIBRATION_TARGET, "decisions": {**DECISIONS, "g": 99}}}},
+         "unknown decision keys: g"),
+    ], ids=["decisions", "section_decisions", "target", "target_decisions"])
+    def test_unknown_nested_key_is_named(self, capsys, tmp_path, command,
+                                         change, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"parameters": PARAMS, "seed": 7,
+                                    "decisions": DECISIONS, **change}))
+        code, _, err = run_cli(capsys, "--config", str(path), *command)
+        assert code == 2 and message in err
 
     def test_unknown_policy_rejected(self, capsys, config_path):
         code, _, err = run_cli(capsys, "--config", config_path,
@@ -713,30 +740,166 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def _artifacts(root: Path) -> dict:
+    """The files under `root` by relative path, each JSON document without
+    its `meta` object."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        text = path.read_bytes().decode()
+        if path.suffix == ".json":
+            doc = json.loads(text)
+            doc.pop("meta", None)
+            text = json.dumps(doc, indent=2, sort_keys=True)
+        files[path.relative_to(root).as_posix()] = text
+    return files
+
+
+# Runs each argv of the JSON list in argv[1] through `cli.main` and prints
+# the [exit code, stdout] pairs as JSON.
+HASH_SEED_DRIVER = """
+import contextlib, io, json, sys
+from greenchain.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    """`evaluate` and a two-seed `optimize`, each run in fresh interpreters
-    under two PYTHONHASHSEED values: the same stdout, and the same files
-    once `meta` is dropped from every JSON document."""
+    """Every subcommand, run in one fresh interpreter per PYTHONHASHSEED
+    value (0 and 1): the same exit codes and stdout, and the same files
+    once `meta` is dropped."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"parameters": PARAMS, "policy": "tax",
                                   "seed": 7, "decisions": DECISIONS}))
-    commands = (["evaluate"], ["optimize", "--algo", "de1", "--pop", "5",
-                               "--iters", "2", "--seeds", "2"])
+    commands = (["evaluate"],
+                ["optimize", "--algo", "de1", "--pop", "5", "--iters", "2",
+                 "--seeds", "2"],
+                ["sensitivity", "--param", "v1", "--pop", "5", "--iters", "1",
+                 "--levels=-20,0,20"],
+                ["anfis", "--range", "0.2", "1.0", "--points", "12", "--epochs", "2"],
+                ["surface", "--vars", "T0", "xi1", "--range1", "0.2", "0.8",
+                 "--range2", "0", "10", "--n1", "3", "--n2", "3"],
+                ["calibrate"])
+    # One output directory for both, since `surface` prints its path.
+    out = tmp_path / "out"
+    argvs = [["--config", str(config), "--out", str(out), *argv] for argv in commands]
     runs = []
     for hash_seed in ("0", "1"):
-        out = tmp_path / hash_seed
-        stdout = [subprocess.run(
-            [sys.executable, "-m", "greenchain.cli", "--config", str(config),
-             "--out", str(out), *argv], env=_env_with_src(PYTHONHASHSEED=hash_seed),
-            capture_output=True, text=True, check=True).stdout for argv in commands]
-        files = {}
-        for path in sorted(out.iterdir()):
-            text = path.read_bytes().decode()
-            if path.suffix == ".json":
-                doc = json.loads(text)
-                doc.pop("meta")
-                text = json.dumps(doc, indent=2, sort_keys=True)
-            files[path.name] = text
-        runs.append((stdout, files))
-    assert len(runs[0][1]) == 6
+        shutil.rmtree(out, ignore_errors=True)
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_DRIVER, json.dumps(argvs)],
+            env=_env_with_src(PYTHONHASHSEED=hash_seed), capture_output=True,
+            text=True, check=True)
+        runs.append((json.loads(done.stdout), _artifacts(out)))
+    assert [code for code, _ in runs[0][0]] == [0] * len(commands)
+    assert len(runs[0][1]) == 12
     assert runs[0] == runs[1]
+
+
+OPTIMIZER = {"algorithm": "pso", "pop_size": 5, "max_iter": 1}
+# A working section per subcommand that has flags: tiny runs.
+SECTIONS = {"sensitivity": {"parameter": "v1", "levels": [-20, 0, 20]},
+            "anfis": ANFIS, "surface": SURFACE}
+SHARED_FLAGS = ("--policy", "--seed", "--out")
+# (subcommand, the flag's arguments, the path of its config key, the
+# flag's value as the key holds it, another value for the key)
+FLAG_KEYS = [
+    ("evaluate", ["--policy", "cap_trade"], ("policy",), "cap_trade", "tax"),
+    ("optimize", ["--seed", "3"], ("seed",), 3, 7),
+    ("evaluate", ["--out", "outs/flag"], ("out_dir",), "outs/flag", "outs/other"),
+    ("optimize", ["--algo", "de1"], ("optimizer", "algorithm"), "de1", "pso"),
+    ("optimize", ["--pop", "6"], ("optimizer", "pop_size"), 6, 5),
+    ("optimize", ["--iters", "2"], ("optimizer", "max_iter"), 2, 1),
+    ("sensitivity", ["--param", "C_p"], ("sensitivity", "parameter"), "C_p", "v1"),
+    ("sensitivity", ["--levels=-10,0,10"], ("sensitivity", "levels"),
+     [-10, 0, 10], [-20, 0, 20]),
+    ("sensitivity", ["--no-reoptimize"], ("sensitivity", "reoptimize"), False, True),
+    ("anfis", ["--variable", "xi1"], ("anfis", "variable"), "xi1", "T0"),
+    ("anfis", ["--points", "11"], ("anfis", "n_points"), 11, 12),
+    ("anfis", ["--range", "0.3", "0.9"], ("anfis", "range"), [0.3, 0.9], [0.2, 1.0]),
+    ("anfis", ["--epochs", "2"], ("anfis", "epochs"), 2, 1),
+    ("surface", ["--vars", "T0", "G"], ("surface", "variables"), ["T0", "G"],
+     ["T0", "xi1"]),
+    ("surface", ["--range1", "0.3", "0.7"], ("surface", "range1"), [0.3, 0.7],
+     [0.2, 0.8]),
+    ("surface", ["--range2", "1", "9"], ("surface", "range2"), [1, 9], [0.0, 10.0]),
+    ("surface", ["--n1", "3"], ("surface", "n1"), 3, 2),
+    ("surface", ["--n2", "3"], ("surface", "n2"), 3, 2),
+] + [("evaluate", [f"--{name}", repr(1.01 * value)], ("decisions", name),
+      1.01 * value, value) for name, value in DECISIONS.items()]
+ABSENT = object()
+
+
+def _flag(case) -> str:
+    return case[1][0].split("=")[0]
+
+
+def test_every_flag_with_a_key_is_covered():
+    """FLAG_KEYS covers every flag but the three with no config key, and
+    each flag's dest is its key."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {option: action.dest for p in (parser, *sub.choices.values())
+             for action in p._actions for option in action.option_strings}
+    keys = {_flag(case): case[2][-1] for case in FLAG_KEYS}
+    assert set(dests) - set(keys) == {"-h", "--help", "--config", "--seeds",
+                                      "--check-directions"}
+    assert all(dests[flag] == key for flag, key in keys.items())
+
+
+@pytest.mark.parametrize("command, flag, path, value, other", FLAG_KEYS,
+                         ids=[_flag(case) for case in FLAG_KEYS])
+def test_flag_is_its_config_key(capsys, tmp_path, monkeypatch, command, flag,
+                                path, value, other):
+    """A value gives the same exit code, stdout and files (`meta` dropped)
+    as the key or as the flag, and the flag wins over the key."""
+    monkeypatch.chdir(tmp_path)
+    base = {"parameters": PARAMS, "policy": "tax", "seed": 7,
+            "decisions": DECISIONS, "optimizer": OPTIMIZER, "out_dir": "outs/main",
+            **({command: SECTIONS[command]} if command in SECTIONS else {})}
+    argv = [*flag, command] if flag[0] in SHARED_FLAGS else [command, *flag]
+
+    def outputs(key_value, argv) -> tuple:
+        doc = json.loads(json.dumps(base))
+        owner = doc
+        for name in path[:-1]:
+            owner = owner[name]
+        owner.pop(path[-1], None)
+        if key_value is not ABSENT:
+            owner[path[-1]] = key_value
+        Path("c.json").write_text(json.dumps(doc))
+        shutil.rmtree("outs", ignore_errors=True)
+        code, out, _ = run_cli(capsys, "--config", "c.json", *argv)
+        return code, out, _artifacts(Path("outs"))
+
+    by_key = outputs(value, [command])
+    assert by_key[0] == 0
+    assert outputs(ABSENT, argv) == by_key
+    assert outputs(other, argv) == by_key
+    assert outputs(other, [command]) != by_key
+
+
+@pytest.mark.parametrize("flag, section, code", [
+    (["--param", ""], {}, 2),
+    (["--levels="], {}, 2),
+    (["--no-reoptimize"], {"reoptimize": "no"}, 0),
+], ids=["param_empty", "levels_empty", "no_reoptimize_over_malformed"])
+def test_given_flag_is_taken_as_given(capsys, tmp_path, flag, section, code):
+    """A given flag replaces its key: an empty `--param` or `--levels` is
+    refused, not replaced by the key, and `--no-reoptimize` replaces a
+    `reoptimize` that would be refused."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"parameters": PARAMS, "seed": 7,
+                                "decisions": DECISIONS, "optimizer": OPTIMIZER,
+                                "sensitivity": {**SECTIONS["sensitivity"],
+                                                **section}}))
+    try:
+        got = run_cli(capsys, "--config", str(path), "sensitivity", *flag)[0]
+    except SystemExit as exc:   # argparse refuses the flag's value
+        got = exc.code
+    assert got == code
