@@ -1,11 +1,12 @@
 """Command-line front end: evaluate, optimize, sweep, surrogate, surface.
 
 One JSON configuration file feeds every subcommand (shared sections:
-``parameters``/``parameters_file``, ``policy``, ``seed``, ``out_dir``,
-``decisions``, ``optimizer``; at most one exclusive section, holding only
-its subcommand's keys).  An unknown key exits 2.  A flag is its config key
-given on the command line and replaces it.  The default config path comes
-from the ``GREENCHAIN_CONFIG`` environment variable.
+``parameters``/``parameters_file``, and ``policy``, ``seed``, ``out_dir``,
+``decisions``, ``optimizer``, which every subcommand checks; at most one
+exclusive section, holding only its subcommand's keys).  An unknown key
+exits 2.  A flag is its config key given on the command line and replaces
+it.  The default config path comes from the ``GREENCHAIN_CONFIG``
+environment variable.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input or domain error,
 3 calibration failed in reproduction mode.
@@ -35,11 +36,11 @@ import numpy as np
 from . import (base_profits, compute_breakdown,  # noqa: F401
                compute_schedule, evaluate_policy)
 from .anfis import generate_dataset, grid_partition, train_hybrid
-from .model import (DECISION_NAMES, DecisionVector, DomainError, evaluate_row,
+from .model import (DECISION_NAMES, DecisionVector, evaluate_row,
                     refusing_overflow, term_views)
 from .optimize import (ALGORITHMS, OptimizerConfig, default_search_space,
                        multi_seed_run, multi_seed_stats, require_allocatable)
-from .params import ModelParameters, ParameterError, to_count, to_real
+from .params import ModelParameters, to_count, to_real
 from .policy import POLICY_IDS, PolicyObjective, make_batch_objective
 from .sensitivity import (CalibrationTarget, DEFAULT_CALIBRATION_TARGET,
                           DEFAULT_LEVELS, SWEEP_CSV_COLUMNS, SweepSpec,
@@ -185,14 +186,6 @@ def _given(args, doc: dict | None, keys) -> dict:
     return {**(doc or {}), **{k: flags[k] for k in keys if flags.get(k) is not None}}
 
 
-def _policy(config) -> str:
-    # Only null counts as absent.
-    policy = "tax" if config.get("policy") is None else config["policy"]
-    if policy not in POLICY_IDS:
-        raise UsageError(f"unknown policy {policy!r}")
-    return policy
-
-
 def _range(value, name: str) -> tuple[float, float]:
     """A [low, high] pair of finite real numbers with low < high."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
@@ -203,34 +196,44 @@ def _range(value, name: str) -> tuple[float, float]:
     return low, high
 
 
-def _out_dir(config) -> Path | None:
-    return Path(config["out_dir"]) if config.get("out_dir") else None
-
-
-def _decisions(args, config: dict) -> DecisionVector:
-    """Decision vector from top-level config, section override, then flags."""
-    override = config[args.command].get("decisions") or {}
-    if not isinstance(override, dict):
-        raise UsageError("section 'decisions' must hold a JSON object")
-    doc = {**(config.get("decisions") or {}), **override}
-    return DecisionVector.from_dict(_given(args, doc, DECISION_NAMES))
-
-
 def _optimizer_config(config) -> OptimizerConfig:
-    """The `optimizer` options with the top-level seed, which every run needs."""
-    if config.get("seed") is None:
+    """The checked `optimizer` options, with the seed every run needs."""
+    if config["optimizer"].seed is None:
         raise UsageError("a seed is required (flag --seed or config 'seed')")
-    options = config["optimizer"]
+    return config["optimizer"]
+
+
+def _check_shared_keys(args, config: dict) -> None:
+    """Check and normalise the shared keys in place, for every command:
+    `optimizer` becomes an `OptimizerConfig` with the seed, `out_dir` a
+    Path or None, `decisions` the merged values as floats (maybe not all)."""
+    config["policy"] = "tax" if config.get("policy") is None else config["policy"]
+    if config["policy"] not in POLICY_IDS:
+        raise UsageError(f"unknown policy {config['policy']!r}")
+    seed = config.get("seed")
+    options = _given(args, config.get("optimizer"), OPTIMIZER_KEYS)
     unknown = sorted(set(options) - set(OPTIMIZER_KEYS))
     if unknown:
         raise UsageError("unknown optimizer options: " + ", ".join(unknown))
-    return OptimizerConfig(**options, seed=to_count(config["seed"], "seed"))
+    config["optimizer"] = OptimizerConfig(
+        **options, seed=None if seed is None else to_count(seed, "seed"))
+    config["optimizer"].validate()
+    config["out_dir"] = Path(config["out_dir"]) if config.get("out_dir") else None
+    override = config[args.command].get("decisions")
+    if override is not None and not isinstance(override, dict):
+        raise UsageError("section 'decisions' must hold a JSON object")
+    doc = _given(args, {**(config.get("decisions") or {}), **(override or {})},
+                 DECISION_NAMES)
+    unknown = sorted(set(doc) - set(DECISION_NAMES))
+    if unknown:
+        raise UsageError("unknown decision keys: " + ", ".join(unknown))
+    config["decisions"] = {k: to_real(v, k) for k, v in doc.items()}
 
 
 def cmd_evaluate(args, config) -> int:
-    policy = _policy(config)
+    policy = config["policy"]
     params = _load_parameters(config, policy)
-    decisions = _decisions(args, config)
+    decisions = DecisionVector.from_dict(config["decisions"])
     # One twin call serves every section: the term column does not depend
     # on the policy, and a row the policy admits is admitted with none.
     value, violation, phi_m, phi_r, terms = evaluate_row(
@@ -248,24 +251,23 @@ def cmd_evaluate(args, config) -> int:
             "constraint_violation": violation, "feasible": outcome.feasible},
     }
     print(_json(doc))
-    _write_json(_out_dir(config), "evaluate.json", doc)
+    _write_json(config["out_dir"], "evaluate.json", doc)
     return EXIT_OK
 
 
 def cmd_optimize(args, config) -> int:
-    policy = _policy(config)
+    policy = config["policy"]
     params = _load_parameters(config, policy)
     cfg = _optimizer_config(config)
     objective = make_batch_objective(params, policy)
     space = default_search_space(params)
     n_seeds = args.seeds if args.seeds is not None else 1
-    with refusing_overflow():
-        results = multi_seed_run(space, cfg, objective, n_seeds)
+    results = multi_seed_run(space, cfg, objective, n_seeds)
     if not all(np.isfinite(result.best_value) for result in results):
         raise ValueError("the model rejects every candidate the optimizer tried; "
                          "there is no best point to report")
 
-    out = _out_dir(config)
+    out = config["out_dir"]
     for result in results:
         print(f"{result.algorithm} policy={policy} seed={result.seed} "
               f"best={result.best_fitness:.6f} feasible={result.feasible} "
@@ -296,7 +298,7 @@ def cmd_optimize(args, config) -> int:
 
 
 def cmd_sensitivity(args, config) -> int:
-    policy = _policy(config)
+    policy = config["policy"]
     params = _load_parameters(config, policy)
     section = config["sensitivity"]
     parameter = section.get("parameter")
@@ -312,11 +314,10 @@ def cmd_sensitivity(args, config) -> int:
     if type(reoptimize) is not bool:
         raise UsageError("sensitivity reoptimize must be true or false, "
                          f"got {reoptimize!r}")
-    decisions = None if reoptimize else _decisions(args, config)
+    decisions = None if reoptimize else DecisionVector.from_dict(config["decisions"])
     spec = SweepSpec(parameter=parameter, levels=tuple(levels), policy=policy,
                      optimizer=cfg, decisions=decisions)
-    with refusing_overflow():
-        rows = run_sweep(spec, params)
+    rows = run_sweep(spec, params)
     for row in rows:
         if row.feasible:
             d = row.decisions
@@ -326,13 +327,13 @@ def cmd_sensitivity(args, config) -> int:
                   f"({row.pct_change:+.4f}%)")
         else:
             print(f"{parameter} {row.level:+6.1f}%  infeasible")
-    _write_csv(_out_dir(config), f"sweep_{parameter}.csv",
+    _write_csv(config["out_dir"], f"sweep_{parameter}.csv",
                SWEEP_CSV_COLUMNS, sweep_table(parameter, rows))
     return EXIT_OK
 
 
 def cmd_anfis(args, config) -> int:
-    policy = _policy(config)
+    policy = config["policy"]
     params = _load_parameters(config, policy)
     section = config["anfis"]
     variable = section.get("variable", "T0")
@@ -345,7 +346,7 @@ def cmd_anfis(args, config) -> int:
     # The RMSE history holds one float per epoch.
     require_allocatable("anfis epochs", epochs)
     lr = to_real(section.get("learning_rate", 0.01), "anfis learning_rate")
-    decisions = _decisions(args, config)
+    decisions = DecisionVector.from_dict(config["decisions"])
 
     x, y, skipped = generate_dataset(params, decisions, variable,
                                      n_points, bounds, policy)
@@ -356,15 +357,13 @@ def cmd_anfis(args, config) -> int:
             f"{2 * rules} linear consequent parameters of {rules} rules")
     model = grid_partition(float(x.min()), float(x.max()), rules,
                            input_name=variable)
-    with refusing_overflow():
-        model, history = train_hybrid(model, x, y, epochs=epochs,
-                                      learning_rate=lr)
-        y_pred = model.forward(x)
-        rng = float(y.max() - y.min())
+    model, history = train_hybrid(model, x, y, epochs=epochs, learning_rate=lr)
+    y_pred = model.forward(x)
+    rng = float(y.max() - y.min())
     print(f"anfis {variable}: {x.size} points (skipped {skipped}), "
           f"final RMSE {history[-1]:.4f} ({100 * history[-1] / rng:.3f}% of range)")
     print(f"architecture: {model.architecture()}")
-    out = _out_dir(config)
+    out = config["out_dir"]
     if out:
         _atomic_write(out / f"anfis_{variable}.json", model.to_json())
     _write_csv(out, f"anfis_{variable}_predictions.csv", ["x", "y_true", "y_pred"],
@@ -375,7 +374,7 @@ def cmd_anfis(args, config) -> int:
 
 
 def cmd_surface(args, config) -> int:
-    policy = _policy(config)
+    policy = config["policy"]
     params = _load_parameters(config, policy)
     section = config["surface"]
     variables = section.get("variables")
@@ -395,14 +394,14 @@ def cmd_surface(args, config) -> int:
         raise UsageError("surface needs at least one grid point per variable")
     require_allocatable("surface n1", n1)
     require_allocatable("surface n2", n2)
-    decisions = _decisions(args, config)
+    decisions = DecisionVector.from_dict(config["decisions"])
 
     xs = np.linspace(range1[0], range1[1], n1)
     ys = np.linspace(range2[0], range2[1], n2)
     objective = make_batch_objective(params, policy)
     i1, i2 = DECISION_NAMES.index(v1), DECISION_NAMES.index(v2)
     block_rows = max(1, SURFACE_BLOCK_CELLS // n2)
-    out = _out_dir(config)
+    out = config["out_dir"]
     target = (out / f"surface_{v1}_{v2}.csv") if out else None
 
     def write(fh):
@@ -451,7 +450,7 @@ def cmd_calibrate(args, config) -> int:
         report["sign_checks"] = direction_report(result.params,
                                                  _optimizer_config(config))
     print(_json(report))
-    _write_json(_out_dir(config), "reproduction_report.json", report)
+    _write_json(config["out_dir"], "reproduction_report.json", report)
     return EXIT_OK if result.ok else EXIT_CALIBRATION
 
 
@@ -530,15 +529,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # The shared flags over the root, the optimizer's over `optimizer`,
-        # the subcommand's over its section; `evaluate`'s decision flags
-        # last, in `_decisions`.
+        # The shared flags over the root, the subcommand's over its section,
+        # the optimizer's and the decision flags in `_check_shared_keys`.
         config = _given(args, load_config(args.config), ("policy", "seed", "out_dir"))
-        config["optimizer"] = _given(args, config.get("optimizer"), OPTIMIZER_KEYS)
         config[args.command] = _given(args, config.get(args.command),
                                       SECTION_KEYS.get(args.command, ()))
-        return COMMANDS[args.command](args, config)
-    except (UsageError, ParameterError, DomainError, ValueError) as exc:
+        _check_shared_keys(args, config)
+        with refusing_overflow():
+            return COMMANDS[args.command](args, config)
+    except ValueError as exc:   # UsageError, ParameterError and DomainError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # pragma: no cover - defensive

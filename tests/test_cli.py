@@ -660,6 +660,16 @@ class TestConfigValidation:
         (["evaluate"], {"decisions": {**DECISIONS, "g": 99}}),
         (["calibrate"], {"calibrate": {"target": {**CALIBRATION_TARGET,
                                                   "bogus": 1}}}),
+        # Every command checks the shared keys, whether or not it reads them.
+        *[([command], {"optimizer": {"bogus": 1, "pop_size": "five"}, **section})
+          for command, section in (("evaluate", {}), ("anfis", {"anfis": ANFIS}),
+                                   ("surface", {"surface": SURFACE}),
+                                   ("calibrate", {}))],
+        (["calibrate"], {"policy": "bogus"}),
+        *[([command], {"seed": seed, **section})
+          for command, section in (("evaluate", {}), ("surface", {"surface": SURFACE}))
+          for seed in (2.5, "x", True)],
+        (["surface"], {"surface": {**SURFACE, "range1": [-1e308, 1e308]}}),
     ], ids=["seed_float", "seed_bool", "n1_float", "n1_bool", "epochs_float",
             "n_points_null", "decisions_list", "optimizer_list",
             "sensitivity_list", "policy_list", "parameters_list",
@@ -675,7 +685,11 @@ class TestConfigValidation:
             "policy_empty",
             "unknown_top_level_key", "unknown_anfis_key", "unknown_surface_key",
             "target_overflow_warning", "unknown_decision_key",
-            "unknown_target_key"])
+            "unknown_target_key", "evaluate_optimizer", "anfis_optimizer",
+            "surface_optimizer", "calibrate_optimizer", "calibrate_policy",
+            "evaluate_seed_float", "evaluate_seed_string", "evaluate_seed_bool",
+            "surface_seed_float", "surface_seed_string", "surface_seed_bool",
+            "surface_range_overflow"])
     def test_malformed_config_value_is_usage_error(self, capsys, tmp_path,
                                                    command, change):
         path = tmp_path / "c.json"
@@ -704,7 +718,15 @@ class TestConfigValidation:
         (["calibrate"], {"calibrate": {"target": {
             **CALIBRATION_TARGET, "decisions": {**DECISIONS, "g": 99}}}},
          "unknown decision keys: g"),
-    ], ids=["decisions", "section_decisions", "target", "target_decisions"])
+        # Commands that do not read the decisions check them too.
+        (OPTIMIZE, {"decisions": {**DECISIONS, "g": 99}}, "unknown decision keys: g"),
+        (["calibrate"], {"decisions": {**DECISIONS, "g": 99}},
+         "unknown decision keys: g"),
+        (SENSITIVITY, {"sensitivity": {"decisions": [1]}},
+         "'decisions' must hold a JSON object"),
+    ], ids=["decisions", "section_decisions", "target", "target_decisions",
+            "optimize_decisions", "calibrate_decisions",
+            "reoptimizing_section_decisions"])
     def test_unknown_nested_key_is_named(self, capsys, tmp_path, command,
                                          change, message):
         path = tmp_path / "c.json"

@@ -2,8 +2,12 @@
 
 Whatever the config and flags, a subcommand exits 0 (success), 2 (invalid
 input or domain error) or, for `calibrate`, 3 (calibration failed); never
-1, the internal-error code.  A JSON file it writes is JSON: no NaN or
-Infinity, which Python's encoder would write unasked.  Each example starts from a working
+1, the internal-error code.  Every subcommand checks the shared keys:
+decisions that are not an object of decision names, unknown optimizer
+options, a policy that is not one or a seed that is not an integer exit
+2 under each of them.  A JSON file it writes is JSON: no NaN or Infinity,
+which Python's encoder would write unasked; a surface CSV holds finite
+numbers only.  Each example starts from a working
 invocation and breaks up to two of its layers: the parameter document
 (out-of-domain, non-numeric, null and missing values, unknown keys), the
 `parameters_file` it may come through, the subcommand's section, the
@@ -44,8 +48,10 @@ SECTIONS = {
                 "range2": [80.0, 300.0], "n1": 2, "n2": 3},
     "calibrate": {},
 }
+#: The `optimizer` options; `seed` is top-level only.
 OPTIMIZER_OPTIONS = ("algorithm", "pop_size", "max_iter", "F", "Pc", "c1", "c2",
-                     "m0", "penalty_coefficient", "penalty_double_every", "seed")
+                     "m0", "penalty_coefficient", "penalty_double_every")
+POLICIES = ("tax", "cap_trade", "limited")
 UNKNOWN_KEYS = ("bogus", "v3", "p", "")
 LAYERS = ("parameters", "parameters_file", "section", "config", "flags")
 
@@ -136,8 +142,8 @@ def config_value(key: str):
     return {
         "policy": st.sampled_from(["tax", "cap_trade", "limited", "", "subsidy", 5]),
         "seed": st.sampled_from([0, -1, 2 ** 70, 2.5, True, "7"]),
-        "optimizer": st.one_of(mutated({}, OPTIMIZER_OPTIONS, option_value),
-                               NON_NUMERIC),
+        "optimizer": st.one_of(mutated({}, OPTIMIZER_OPTIONS + ("seed",),
+                                       option_value), NON_NUMERIC),
         "decisions": mutated(DECISIONS, DECISION_NAMES, slot),
         "parameters": NON_NUMERIC,
         "out_dir": NON_NUMERIC,
@@ -255,13 +261,39 @@ def run_main(argv) -> tuple:
     return code, skipped
 
 
-def working(command: str, parameters=None, flags=()):
-    """A working invocation of `command`, with `parameters` merged in."""
+def working(command: str, parameters=None, flags=(), **changes):
+    """A working invocation of `command`, with `parameters` merged in and
+    the config keys of `changes` replaced."""
     config = {"parameters": {**PARAMS, **(parameters or {})}, "policy": "tax",
               "seed": 7, "decisions": DECISIONS}
     if command in SECTIONS:
         config[command] = dict(SECTIONS[command])
-    return command, config, None, [], list(flags)
+    return command, {**config, **changes}, None, [], list(flags)
+
+
+def refused_shared_keys(command, config, global_flags) -> list:
+    """The shared keys of an invocation that every subcommand refuses:
+    decisions that are not an object of decision names, unknown optimizer
+    options, a policy that is not one, a seed that is not an integer."""
+    def not_an_object_of(doc, names):
+        return not isinstance(doc, dict) or bool(set(doc) - set(names))
+
+    section = config.get(command) or {}
+    refused = [key for key, doc in (("decisions", config.get("decisions")),
+                                    (f"{command}.decisions", section.get("decisions")))
+               if doc is not None and not_an_object_of(doc, DECISION_NAMES)]
+    if isinstance(config.get("optimizer"), dict) \
+            and not_an_object_of(config["optimizer"], OPTIMIZER_OPTIONS):
+        refused.append("optimizer")
+    given = dict(zip(global_flags[::2], global_flags[1::2]))
+    policy = "tax" if config.get("policy") is None else config["policy"]
+    if given.get("--policy", policy) not in POLICIES:
+        refused.append("policy")
+    # A `--seed` flag replaces the key; argparse refuses one that is not an int.
+    if "--seed" not in given and config.get("seed") is not None \
+            and type(config["seed"]) is not int:
+        refused.append("seed")
+    return refused
 
 
 @settings(max_examples=500, deadline=None,
@@ -280,6 +312,26 @@ def working(command: str, parameters=None, flags=()):
 @example(case=working("optimize", {"a": 1e308}, ["--pop", "5", "--iters", "1"]))
 @example(case=working("optimize", {"a": 1e307},
                       ["--pop", "5", "--iters", "3", "--algo", "de1"]))
+# Each of these exited 0 once: the command did not read the shared key, or
+# (the last) the surface axes overflowed to inf and NaN outside any scope.
+@example(case=working("optimize", flags=["--pop", "5", "--iters", "1"],
+                      decisions={**DECISIONS, "g": 99}))
+@example(case=working("calibrate", decisions={**DECISIONS, "g": 99}))
+@example(case=working("sensitivity", flags=["--pop", "5", "--iters", "1"],
+                      sensitivity={**SECTIONS["sensitivity"], "decisions": [1]}))
+@example(case=working("evaluate", optimizer={"bogus": 1, "pop_size": "five"}))
+@example(case=working("anfis", optimizer={"bogus": 1, "pop_size": "five"}))
+@example(case=working("surface", optimizer={"bogus": 1, "pop_size": "five"}))
+@example(case=working("calibrate", optimizer={"bogus": 1, "pop_size": "five"}))
+@example(case=working("calibrate", policy="bogus"))
+@example(case=working("evaluate", seed=2.5))
+@example(case=working("evaluate", seed="x"))
+@example(case=working("evaluate", seed=True))
+@example(case=working("surface", seed=2.5))
+@example(case=working("surface", seed="x"))
+@example(case=working("surface", seed=True))
+@example(case=working("surface", surface={**SECTIONS["surface"],
+                                          "range1": [-1e308, 1e308]}))
 def test_every_config_exits_zero_or_two(case):
     command, config, file_text, global_flags, command_flags = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -293,8 +345,12 @@ def test_every_config_exits_zero_or_two(case):
         code, skipped = run_main(["--config", str(config_path), "--out", str(out),
                                   *global_flags, command, *command_flags])
         event(f"{command} exits {code}")
-        allowed = (0, 2, 3) if command == "calibrate" else (0, 2)
-        assert code in allowed, (command, config, file_text, global_flags, command_flags)
+        refused = refused_shared_keys(command, config, global_flags)
+        allowed = (2,) if refused else (0, 2, 3) if command == "calibrate" else (0, 2)
+        assert code in allowed, (command, config, file_text, global_flags,
+                                 command_flags, refused)
         assert not skipped or command == "anfis", (command, skipped)
         for written in out.glob("*.json"):
             json.loads(written.read_text(), parse_constant=refuse_constant)
+        for written in out.glob("surface_*.csv"):
+            assert not re.search("nan|inf", written.read_text()), written.name
